@@ -34,7 +34,6 @@ from .io import (
 from .metrics import (
     DenseVector,
     MetricKind,
-    OrderedViews,
     cosine,
     decos,
     decos_from_tanimoto,
@@ -42,7 +41,6 @@ from .metrics import (
     is_oppositely_ordered,
     is_similarly_ordered,
     norm,
-    ordered_views,
     recos,
     similarity,
     tanimoto,
@@ -77,7 +75,6 @@ __all__ = [
     "EvalReport",
     "InvalidVectorError",
     "MetricKind",
-    "OrderedViews",
     "PairDataset",
     "PairRecord",
     "PairedDiffs",
@@ -106,7 +103,6 @@ __all__ = [
     "load_pairs",
     "load_results",
     "norm",
-    "ordered_views",
     "paired_t_test",
     "parse_vector",
     "rearrangement_bound",

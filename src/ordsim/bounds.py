@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolationError
-from .metrics import VectorLike, _pair, norm
+from .metrics import VectorLike, _norm, _pair
 
 __all__ = [
     "BoundChain",
@@ -63,7 +63,11 @@ def rearrangement_bound(u: VectorLike, v: VectorLike) -> float:
     it is ``|sort_asc(u) . sort_desc(v)|``; for ``u.v == 0`` the larger of
     the two.
     """
-    a, b = _pair(u, v)
+    return _rearrangement_bound(*_pair(u, v))
+
+
+def _rearrangement_bound(a: np.ndarray, b: np.ndarray) -> float:
+    # ``rearrangement_bound`` on arrays that are already validated.
     d = float(np.dot(a, b))
     asc_a = np.sort(a)
     asc_b = np.sort(b)
@@ -79,11 +83,11 @@ def rearrangement_bound(u: VectorLike, v: VectorLike) -> float:
 def bound_chain(u: VectorLike, v: VectorLike) -> BoundChain:
     """Compute all four chain values from shared dot/norm/sort primitives."""
     a, b = _pair(u, v)
-    na = norm(a)
-    nb = norm(b)
+    na = _norm(a)
+    nb = _norm(b)
     return BoundChain(
         abs_dot=abs(float(np.dot(a, b))),
-        rearrangement=rearrangement_bound(a, b),
+        rearrangement=_rearrangement_bound(a, b),
         cauchy_schwarz=na * nb,
         arithmetic_quadratic=0.5 * (na * na + nb * nb),
     )

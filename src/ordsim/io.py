@@ -6,6 +6,9 @@ must not contain commas), LF or CRLF line endings, blank lines ignored:
 Pair datasets -- header ``gold,u_0,...,u_{d-1},v_0,...,v_{d-1}`` for some
 dimension d >= 1, one scored vector pair per row.  ``gold`` is the reference
 similarity score for the pair; all values are decimal literals.
+``load_pairs`` parses the rows straight into a ``PairDataset``'s columns,
+``gold``, ``U`` and ``V``; ``PairRecord`` objects are made only when
+``PairDataset.records`` is read.
 
 Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
@@ -21,8 +24,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
 from .metrics import DenseVector
@@ -66,7 +72,11 @@ def parse_vector(text: str) -> DenseVector:
 
 def format_vector(v: DenseVector) -> str:
     """Inverse of parse_vector; components in shortest round-trip form."""
-    return ",".join(repr(float(c)) for c in v.components)
+    return _format_components(v.components)
+
+
+def _format_components(components: np.ndarray) -> str:
+    return ",".join(repr(c) for c in components.tolist())
 
 
 @dataclass(frozen=True)
@@ -88,26 +98,79 @@ class PairRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PairDataset:
-    """A named collection of pair records sharing one dimension, n >= 2."""
+    """A named set of scored vector pairs sharing one dimension, n >= 2.
+
+    Stored as read-only float64 columns: ``gold`` of shape (n,) and ``U``,
+    ``V`` of shape (n, dim), whose row i holds pair i.  The constructor
+    stacks ``PairRecord``s, which are validated already; ``load_pairs``
+    fills the columns straight from the file.  ``records`` is rebuilt from
+    the columns the first time it is read.
+    """
 
     name: str
     dim: int
-    records: tuple[PairRecord, ...]
+    gold: np.ndarray
+    U: np.ndarray
+    V: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(self.records) < 2:
+    def __init__(self, name: str, dim: int, records: Sequence[PairRecord]) -> None:
+        records = tuple(records)
+        if len(records) < 2:
             raise DegenerateInputError("a pair dataset needs at least 2 records")
-        for i, rec in enumerate(self.records):
-            if rec.u.dim != self.dim:
+        for i, rec in enumerate(records):
+            if rec.u.dim != dim:
                 raise DegenerateInputError(
-                    f"record {i} has dimension {rec.u.dim}, dataset declares {self.dim}"
+                    f"record {i} has dimension {rec.u.dim}, dataset declares {dim}"
                 )
+        self._set_columns(
+            name,
+            np.array([rec.gold for rec in records], dtype=np.float64),
+            np.stack([rec.u.components for rec in records]),
+            np.stack([rec.v.components for rec in records]),
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, name: str, gold: np.ndarray, U: np.ndarray, V: np.ndarray
+    ) -> PairDataset:
+        # For columns already checked to be finite, with n >= 2 rows.
+        dataset = cls.__new__(cls)
+        dataset._set_columns(name, gold, U, V)
+        return dataset
+
+    def _set_columns(self, name: str, gold: np.ndarray, U: np.ndarray, V: np.ndarray) -> None:
+        for column in (gold, U, V):
+            column.setflags(write=False)
+        fields = {"name": name, "dim": U.shape[1], "gold": gold, "U": U, "V": V}
+        for attr, value in fields.items():
+            object.__setattr__(self, attr, value)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return int(self.gold.size)
+
+    @cached_property
+    def records(self) -> tuple[PairRecord, ...]:
+        """The pairs as records, in row order."""
+        return tuple(
+            PairRecord(g, DenseVector(u), DenseVector(v))
+            for g, u, v in zip(self.gold.tolist(), self.U, self.V)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairDataset):
+            return NotImplemented
+        return (self.name, self.dim) == (other.name, other.dim) and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(
+                (self.gold, self.U, self.V), (other.gold, other.U, other.V)
+            )
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.dim, tuple(self.gold.tolist())))
 
 
 def _pair_header(dim: int) -> str:
@@ -144,42 +207,43 @@ def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
             f"{path}:{header_no}: malformed header for dimension {dim}",
             line=header_no,
         )
-    records = []
-    for lineno, line in lines[1:]:
+    width = 1 + 2 * dim
+    rows = lines[1:]
+    table = np.empty((len(rows), width))
+    for values, (lineno, line) in zip(table, rows):
         fields = line.split(",")
-        if len(fields) != 1 + 2 * dim:
+        if len(fields) != width:
             raise DatasetFormatError(
-                f"{path}:{lineno}: expected {1 + 2 * dim} fields, got {len(fields)}",
+                f"{path}:{lineno}: expected {width} fields, got {len(fields)}",
                 line=lineno,
             )
         try:
-            values = [float(f) for f in fields]
+            values[:] = [float(f) for f in fields]
         except ValueError:
             raise DatasetFormatError(
                 f"{path}:{lineno}: non-numeric field", line=lineno
             ) from None
-        try:
-            record = PairRecord(
-                gold=values[0],
-                u=DenseVector(values[1 : 1 + dim]),
-                v=DenseVector(values[1 + dim :]),
-            )
-        except (InvalidVectorError, DegenerateInputError) as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
-        records.append(record)
-    if len(records) < 2:
+        if not np.isfinite(values).all():
+            # Let the record types raise, so the message says which part is not finite.
+            try:
+                PairRecord(
+                    values[0], DenseVector(values[1 : 1 + dim]), DenseVector(values[1 + dim :])
+                )
+            except (InvalidVectorError, DegenerateInputError) as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+    if len(rows) < 2:
         raise DatasetFormatError(f"{path}: need at least 2 data rows")
-    return PairDataset(name=name or path.stem, dim=dim, records=tuple(records))
+    return PairDataset._from_columns(
+        name or path.stem, table[:, 0], table[:, 1 : 1 + dim], table[:, 1 + dim :]
+    )
 
 
 def save_pairs(dataset: PairDataset, path: PathLike) -> None:
     """Write a pair dataset in the documented schema (lossless round-trip)."""
     path = Path(path)
     rows = [_pair_header(dataset.dim)]
-    for rec in dataset.records:
-        rows.append(
-            f"{rec.gold!r},{format_vector(rec.u)},{format_vector(rec.v)}"
-        )
+    for gold, u, v in zip(dataset.gold.tolist(), dataset.U, dataset.V):
+        rows.append(f"{gold!r},{_format_components(u)},{_format_components(v)}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

@@ -22,14 +22,12 @@ from .errors import DegenerateInputError, DimensionMismatchError, InvalidVectorE
 
 __all__ = [
     "DenseVector",
-    "OrderedViews",
     "MetricKind",
     "VectorLike",
     "ZERO_DENOMINATOR_GUARD",
     "as_dense",
     "dot",
     "norm",
-    "ordered_views",
     "recos",
     "cosine",
     "decos",
@@ -106,24 +104,6 @@ def as_dense(value: VectorLike) -> DenseVector:
     return DenseVector(np.asarray(value))
 
 
-@dataclass(frozen=True)
-class OrderedViews:
-    """A vector together with its ascending and descending rearrangements."""
-
-    original: DenseVector
-    ascending: DenseVector
-    descending: DenseVector
-
-    def __post_init__(self) -> None:
-        a = self.ascending.components
-        if not np.all(a[:-1] <= a[1:]):
-            raise InvalidVectorError("ascending view is not sorted")
-        if not np.array_equal(self.descending.components, a[::-1]):
-            raise InvalidVectorError("descending view is not the reverse of ascending")
-        if not np.array_equal(np.sort(self.original.components), a):
-            raise InvalidVectorError("views are not rearrangements of the original")
-
-
 class MetricKind(str, Enum):
     """Names of the four similarity metrics, as accepted by the CLI."""
 
@@ -158,19 +138,16 @@ def norm(u: VectorLike) -> float:
     Falls back to a rescaled computation when the direct one underflows to
     zero on a nonzero input (all-subnormal components).
     """
-    a = as_dense(u).components
+    return _norm(as_dense(u).components)
+
+
+def _norm(a: np.ndarray) -> float:
+    # ``norm`` on an array that is already validated.
     n = float(np.linalg.norm(a))
     if n == 0.0 and np.any(a != 0.0):
         scale = float(np.max(np.abs(a)))
         n = scale * float(np.linalg.norm(a / scale))
     return n
-
-
-def ordered_views(u: VectorLike) -> OrderedViews:
-    """The vector with its ascending and descending sorts, O(d log d)."""
-    a = as_dense(u)
-    asc = np.sort(a.components)
-    return OrderedViews(a, DenseVector(asc), DenseVector(asc[::-1]))
 
 
 def recos(u: VectorLike, v: VectorLike) -> float:
@@ -196,8 +173,8 @@ def recos(u: VectorLike, v: VectorLike) -> float:
 def cosine(u: VectorLike, v: VectorLike) -> float:
     """Cosine similarity in [-1, 1].  Rejects zero vectors."""
     a, b = _pair(u, v)
-    na = norm(a)
-    nb = norm(b)
+    na = _norm(a)
+    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine is undefined for a zero vector")
     return _clip_unit(float(np.dot(a, b)) / (na * nb))
@@ -249,6 +226,55 @@ _METRIC_FUNCS = {
 def similarity(kind: MetricKind | str, u: VectorLike, v: VectorLike) -> float:
     """Dispatch to one of the four metrics by kind."""
     return _METRIC_FUNCS[MetricKind(kind)](u, v)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # A (n,1,d) @ (n,d,1) matmul makes one BLAS dot call per row, the call
+    # np.dot makes for one pair, so every value is bit-identical to it.
+    # einsum and (a * b).sum(axis=1) add the products in another order.
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+@np.errstate(all="ignore")
+def _similarity_rows(
+    kind: MetricKind, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``similarity(kind, a[i], b[i])`` for every row of two (n, d) arrays.
+
+    The arrays must hold finite float64 values.  Each value is computed with
+    the dots, sorts and float operations of the scalar metric, in the same
+    order, so it equals the scalar result bit for bit.  The second array
+    marks the rows where the scalar metric may take a branch: ``u.v == 0``,
+    a zero denominator or norm, or a non-finite dot or denominator.  Their
+    values here mean nothing; score them with ``similarity``, which returns
+    or raises exactly what it always does.
+    """
+    d = _row_dots(a, b)
+    if kind is MetricKind.RECOS:
+        sa = np.sort(a, axis=1)
+        sb = np.sort(b, axis=1)
+        neg = d < 0.0
+        # A contiguous reversed copy: np.dot copies a reversed view the same way.
+        sb[neg] = sb[neg, ::-1]
+        den = np.abs(_row_dots(sa, sb))
+    else:
+        aa = _row_dots(a, a)
+        bb = _row_dots(b, b)
+        if kind is MetricKind.COS:
+            den = np.sqrt(aa) * np.sqrt(bb)
+        elif kind is MetricKind.DECOS:
+            den = 0.5 * (aa + bb)
+        else:
+            den = aa + bb - d
+    sims = d / den
+    if kind is not MetricKind.TANIMOTO:
+        sims = np.clip(sims, -1.0, 1.0)
+    # A zero dot goes to the scalar path under every kind, not only recos,
+    # which branches on it: on one-component vectors np.dot returns the bare
+    # product, so a zero dot keeps that product's sign, while the matmul here
+    # adds the product to +0.0.
+    scalar = (d == 0.0) | (den == 0.0) | ~(np.isfinite(d) & np.isfinite(den))
+    return sims, scalar
 
 
 def _group_extrema(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,19 @@
 """Evaluation and comparison harness mechanics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ordsim.harness
 from ordsim import (
     CoverageMismatchError,
     DegenerateInputError,
     DenseVector,
+    EvalReport,
     MetricKind,
     PairDataset,
     PairRecord,
@@ -18,7 +23,12 @@ from ordsim import (
     cosine,
     evaluate,
     fixture_path,
+    load_pairs,
     load_results,
+    recos,
+    save_pairs,
+    similarity,
+    spearman_rho,
 )
 
 
@@ -88,6 +98,150 @@ class TestEvaluate:
         ds = _dataset_from_sims([1.0, 2.0, 3.0], pairs)
         with pytest.raises(DegenerateInputError):
             evaluate(ds, "cos")
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+def _per_pair(ds, kind):
+    """Scores and report from one ``similarity`` call per record: the reference."""
+    sims = []
+
+    def run():
+        for rec in ds.records:
+            sims.append(similarity(kind, rec.u, rec.v))
+        rho = spearman_rho(sims, [rec.gold for rec in ds.records])
+        return EvalReport(ds.name, MetricKind(kind), 100.0 * rho, ds.n)
+
+    report = _outcome(run)
+    return (np.array(sims) if len(sims) == ds.n else None), report
+
+
+def _evaluated(ds, kind):
+    """``evaluate``'s report, with the scores it handed to ``spearman_rho``."""
+    seen = []
+    real = ordsim.harness.spearman_rho
+
+    def spy(x, y):
+        seen.append(np.array(x, dtype=np.float64))
+        return real(x, y)
+
+    with mock.patch.object(ordsim.harness, "spearman_rho", spy):
+        report = _outcome(lambda: evaluate(ds, kind))
+    return (seen[0] if seen else None), report
+
+
+def _assert_parity(ds):
+    for kind in MetricKind:
+        want_sims, want = _per_pair(ds, kind)
+        got_sims, got = _evaluated(ds, kind)
+        assert got == want, kind
+        if want_sims is None:
+            assert got_sims is None, kind
+        else:
+            assert got_sims.tobytes() == want_sims.tobytes(), kind
+
+
+def _columns_dataset(gold, U, V):
+    records = [PairRecord(g, DenseVector(u), DenseVector(v)) for g, u, v in zip(gold, U, V)]
+    return PairDataset("parity", U.shape[1], records)
+
+
+def _seeded_columns(seed, n, d):
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((n, d)) * np.exp2(rng.integers(-30, 31, (n, 1)))
+    sign = np.where(rng.random((n, 1)) < 0.3, -1.0, 1.0)
+    V = sign * U + rng.uniform(0.1, 3.0, (n, 1)) * rng.standard_normal((n, d))
+    gold = np.round(rng.uniform(0, 5, n), 1)
+    return gold, U, V
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(2, 150))
+    d = draw(st.integers(1, 50))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # Small integers: exact zero dots, zero rows, ties and repeats.
+        U = rng.integers(-2, 3, (n, d)).astype(np.float64)
+        V = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    else:
+        # Most exponents near 1; the rest reach overflow and subnormals.
+        k = draw(st.one_of(st.integers(-60, 60), st.integers(-1100, 1000)))
+        U = np.ldexp(rng.standard_normal((n, d)), k)
+        V = np.ldexp(rng.standard_normal((n, d)), k)
+    gold = rng.integers(0, 6, n).astype(np.float64)
+    return _columns_dataset(gold, U, V)
+
+
+class TestBlockParity:
+    """evaluate scores blocks of rows at once, bit for bit as similarity does per pair."""
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 128, 129, 150])
+    @pytest.mark.parametrize("d", [1, 2, 7, 50])
+    def test_seeded(self, n, d):
+        _assert_parity(_columns_dataset(*_seeded_columns(1000 * n + d, n, d)))
+
+    @given(_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis(self, ds):
+        _assert_parity(ds)
+
+    def test_loaded_dataset(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        save_pairs(_columns_dataset(*_seeded_columns(7, 130, 48)), path)
+        _assert_parity(load_pairs(path))
+
+    def test_exact_zero_dots_and_repeated_rows(self):
+        gold, U, V = _seeded_columns(11, 70, 3)
+        U[5], V[5] = [1.0, 2.0, 0.0], [2.0, -1.0, 5.0]  # u.v == 0 exactly
+        U[66], V[66] = [3.0, 0.0, -4.0], [4.0, 9.0, 3.0]
+        U[20:40], V[20:40] = U[19], V[19]  # ties across the whole run
+        ds = _columns_dataset(gold, U, V)
+        assert recos(U[5], V[5]) == 0.0
+        _assert_parity(ds)
+
+    def test_zero_row_raises_as_before(self):
+        gold, U, V = _seeded_columns(13, 100, 4)
+        U[70] = 0.0
+        ds = _columns_dataset(gold, U, V)
+        with pytest.raises(DegenerateInputError, match="cosine is undefined for a zero vector"):
+            evaluate(ds, "cos")
+        _assert_parity(ds)
+
+    def test_overflowing_pair_keeps_scalar_value(self):
+        # u.v overflows to inf; the per-pair metrics answer -1.0 for recos.
+        gold, U, V = _seeded_columns(17, 66, 2)
+        U[65] = V[65] = [1e200, 2e200]
+        ds = _columns_dataset(gold, U, V)
+        assert recos(U[65], V[65]) == -1.0
+        _assert_parity(ds)
+
+    def test_clean_rows_never_call_similarity(self):
+        ds = _columns_dataset(*_seeded_columns(19, 150, 50))
+        calls = mock.Mock(wraps=similarity)
+        with mock.patch.object(ordsim.harness, "similarity", calls):
+            for kind in MetricKind:
+                evaluate(ds, kind)
+        assert calls.call_count == 0
+
+    def test_branch_rows_go_through_similarity(self):
+        gold, U, V = _seeded_columns(23, 100, 3)
+        U[80], V[80] = [1.0, 1.0, 0.0], [1.0, -1.0, 7.0]  # u.v == 0 exactly
+        ds = _columns_dataset(gold, U, V)
+        calls = mock.Mock(wraps=similarity)
+        with mock.patch.object(ordsim.harness, "similarity", calls):
+            evaluate(ds, "recos")
+        assert calls.call_count == 1
+        kind, u, v = calls.call_args.args
+        assert kind is MetricKind.RECOS
+        assert np.array_equal(u, U[80]) and np.array_equal(v, V[80])
 
 
 def _table(rows):

@@ -83,14 +83,63 @@ class TestPairRecordAndDataset:
 
     def test_dataset_needs_two_records(self):
         rec = PairRecord(1.0, DenseVector([1]), DenseVector([2]))
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="^a pair dataset needs at least 2 records$"):
             PairDataset("x", 1, (rec,))
 
     def test_dataset_dimension_consistency(self):
         rec1 = PairRecord(1.0, DenseVector([1]), DenseVector([2]))
         rec2 = PairRecord(1.0, DenseVector([1, 2]), DenseVector([2, 1]))
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(
+            DegenerateInputError, match="^record 1 has dimension 2, dataset declares 1$"
+        ):
             PairDataset("x", 1, (rec1, rec2))
+
+    def test_value_equality(self):
+        rng = np.random.default_rng(149)
+        ds = _random_dataset(rng)
+        same = PairDataset(name=ds.name, dim=ds.dim, records=list(ds.records))
+        assert same == ds and hash(same) == hash(ds)
+        flipped = PairDataset(ds.name, ds.dim, [PairRecord(-r.gold, r.u, r.v) for r in ds.records])
+        assert flipped != ds
+
+
+class TestColumns:
+    def _records(self, n=5, dim=3):
+        rng = np.random.default_rng(139)
+        return [
+            PairRecord(
+                float(rng.uniform(0, 5)),
+                DenseVector(rng.standard_normal(dim)),
+                DenseVector(rng.standard_normal(dim)),
+            )
+            for _ in range(n)
+        ]
+
+    def _assert_columns_of(self, ds, records):
+        assert ds.n == len(records)
+        assert np.array_equal(ds.gold, [r.gold for r in records])
+        assert np.array_equal(ds.U, np.stack([r.u.components for r in records]))
+        assert np.array_equal(ds.V, np.stack([r.v.components for r in records]))
+        for column in (ds.gold, ds.U, ds.V):
+            assert column.dtype == np.float64
+            assert not column.flags.writeable
+        assert ds.gold.shape == (ds.n,)
+        assert ds.U.shape == ds.V.shape == (ds.n, ds.dim)
+
+    def test_built_from_records(self):
+        records = self._records()
+        ds = PairDataset("synth", 3, records)
+        self._assert_columns_of(ds, records)
+        assert ds.records == tuple(records)
+
+    def test_loaded_from_file(self, tmp_path):
+        records = self._records()
+        path = tmp_path / "pairs.csv"
+        save_pairs(PairDataset("synth", 3, records), path)
+        ds = load_pairs(path)
+        assert "records" not in vars(ds)  # records are built only when read
+        self._assert_columns_of(ds, records)
+        assert ds.records == tuple(records)
 
 
 class TestPairsRoundTrip:
@@ -103,6 +152,25 @@ class TestPairsRoundTrip:
         assert loaded.name == ds.name
         assert loaded.dim == ds.dim
         assert loaded.records == ds.records
+
+    def test_file_text_is_shortest_repr(self, tmp_path):
+        ds = PairDataset(
+            "x",
+            2,
+            (
+                PairRecord(0.1, DenseVector([1 / 3, -2.5]), DenseVector([1e-300, 7.0])),
+                PairRecord(4.0, DenseVector([0.0, -0.0]), DenseVector([1e300, 2.0**-1074])),
+            ),
+        )
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_pairs(ds, first)
+        assert first.read_text() == (
+            "gold,u_0,u_1,v_0,v_1\n"
+            "0.1,0.3333333333333333,-2.5,1e-300,7.0\n"
+            "4.0,0.0,-0.0,1e+300,5e-324\n"
+        )
+        save_pairs(load_pairs(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_name_defaults_to_stem(self, tmp_path):
         rng = np.random.default_rng(157)
@@ -175,6 +243,23 @@ class TestPairsErrors:
         with pytest.raises(DatasetFormatError) as err:
             load_pairs(path)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("1.0,inf,3.0", "vector components must be finite"),
+            ("1.0,2.0,-inf", "vector components must be finite"),
+            ("nan,2.0,3.0", "gold score must be finite"),
+            ("1e999,1e999,3.0", "vector components must be finite"),
+        ],
+    )
+    def test_non_finite_error_names_the_part(self, tmp_path, row, message):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"gold,u_0,v_0\n1.0,2.0,3.0\n{row}\n1.0,x,3.0\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_pairs(path)
+        assert str(err.value) == f"{path}:3: {message}"
+        assert err.value.line == 3
 
     def test_single_row_rejected(self, tmp_path):
         path = tmp_path / "one.csv"

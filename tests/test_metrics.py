@@ -13,7 +13,6 @@ from ordsim import (
     DimensionMismatchError,
     InvalidVectorError,
     MetricKind,
-    OrderedViews,
     cosine,
     decos,
     decos_from_tanimoto,
@@ -22,7 +21,6 @@ from ordsim import (
     is_similarly_ordered,
     load_experts,
     norm,
-    ordered_views,
     recos,
     similarity,
     tanimoto,
@@ -114,35 +112,6 @@ class TestDotAndNorm:
         n = norm([tiny, tiny])
         assert n > 0.0
         assert n == pytest.approx(tiny * math.sqrt(2.0), rel=1e-9)
-
-
-class TestOrderedViews:
-    def test_example(self):
-        ov = ordered_views([3, 1, 2])
-        assert list(ov.ascending) == [1.0, 2.0, 3.0]
-        assert list(ov.descending) == [3.0, 2.0, 1.0]
-        assert ov.original == DenseVector([3, 1, 2])
-
-    def test_ties_preserved(self):
-        ov = ordered_views([2, 2, 1])
-        assert list(ov.ascending) == [1.0, 2.0, 2.0]
-        assert list(ov.descending) == [2.0, 2.0, 1.0]
-
-    def test_invariants_enforced(self):
-        v = DenseVector([1, 2, 3])
-        with pytest.raises(InvalidVectorError):
-            OrderedViews(v, DenseVector([3, 2, 1]), DenseVector([1, 2, 3]))
-        with pytest.raises(InvalidVectorError):
-            OrderedViews(v, DenseVector([1, 2, 4]), DenseVector([4, 2, 1]))
-
-    @given(vector_pairs(max_dim=12))
-    def test_views_sorted_dot_extremal_among_samples(self, pair):
-        u, v = pair
-        ou, ovv = ordered_views(u), ordered_views(v)
-        same = dot(ou.ascending, ovv.ascending)
-        opposite = dot(ou.ascending, ovv.descending)
-        assert opposite <= dot(u, v) + 1e-6 * max(1.0, abs(same))
-        assert dot(u, v) <= same + 1e-6 * max(1.0, abs(same))
 
 
 class TestGoldenValues:
