@@ -184,6 +184,11 @@ def _content_lines(path: Path) -> list[tuple[int, str]]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[: exc.start].count(b"\n") + 1
+        raise DatasetFormatError(
+            f"{path}:{lineno}: not valid UTF-8: {exc.reason}", line=lineno
+        ) from exc
     numbered = [(i, line) for i, line in enumerate(text.splitlines(), start=1)]
     return [(i, line) for i, line in numbered if line.strip()]
 

@@ -1,4 +1,17 @@
-"""Prints a one-line verdict per acceptance criterion at the end of a run."""
+"""Prints a one-line verdict per acceptance criterion at the end of a run.
+
+Also provides ``fresh_python``, which runs a new interpreter that imports the
+ordsim under test.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ordsim
 
 CRITERIA = {
     "test_criterion_01_golden_values": "1 golden scores on the worked-example vectors",
@@ -33,3 +46,16 @@ def pytest_terminal_summary(terminalreporter):
         outcome = _results.get(name, "not run")
         verdict = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"criterion {label}: {verdict}")
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python *args`` in a new interpreter that imports this ordsim."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ordsim.__file__).resolve().parents[1]))
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    return run

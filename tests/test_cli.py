@@ -183,6 +183,23 @@ class TestCompare:
         assert "zzz" in err
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "command, flag, extra",
+        [
+            ("bench", "--pairs", ["--metric", "recos"]),
+            ("compare", "--results", ["--a", "recos", "--b", "cos"]),
+        ],
+    )
+    def test_data_error_without_traceback(self, fresh_python, tmp_path, command, flag, extra):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"gold,u_0,v_0\n\xff1,2,3\n")
+        proc = fresh_python("-m", "ordsim", command, flag, str(path), *extra)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {path}:2: not valid UTF-8: invalid start byte\n"
+        assert "Traceback" not in proc.stderr
+
+
 class TestSelftest:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--seed", "7", "--trials", "30")

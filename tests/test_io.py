@@ -268,6 +268,31 @@ class TestPairsErrors:
             load_pairs(path)
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "load, header, row",
+        [
+            (load_pairs, "gold,u_0,v_0", "1,2,3"),
+            (load_results, "model,method,dataset,score", "m,cos,D,1.25"),
+            (load_experts, "name,c1", "a,1"),
+        ],
+    )
+    def test_bad_byte_names_path_and_line(self, tmp_path, load, header, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{header}\r\n{row}\r\n\xff{row}\n".encode("latin-1"))
+        with pytest.raises(DatasetFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:3: not valid UTF-8: invalid start byte"
+        assert err.value.line == 3
+
+    def test_bad_byte_on_first_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"gold\xff,u_0,v_0\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_pairs(path)
+        assert err.value.line == 1
+
+
 class TestScoreCents:
     @pytest.mark.parametrize(
         "text,cents",
