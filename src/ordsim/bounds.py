@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolationError
-from .metrics import VectorLike, _norm, _pair
+from .metrics import VectorLike, _norm, _pair, _rearrangement
 
 __all__ = [
     "BoundChain",
@@ -63,31 +63,19 @@ def rearrangement_bound(u: VectorLike, v: VectorLike) -> float:
     it is ``|sort_asc(u) . sort_desc(v)|``; for ``u.v == 0`` the larger of
     the two.
     """
-    return _rearrangement_bound(*_pair(u, v))
-
-
-def _rearrangement_bound(a: np.ndarray, b: np.ndarray) -> float:
-    # ``rearrangement_bound`` on arrays that are already validated.
-    d = float(np.dot(a, b))
-    asc_a = np.sort(a)
-    asc_b = np.sort(b)
-    same = abs(float(np.dot(asc_a, asc_b)))
-    if d > 0.0:
-        return same
-    opposite = abs(float(np.dot(asc_a, asc_b[::-1])))
-    if d < 0.0:
-        return opposite
-    return max(same, opposite)
+    a, b = _pair(u, v)
+    return _rearrangement(a, b, float(np.dot(a, b)))
 
 
 def bound_chain(u: VectorLike, v: VectorLike) -> BoundChain:
     """Compute all four chain values from shared dot/norm/sort primitives."""
     a, b = _pair(u, v)
+    d = float(np.dot(a, b))
     na = _norm(a)
     nb = _norm(b)
     return BoundChain(
-        abs_dot=abs(float(np.dot(a, b))),
-        rearrangement=_rearrangement_bound(a, b),
+        abs_dot=abs(d),
+        rearrangement=_rearrangement(a, b, d),
         cauchy_schwarz=na * nb,
         arithmetic_quadratic=0.5 * (na * na + nb * nb),
     )

@@ -12,6 +12,7 @@ All numeric output uses ``.`` as the decimal point regardless of locale.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
@@ -26,7 +27,7 @@ from .errors import (
     InvalidVectorError,
 )
 from .harness import ComparisonReport, compare, evaluate
-from .io import load_pairs, load_results, parse_vector
+from .io import _check_results_field, load_pairs, load_results, parse_vector
 from .metrics import DenseVector, MetricKind, similarity
 from .selftest import run_selftest
 
@@ -46,7 +47,12 @@ _DATA_ERRORS = (
 
 
 def _fmt_fixed(x: float, places: int) -> str:
-    """Fixed-point display with ties rounded away from zero."""
+    """Fixed-point display with ties rounded away from zero.
+
+    A value that is not finite is a data error, not a number to print.
+    """
+    if not math.isfinite(x):
+        raise DegenerateInputError(f"result is not finite: {float(x)!r}")
     quantum = Decimal(1).scaleb(-places)
     q = Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP)
     if q == 0:
@@ -90,13 +96,16 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     u, v = _pair_args(args)
     chain = bound_chain(u, v)
-    for label, value in (
-        ("|u·v|", chain.abs_dot),
-        ("rearrangement", chain.rearrangement),
-        ("cauchy_schwarz", chain.cauchy_schwarz),
-        ("am_qm", chain.arithmetic_quadratic),
-    ):
-        print(f"{label:<16}{_fmt_fixed(value, 6)}")
+    lines = [
+        f"{label:<16}{_fmt_fixed(value, 6)}"
+        for label, value in (
+            ("|u·v|", chain.abs_dot),
+            ("rearrangement", chain.rearrangement),
+            ("cauchy_schwarz", chain.cauchy_schwarz),
+            ("am_qm", chain.arithmetic_quadratic),
+        )
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -104,6 +113,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     dataset = load_pairs(args.pairs)
     report = evaluate(dataset, MetricKind(args.metric))
     if args.format == "csv":
+        _check_results_field("dataset", report.dataset)
         print("model,method,dataset,score")
         print(
             f"{args.model},{report.metric.value},{report.dataset},"
@@ -264,6 +274,14 @@ def _positive(text: str) -> int:
     return value
 
 
+def _model_name(text: str) -> str:
+    try:
+        _check_results_field("model", text)
+    except DegenerateInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordsim",
@@ -286,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="evaluate a metric on a pair-dataset file")
     p_bench.add_argument("--pairs", required=True, help="pair-dataset CSV path")
     p_bench.add_argument("--metric", required=True, choices=metric_values)
-    p_bench.add_argument("--model", default="-", help="model name for csv output")
+    p_bench.add_argument(
+        "--model", type=_model_name, default="-", help="model name for csv output"
+    )
     p_bench.add_argument("--format", choices=("table", "csv"), default="table")
     p_bench.set_defaults(func=_cmd_bench)
 

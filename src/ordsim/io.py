@@ -268,6 +268,14 @@ def _format_score_cents(cents: int) -> str:
     return f"{sign}{mag // 100}.{mag % 100:02d}"
 
 
+def _check_results_field(fname: str, value: str) -> None:
+    """Reject a results-table name that is empty or holds a comma."""
+    if not value or "," in value:
+        raise DegenerateInputError(
+            f"{fname} must be non-empty and comma-free, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ResultsRow:
     """One benchmark cell; the score is held exactly as integer hundredths."""
@@ -279,9 +287,7 @@ class ResultsRow:
 
     def __post_init__(self) -> None:
         for fname in ("model", "method", "dataset"):
-            value = getattr(self, fname)
-            if not value or "," in value:
-                raise DegenerateInputError(f"{fname} must be non-empty and comma-free")
+            _check_results_field(fname, getattr(self, fname))
 
     @property
     def score(self) -> float:

@@ -8,6 +8,7 @@ same direction as ``u`` when ``u.v > 0`` and the opposite direction when
 same numerator by the Cauchy-Schwarz, arithmetic-mean and union-style
 denominators.  All four share sign and symmetry; the ordinal predicates at
 the bottom of the module characterize when ``recos`` saturates at +/-1.
+Each operand is checked once, by ``_vector``; the formulas run on its arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "MetricKind",
     "VectorLike",
     "ZERO_DENOMINATOR_GUARD",
-    "as_dense",
     "dot",
     "norm",
     "recos",
@@ -48,24 +48,15 @@ ZERO_DENOMINATOR_GUARD = 1e-6
 class DenseVector:
     """An immutable finite real vector of dimension >= 1.
 
-    Components are held as a read-only float64 array.  Construction rejects
-    empty, non-1d and non-finite input, so every metric can assume its
-    operands are clean.
+    Components are held as a read-only float64 copy of the input, checked
+    as every metric checks a plain array or sequence (see ``_vector``), so
+    wrapping is optional: it validates once and freezes the result.
     """
 
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            arr = np.array(self.components, dtype=np.float64, copy=True)
-        except (TypeError, ValueError) as exc:
-            raise InvalidVectorError(f"not a numeric vector: {exc}") from exc
-        if arr.ndim != 1:
-            raise InvalidVectorError(f"expected a 1-d vector, got shape {arr.shape}")
-        if arr.size == 0:
-            raise InvalidVectorError("vector must have at least one component")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidVectorError("vector components must be finite")
+        arr = _vector(self.components).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
 
@@ -97,11 +88,23 @@ class DenseVector:
 VectorLike = Union[DenseVector, Sequence[float], np.ndarray]
 
 
-def as_dense(value: VectorLike) -> DenseVector:
-    """Coerce a sequence or array to a DenseVector (validating it)."""
+def _vector(value: VectorLike) -> np.ndarray:
+    # A checked C-contiguous float64 array, ``value`` itself if it is one, so
+    # never write to it.  ndim is checked before ascontiguousarray makes 0-d
+    # input 1-d; contiguity keeps np.dot on the BLAS path and rounding of a copy.
     if isinstance(value, DenseVector):
-        return value
-    return DenseVector(np.asarray(value))
+        return value.components
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidVectorError(f"not a numeric vector: {exc}") from exc
+    if arr.ndim != 1:
+        raise InvalidVectorError(f"expected a 1-d vector, got shape {arr.shape}")
+    if arr.size == 0:
+        raise InvalidVectorError("vector must have at least one component")
+    if not np.isfinite(arr).all():
+        raise InvalidVectorError("vector components must be finite")
+    return np.ascontiguousarray(arr)
 
 
 class MetricKind(str, Enum):
@@ -114,11 +117,10 @@ class MetricKind(str, Enum):
 
 
 def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray]:
-    a = as_dense(u)
-    b = as_dense(v)
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return a.components, b.components
+    a, b = _vector(u), _vector(v)
+    if a.size != b.size:
+        raise DimensionMismatchError(f"dimension mismatch: {a.size} vs {b.size}")
+    return a, b
 
 
 def _clip_unit(x: float) -> float:
@@ -138,7 +140,7 @@ def norm(u: VectorLike) -> float:
     Falls back to a rescaled computation when the direct one underflows to
     zero on a nonzero input (all-subnormal components).
     """
-    return _norm(as_dense(u).components)
+    return _norm(_vector(u))
 
 
 def _norm(a: np.ndarray) -> float:
@@ -148,6 +150,18 @@ def _norm(a: np.ndarray) -> float:
         scale = float(np.max(np.abs(a)))
         n = scale * float(np.linalg.norm(a / scale))
     return n
+
+
+def _rearrangement(a: np.ndarray, b: np.ndarray, d: float) -> float:
+    # ``bounds.rearrangement_bound`` of checked arrays whose dot d = a.b is known.
+    sa = np.sort(a)
+    sb = np.sort(b)
+    if d > 0.0:
+        return abs(float(np.dot(sa, sb)))
+    opposite = abs(float(np.dot(sa, sb[::-1])))
+    if d < 0.0:
+        return opposite
+    return max(abs(float(np.dot(sa, sb))), opposite)
 
 
 def recos(u: VectorLike, v: VectorLike) -> float:
@@ -161,10 +175,7 @@ def recos(u: VectorLike, v: VectorLike) -> float:
     d = float(np.dot(a, b))
     if d == 0.0:
         return 0.0
-    b_sorted = np.sort(b)
-    if d < 0.0:
-        b_sorted = b_sorted[::-1]
-    den = abs(float(np.dot(np.sort(a), b_sorted)))
+    den = _rearrangement(a, b, d)
     if den == 0.0:  # unreachable when d != 0; kept as a division guard
         den = ZERO_DENOMINATOR_GUARD
     return _clip_unit(d / den)

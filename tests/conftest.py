@@ -1,7 +1,8 @@
 """Prints a one-line verdict per acceptance criterion at the end of a run.
 
 Also provides ``fresh_python``, which runs a new interpreter that imports the
-ordsim under test.
+ordsim under test, and ``form_pairs``/``vector_forms``, which give the vector
+functions the same components in every input form they accept.
 """
 
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ordsim
@@ -59,3 +61,53 @@ def fresh_python():
         )
 
     return run
+
+
+@pytest.fixture(scope="session")
+def form_pairs():
+    """Vector pairs with float32-exact components, of both dot signs, with zero
+    dots and ties; no vector is zero."""
+    rng = np.random.default_rng(97)
+
+    def f32(x):
+        return x.astype(np.float32).astype(np.float64)
+
+    pairs = [
+        (np.array([1.0, 2.0]), np.array([2.0, -1.0])),
+        (np.array([3.0, 3.0, -1.0]), np.array([-2.0, 5.0, 5.0])),
+        (np.array([7.0]), np.array([-4.0])),
+    ]
+    for d in (2, 5, 8, 33, 200):
+        u, w = f32(rng.standard_normal(d)), f32(rng.standard_normal(d))
+        pairs += [(u, w), (u, f32(-u + w / 4)), (u, f32(u + w / 4))]
+        ints = rng.integers(1, 4, (2, d)) * rng.choice((-1.0, 1.0), (2, d))
+        pairs.append((ints[0], ints[1]))
+    return pairs
+
+
+def _vector_forms(x):
+    strided = np.empty(2 * x.size)
+    strided[::2] = x
+    matrix = np.zeros((x.size, 3))
+    matrix[:, 1] = x
+    readonly = x.copy()
+    readonly.setflags(write=False)
+    forms = {
+        "ndarray": x.copy(),
+        "list": x.tolist(),
+        "strided": strided[::2],
+        "column": matrix[:, 1],
+        "reversed": x[::-1].copy()[::-1],
+        "readonly": readonly,
+        "float32": x.astype(np.float32),
+    }
+    if np.array_equal(x, np.rint(x)):
+        forms["int"] = [int(c) for c in x]
+    return forms
+
+
+@pytest.fixture
+def vector_forms():
+    """Map a float64 vector with float32-exact components to each input form
+    holding the same values; the ``int`` form only where the values are integers."""
+    return _vector_forms

@@ -7,8 +7,6 @@ criterion is printed in the terminal summary (see conftest.py).
 
 import itertools
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -291,15 +289,15 @@ def test_criterion_08_spearman_oracle():
 # --- criterion 9: selftest determinism, exit 0, byte-identical, < 15 s ---
 
 
-def test_criterion_09_selftest_determinism():
+def test_criterion_09_selftest_determinism(fresh_python):
     t0 = time.perf_counter()
-    cmd = [sys.executable, "-m", "ordsim", "selftest", "--seed", "42", "--trials", "1000"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
-    assert first.returncode == 0, first.stdout.decode() + first.stderr.decode()
+    cmd = ["-m", "ordsim", "selftest", "--seed", "42", "--trials", "1000"]
+    first = fresh_python(*cmd)
+    second = fresh_python(*cmd)
+    assert first.returncode == 0, first.stdout + first.stderr
     assert second.returncode == 0
     assert first.stdout == second.stdout
-    assert first.stderr == second.stderr == b""
+    assert first.stderr == second.stderr == ""
     elapsed_under(t0, 15.0, "criterion 9")
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ordsim import (
     BoundChain,
     BoundViolationError,
+    DenseVector,
     bound_chain,
     brute_force_rearrangement,
     dot,
@@ -231,3 +232,16 @@ class TestPermutationInvariance:
             assert rearrangement_bound(u, v) == pytest.approx(
                 rearrangement_bound(v, u), rel=1e-12
             )
+
+
+class TestInputForms:
+    @staticmethod
+    def _bits(u, v):
+        return [float.hex(x) for x in (*_chain_tuple(u, v), rearrangement_bound(u, v))]
+
+    def test_every_form_gives_the_dense_vector_bits(self, form_pairs, vector_forms):
+        for u, v in form_pairs:
+            want = self._bits(DenseVector(u), DenseVector(v))
+            fu, fv = vector_forms(u), vector_forms(v)
+            for form in fu.keys() & fv.keys():
+                assert self._bits(fu[form], fv[form]) == want, (form, u, v)

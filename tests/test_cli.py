@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import ordsim.cli as cli
-from ordsim import DenseVector, PairDataset, PairRecord, cosine, fixture_path, save_pairs
+from ordsim import (
+    DenseVector,
+    PairDataset,
+    PairRecord,
+    cosine,
+    fixture_path,
+    load_results,
+    save_pairs,
+)
 from ordsim.selftest import PropertyResult, SelftestReport
 
 
@@ -59,6 +67,19 @@ class TestSim:
         assert "zero" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["bounds"], ["sim", "--metric", "tanimoto"]],
+)
+def test_non_finite_result_is_data_error(fresh_python, command):
+    # u.v and |u|^2 overflow float64, so the chain and tanimoto are inf or NaN.
+    proc = fresh_python("-m", "ordsim", *command, "--u", "1e200,2e200", "--v", "1e200,2e200")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("error: result is not finite")
+    assert "Traceback" not in proc.stderr
+
+
 class TestBounds:
     def test_hand_case_output(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--u", "1,2", "--v", "2,1")
@@ -107,6 +128,40 @@ class TestBench:
         )
         assert code == 0
         assert out.splitlines() == ["model,method,dataset,score", "demo,cos,perfect,100.00"]
+
+    def test_csv_output_loads_as_results(self, capsys, tmp_path, perfect_pairs):
+        code, out, _ = run_cli(
+            capsys,
+            "bench", "--pairs", str(perfect_pairs), "--metric", "cos",
+            "--format", "csv", "--model", "m x",
+        )
+        assert code == 0
+        path = tmp_path / "results.csv"
+        path.write_text(out, encoding="utf-8")
+        (row,) = load_results(path).rows
+        assert (row.model, row.method, row.dataset, row.score_cents) == (
+            "m x", "cos", "perfect", 10000,
+        )
+
+    @pytest.mark.parametrize("model", ["m,x", ""])
+    def test_bad_model_name_is_usage_error(self, capsys, perfect_pairs, model):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["bench", "--pairs", str(perfect_pairs), "--metric", "cos",
+                 "--format", "csv", "--model", model]
+            )
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+    def test_comma_in_dataset_name_is_data_error(self, capsys, tmp_path, perfect_pairs):
+        path = tmp_path / "a,b.csv"
+        path.write_bytes(perfect_pairs.read_bytes())
+        code, out, err = run_cli(
+            capsys, "bench", "--pairs", str(path), "--metric", "cos", "--format", "csv"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: dataset must be non-empty and comma-free, got 'a,b'\n"
 
     def test_reversed_gold(self, capsys, tmp_path, perfect_pairs):
         from ordsim import load_pairs

@@ -13,6 +13,7 @@ from ordsim import (
     DimensionMismatchError,
     InvalidVectorError,
     MetricKind,
+    bound_chain,
     cosine,
     decos,
     decos_from_tanimoto,
@@ -21,6 +22,7 @@ from ordsim import (
     is_similarly_ordered,
     load_experts,
     norm,
+    rearrangement_bound,
     recos,
     similarity,
     tanimoto,
@@ -455,3 +457,76 @@ class TestDimensionMismatch:
     def test_rejected(self, func):
         with pytest.raises(DimensionMismatchError):
             func([1, 2], [1, 2, 3])
+
+
+PAIR_FUNCS = [
+    recos,
+    cosine,
+    decos,
+    tanimoto,
+    dot,
+    bound_chain,
+    rearrangement_bound,
+    is_similarly_ordered,
+    is_oppositely_ordered,
+]
+
+
+def bits(value):
+    """A float result as its exact bits; a bool as itself."""
+    return value if isinstance(value, bool) else float.hex(value)
+
+
+class TestInputForms:
+    METRIC_FUNCS = [
+        recos, cosine, decos, tanimoto, dot, is_similarly_ordered, is_oppositely_ordered
+    ]
+
+    def test_every_form_gives_the_dense_vector_bits(self, form_pairs, vector_forms):
+        for u, v in form_pairs:
+            du, dv = DenseVector(u), DenseVector(v)
+            want = [bits(f(du, dv)) for f in self.METRIC_FUNCS] + [bits(norm(du))]
+            fu, fv = vector_forms(u), vector_forms(v)
+            for form in fu.keys() & fv.keys():
+                a, b = fu[form], fv[form]
+                got = [bits(f(a, b)) for f in self.METRIC_FUNCS] + [bits(norm(a))]
+                assert got == want, (form, u, v)
+                assert bits(recos(a, dv)) == want[0], (form, u, v)
+
+    def test_caller_arrays_are_not_written(self, form_pairs, vector_forms):
+        for u, v in form_pairs:
+            fu, fv = vector_forms(u), vector_forms(v)
+            for form in ("ndarray", "strided", "column", "reversed", "float32"):
+                a, b = fu[form], fv[form]
+                before = (a.copy(), b.copy())
+                for f in PAIR_FUNCS:
+                    f(a, b)
+                norm(a)
+                assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+    @pytest.mark.parametrize("scalar", [3.0, 4, np.float64(2.0), np.array(5.0)])
+    def test_zero_d_input_rejected(self, scalar):
+        for f in PAIR_FUNCS:
+            with pytest.raises(InvalidVectorError, match="1-d"):
+                f(scalar, scalar)
+        with pytest.raises(InvalidVectorError, match="1-d"):
+            norm(scalar)
+
+    def test_arrays_are_scored_without_dense_vectors(self, monkeypatch):
+        built = []
+        post_init = DenseVector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DenseVector, "__post_init__", counting)
+        DenseVector([1.0])
+        assert len(built) == 1
+        built.clear()
+        u = np.array([1.0, -2.0, 3.0])
+        v = np.array([2.0, 0.5, 1.0])
+        for f in PAIR_FUNCS:
+            f(u, v)
+        norm(u)
+        assert built == []
