@@ -19,9 +19,7 @@ from typing import Sequence
 
 from .bounds import bound_chain
 from .errors import (
-    BoundViolationError,
-    CoverageMismatchError,
-    DatasetFormatError,
+    _TYPED_ERRORS,
     DegenerateInputError,
     DimensionMismatchError,
     InvalidVectorError,
@@ -35,15 +33,6 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 1
 EXIT_USAGE = 2
 EXIT_SELFTEST_FAILURE = 3
-
-_DATA_ERRORS = (
-    InvalidVectorError,
-    DimensionMismatchError,
-    DegenerateInputError,
-    BoundViolationError,
-    DatasetFormatError,
-    CoverageMismatchError,
-)
 
 
 def _fmt_fixed(x: float, places: int) -> str:
@@ -330,7 +319,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except _TYPED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

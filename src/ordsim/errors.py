@@ -40,3 +40,14 @@ class DatasetFormatError(ValueError):
 
 class CoverageMismatchError(ValueError):
     """Two methods under comparison do not cover the same (model, dataset) cells."""
+
+
+# Every typed error above, for callers that report any of them the same way.
+_TYPED_ERRORS = (
+    InvalidVectorError,
+    DimensionMismatchError,
+    DegenerateInputError,
+    BoundViolationError,
+    DatasetFormatError,
+    CoverageMismatchError,
+)

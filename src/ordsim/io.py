@@ -269,10 +269,15 @@ def _format_score_cents(cents: int) -> str:
 
 
 def _check_results_field(fname: str, value: str) -> None:
-    """Reject a results-table name that is empty or holds a comma."""
+    """Reject a results-table name that ``load_results`` would not read back:
+    empty, holding a comma, or with surrounding whitespace or a line break."""
     if not value or "," in value:
         raise DegenerateInputError(
             f"{fname} must be non-empty and comma-free, got {value!r}"
+        )
+    if value != value.strip() or len(value.splitlines()) != 1:
+        raise DegenerateInputError(
+            f"{fname} must be one line without surrounding whitespace, got {value!r}"
         )
 
 

@@ -11,34 +11,26 @@ Each property draws deterministic inputs from one PCG64 stream, so a given
 - tanimoto-bijection: decos equals the 2t/(1+t) image of tanimoto.
 - rearrangement-oracle: the sort-based bound matches exhaustive permutation
   search at dimensions 2..7.
+
+A typed ``ordsim`` error raised in a trial is a failure of that property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundChain, bound_chain, brute_force_rearrangement, rearrangement_bound
-from .errors import BoundViolationError
+from .bounds import bound_chain, brute_force_rearrangement, rearrangement_bound
+from .errors import _TYPED_ERRORS, BoundViolationError
 from .metrics import cosine, decos, decos_from_tanimoto, recos, tanimoto
 
-__all__ = ["PropertyResult", "SelftestReport", "run_selftest", "PROPERTY_NAMES"]
+__all__ = ["PropertyResult", "SelftestReport", "run_selftest"]
 
 _DIMS = (2, 3, 8, 64, 512)
 _ORACLE_DIMS = (2, 3, 4, 5, 6, 7)
 _REL_TOL = 1e-9
 _EXACT_TOL = 1e-12
-
-PROPERTY_NAMES = (
-    "bound-chain",
-    "metric-hierarchy",
-    "saturation",
-    "norm-identity",
-    "tanimoto-bijection",
-    "rearrangement-oracle",
-)
 
 
 @dataclass(frozen=True)
@@ -60,10 +52,6 @@ class SelftestReport:
         return all(r.failures == 0 for r in self.results)
 
 
-def _fail(i: int, d: int, msg: str, u: np.ndarray, v: np.ndarray) -> str:
-    return f"trial {i} (d={d}): {msg}; u={u.tolist()!r}; v={v.tolist()!r}"
-
-
 def _nonzero_dot_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(100):
         u = rng.standard_normal(d)
@@ -83,159 +71,127 @@ def _positive_perm(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
     return u[rng.permutation(u.size)]
 
 
-def _check_chain(rng: np.random.Generator, trials: int) -> PropertyResult:
-    failures = 0
-    first = None
-    for i in range(trials):
-        d = _DIMS[i % len(_DIMS)]
-        u = rng.standard_normal(d)
-        v = rng.standard_normal(d)
-        try:
-            bound_chain(u, v)
-        except BoundViolationError as exc:
-            failures += 1
-            first = first or _fail(i, d, str(exc), u, v)
-    return PropertyResult("bound-chain", trials, failures, first)
-
-
-def _check_hierarchy(rng: np.random.Generator, trials: int) -> PropertyResult:
-    failures = 0
-    first = None
-    for i in range(trials):
-        d = _DIMS[i % len(_DIMS)]
-        u, v = _nonzero_dot_pair(rng, d)
-        lo = abs(decos(u, v))
-        mid = abs(cosine(u, v))
-        hi = abs(recos(u, v))
-        if lo > mid + _REL_TOL or mid > hi + _REL_TOL:
-            failures += 1
-            first = first or _fail(
-                i, d, f"|decos|={lo!r} |cos|={mid!r} |recos|={hi!r}", u, v
-            )
-    return PropertyResult("metric-hierarchy", trials, failures, first)
-
-
 def _rel_close(a: float, b: float) -> bool:
     return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
-def _check_saturation(rng: np.random.Generator, trials: int) -> PropertyResult:
-    failures = 0
-    first = None
-    for i in range(trials):
-        d = _DIMS[i % len(_DIMS)]
-        kind = i % 5
-        msg = None
-        if kind == 0:
-            # Similarly ordered with positive dot: recos saturates at +1.
-            u = np.abs(rng.standard_normal(d)) + 0.1
-            v = u * u + 0.5
-            r = recos(u, v)
-            if abs(r - 1.0) > _REL_TOL:
-                msg = f"similarly ordered pair gave recos={r!r}"
-        elif kind == 1:
-            # Oppositely ordered with negative dot: recos saturates at -1.
-            u = np.abs(rng.standard_normal(d)) + 0.1
-            v = -(u * u + 0.5)
-            r = recos(u, v)
-            if abs(r + 1.0) > _REL_TOL:
-                msg = f"oppositely ordered pair gave recos={r!r}"
-        elif kind == 2:
-            # v = k Pu with sgn(u.v) = sgn(k): rearrangement meets Cauchy-Schwarz.
-            u = rng.standard_normal(d)
-            pu = _positive_perm(rng, u)
-            k = float(rng.uniform(0.25, 4.0)) * (1.0 if i % 2 else -1.0)
-            v = k * pu
-            chain = bound_chain(u, v)
-            if not _rel_close(chain.rearrangement, chain.cauchy_schwarz):
-                msg = (
-                    f"rearrangement={chain.rearrangement!r} != "
-                    f"cauchy_schwarz={chain.cauchy_schwarz!r}"
-                )
-            elif abs(abs(recos(u, v)) - abs(cosine(u, v))) > _REL_TOL:
-                msg = f"|recos|={abs(recos(u, v))!r} != |cos|={abs(cosine(u, v))!r}"
-        elif kind == 3:
-            # v = +/-Pu (unit |k|): rearrangement meets the arithmetic bound.
-            u = rng.standard_normal(d)
-            pu = _positive_perm(rng, u)
-            v = pu * (1.0 if i % 2 else -1.0)
-            chain = bound_chain(u, v)
-            if not _rel_close(chain.rearrangement, chain.arithmetic_quadratic):
-                msg = (
-                    f"rearrangement={chain.rearrangement!r} != "
-                    f"am_qm={chain.arithmetic_quadratic!r}"
-                )
-            elif abs(abs(recos(u, v)) - abs(decos(u, v))) > _REL_TOL:
-                msg = f"|recos|={abs(recos(u, v))!r} != |decos|={abs(decos(u, v))!r}"
-        else:
-            # v = +/-u: decos saturates at +/-1 exactly.
-            u = rng.standard_normal(d)
-            if not np.any(u):
-                u[0] = 1.0
-            v = u * (1.0 if i % 2 else -1.0)
-            value = decos(u, v)
-            if abs(abs(value) - 1.0) > _EXACT_TOL:
-                msg = f"v=+/-u gave decos={value!r}"
-        if msg is not None:
-            failures += 1
-            first = first or _fail(i, d, msg, u, v)
-    return PropertyResult("saturation", trials, failures, first)
+def _chain_trial(rng: np.random.Generator, i: int, d: int):
+    u = rng.standard_normal(d)
+    v = rng.standard_normal(d)
+    try:
+        bound_chain(u, v)
+    except BoundViolationError as exc:
+        return str(exc), u, v
+    return None, u, v
 
 
-def _check_norm_identity(rng: np.random.Generator, trials: int) -> PropertyResult:
-    failures = 0
-    first = None
-    for i in range(trials):
-        d = _DIMS[i % len(_DIMS)]
-        u, v = _nonzero_dot_pair(rng, d)
-        un = u / np.linalg.norm(u)
-        vn = v / np.linalg.norm(v)
-        gap = abs(decos(un, vn) - cosine(un, vn))
-        if gap > _EXACT_TOL:
-            failures += 1
-            first = first or _fail(i, d, f"unit-norm decos/cos gap {gap!r}", un, vn)
-    return PropertyResult("norm-identity", trials, failures, first)
+def _hierarchy_trial(rng: np.random.Generator, i: int, d: int):
+    u, v = _nonzero_dot_pair(rng, d)
+    lo = abs(decos(u, v))
+    mid = abs(cosine(u, v))
+    hi = abs(recos(u, v))
+    if lo > mid + _REL_TOL or mid > hi + _REL_TOL:
+        return f"|decos|={lo!r} |cos|={mid!r} |recos|={hi!r}", u, v
+    return None, u, v
 
 
-def _check_bijection(rng: np.random.Generator, trials: int) -> PropertyResult:
-    failures = 0
-    first = None
-    for i in range(trials):
-        d = _DIMS[i % len(_DIMS)]
-        u, v = _nonzero_dot_pair(rng, d)
-        if float(np.dot(u, v)) < 0.0:
-            v = -v
-        t = tanimoto(u, v)
-        if not (0.0 <= t <= 1.0):
-            continue  # rounding nudged t past an endpoint; not this property's claim
-        gap = abs(decos(u, v) - decos_from_tanimoto(t))
-        if gap > _EXACT_TOL:
-            failures += 1
-            first = first or _fail(i, d, f"bijection gap {gap!r} at t={t!r}", u, v)
-    return PropertyResult("tanimoto-bijection", trials, failures, first)
+def _saturation_trial(rng: np.random.Generator, i: int, d: int):
+    kind = i % 5
+    msg = None
+    if kind == 0:
+        # Similarly ordered with positive dot: recos saturates at +1.
+        u = np.abs(rng.standard_normal(d)) + 0.1
+        v = u * u + 0.5
+        r = recos(u, v)
+        if abs(r - 1.0) > _REL_TOL:
+            msg = f"similarly ordered pair gave recos={r!r}"
+    elif kind == 1:
+        # Oppositely ordered with negative dot: recos saturates at -1.
+        u = np.abs(rng.standard_normal(d)) + 0.1
+        v = -(u * u + 0.5)
+        r = recos(u, v)
+        if abs(r + 1.0) > _REL_TOL:
+            msg = f"oppositely ordered pair gave recos={r!r}"
+    elif kind == 2:
+        # v = k Pu with sgn(u.v) = sgn(k): rearrangement meets Cauchy-Schwarz.
+        u = rng.standard_normal(d)
+        pu = _positive_perm(rng, u)
+        k = float(rng.uniform(0.25, 4.0)) * (1.0 if i % 2 else -1.0)
+        v = k * pu
+        chain = bound_chain(u, v)
+        if not _rel_close(chain.rearrangement, chain.cauchy_schwarz):
+            msg = (
+                f"rearrangement={chain.rearrangement!r} != "
+                f"cauchy_schwarz={chain.cauchy_schwarz!r}"
+            )
+        elif abs(abs(recos(u, v)) - abs(cosine(u, v))) > _REL_TOL:
+            msg = f"|recos|={abs(recos(u, v))!r} != |cos|={abs(cosine(u, v))!r}"
+    elif kind == 3:
+        # v = +/-Pu (unit |k|): rearrangement meets the arithmetic bound.
+        u = rng.standard_normal(d)
+        pu = _positive_perm(rng, u)
+        v = pu * (1.0 if i % 2 else -1.0)
+        chain = bound_chain(u, v)
+        if not _rel_close(chain.rearrangement, chain.arithmetic_quadratic):
+            msg = (
+                f"rearrangement={chain.rearrangement!r} != "
+                f"am_qm={chain.arithmetic_quadratic!r}"
+            )
+        elif abs(abs(recos(u, v)) - abs(decos(u, v))) > _REL_TOL:
+            msg = f"|recos|={abs(recos(u, v))!r} != |decos|={abs(decos(u, v))!r}"
+    else:
+        # v = +/-u: decos saturates at +/-1 exactly.
+        u = rng.standard_normal(d)
+        if not np.any(u):
+            u[0] = 1.0
+        v = u * (1.0 if i % 2 else -1.0)
+        value = decos(u, v)
+        if abs(abs(value) - 1.0) > _EXACT_TOL:
+            msg = f"v=+/-u gave decos={value!r}"
+    return msg, u, v
 
 
-def _check_oracle(rng: np.random.Generator, trials: int) -> PropertyResult:
-    failures = 0
-    first = None
-    for i in range(trials):
-        d = _ORACLE_DIMS[i % len(_ORACLE_DIMS)]
-        u, v = _nonzero_dot_pair(rng, d)
-        fast = rearrangement_bound(u, v)
-        slow = brute_force_rearrangement(u, v)
-        if not _rel_close(fast, slow):
-            failures += 1
-            first = first or _fail(i, d, f"sort route {fast!r} != brute {slow!r}", u, v)
-    return PropertyResult("rearrangement-oracle", trials, failures, first)
+def _norm_identity_trial(rng: np.random.Generator, i: int, d: int):
+    u, v = _nonzero_dot_pair(rng, d)
+    un = u / np.linalg.norm(u)
+    vn = v / np.linalg.norm(v)
+    gap = abs(decos(un, vn) - cosine(un, vn))
+    if gap > _EXACT_TOL:
+        return f"unit-norm decos/cos gap {gap!r}", un, vn
+    return None, un, vn
 
 
-_CHECKS: tuple[Callable[[np.random.Generator, int], PropertyResult], ...] = (
-    _check_chain,
-    _check_hierarchy,
-    _check_saturation,
-    _check_norm_identity,
-    _check_bijection,
-    _check_oracle,
+def _bijection_trial(rng: np.random.Generator, i: int, d: int):
+    u, v = _nonzero_dot_pair(rng, d)
+    if float(np.dot(u, v)) < 0.0:
+        v = -v
+    t = tanimoto(u, v)
+    if not (0.0 <= t <= 1.0):
+        return None, u, v  # rounding nudged t past an endpoint; not this property's claim
+    gap = abs(decos(u, v) - decos_from_tanimoto(t))
+    if gap > _EXACT_TOL:
+        return f"bijection gap {gap!r} at t={t!r}", u, v
+    return None, u, v
+
+
+def _oracle_trial(rng: np.random.Generator, i: int, d: int):
+    u, v = _nonzero_dot_pair(rng, d)
+    fast = rearrangement_bound(u, v)
+    slow = brute_force_rearrangement(u, v)
+    if not _rel_close(fast, slow):
+        return f"sort route {fast!r} != brute {slow!r}", u, v
+    return None, u, v
+
+
+# (name, dims cycled over the trials, trial); trial(rng, i, d) draws one pair and
+# returns (failure message or None, u, v). The row index seeds the stream.
+_PROPERTIES = (
+    ("bound-chain", _DIMS, _chain_trial),
+    ("metric-hierarchy", _DIMS, _hierarchy_trial),
+    ("saturation", _DIMS, _saturation_trial),
+    ("norm-identity", _DIMS, _norm_identity_trial),
+    ("tanimoto-bijection", _DIMS, _bijection_trial),
+    ("rearrangement-oracle", _ORACLE_DIMS, _oracle_trial),
 )
 
 
@@ -244,7 +200,21 @@ def run_selftest(seed: int = 42, trials: int = 1000) -> SelftestReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     results = []
-    for index, check in enumerate(_CHECKS):
+    for index, (name, dims, trial) in enumerate(_PROPERTIES):
         rng = np.random.default_rng([seed, index])
-        results.append(check(rng, trials))
+        failures = 0
+        first = None
+        for i in range(trials):
+            d = dims[i % len(dims)]
+            try:
+                msg, u, v = trial(rng, i, d)
+            except _TYPED_ERRORS as exc:
+                msg, u = f"{type(exc).__name__}: {exc}", None
+            if msg is None:
+                continue
+            failures += 1
+            if first is None:
+                inputs = "" if u is None else f"; u={u.tolist()!r}; v={v.tolist()!r}"
+                first = f"trial {i} (d={d}): {msg}{inputs}"
+        results.append(PropertyResult(name, trials, failures, first))
     return SelftestReport(seed=seed, trials=trials, results=tuple(results))

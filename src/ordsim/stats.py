@@ -21,7 +21,7 @@ Conventions shared by every test in this module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -327,10 +327,4 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
             raise DegenerateInputError(f"every cell belongs to dataset {ds!r}")
         exclusion_means.append(float(kept.mean()))
     result = paired_t_test(PairedDiffs.from_values(exclusion_means), alternative)
-    return TestResult(
-        statistic=result.statistic,
-        p_value=result.p_value,
-        effect_size=result.effect_size,
-        n_used=result.n_used,
-        method_name="lodo-t",
-    )
+    return replace(result, method_name="lodo-t")

@@ -29,6 +29,8 @@ CRITERIA = {
 }
 
 _results: dict[str, str] = {}
+# A criterion that failed or errored is FAIL; one that never ran is not.
+_VERDICTS = {"passed": "PASS", "skipped": "skipped", "not run": "not run"}
 
 
 def pytest_runtest_logreport(report):
@@ -46,7 +48,7 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance criteria")
     for name, label in CRITERIA.items():
         outcome = _results.get(name, "not run")
-        verdict = "PASS" if outcome == "passed" else "FAIL"
+        verdict = _VERDICTS.get(outcome, "FAIL")
         terminalreporter.write_line(f"criterion {label}: {verdict}")
 
 

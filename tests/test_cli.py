@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import ordsim.cli as cli
+import ordsim.selftest
 from ordsim import (
+    DegenerateInputError,
     DenseVector,
     PairDataset,
     PairRecord,
@@ -143,7 +145,7 @@ class TestBench:
             "m x", "cos", "perfect", 10000,
         )
 
-    @pytest.mark.parametrize("model", ["m,x", ""])
+    @pytest.mark.parametrize("model", ["m,x", "", " m", "m ", "  ", "m\nx"])
     def test_bad_model_name_is_usage_error(self, capsys, perfect_pairs, model):
         with pytest.raises(SystemExit) as exc:
             cli.main(
@@ -300,6 +302,18 @@ class TestSelftest:
         assert "saturation" in out and "FAIL" in out
         assert "seed=42" in out
         assert "trial 1 (d=2)" in out
+
+    def test_typed_error_in_a_property_is_a_selftest_failure(self, capsys, monkeypatch):
+        def degenerate(u, v):
+            raise DegenerateInputError("injected")
+
+        monkeypatch.setattr(ordsim.selftest, "decos", degenerate)
+        code, out, err = run_cli(capsys, "selftest", "--seed", "3", "--trials", "5")
+        assert code == 3
+        assert err == ""
+        assert "failing input for metric-hierarchy: trial 0 (d=2): DegenerateInputError: injected\n" in out
+        assert out.endswith("selftest failed: metric-hierarchy, saturation, norm-identity, "
+                            "tanimoto-bijection (seed=3)\n")
 
 
 class TestUsage:

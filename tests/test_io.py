@@ -330,6 +330,13 @@ class TestResultsTable:
         with pytest.raises(DegenerateInputError):
             ResultsRow("m", "co,s", "STS12", 100)
 
+    @pytest.mark.parametrize("name", [" m", "m ", "  ", "m\nx", "m\rx", "\n"])
+    def test_row_rejects_names_that_do_not_load_back(self, name):
+        with pytest.raises(DegenerateInputError, match="one line without surrounding whitespace"):
+            ResultsRow(name, "cos", "STS12", 100)
+        with pytest.raises(DegenerateInputError):
+            ResultsRow("m", "cos", name, 100)
+
     def test_duplicate_triple_rejected_at_type_level(self):
         row = ResultsRow("m", "cos", "STS12", 100)
         with pytest.raises(DegenerateInputError, match="duplicate"):
