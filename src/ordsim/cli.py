@@ -215,9 +215,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     try:
         report = compare(table, args.a, args.b, alternative)
     except DegenerateInputError as exc:
+        # compare checked coverage first, so both methods have every cell.
+        cells_b = table.cells(args.b)
+        all_ties = all(
+            row.score_cents == cells_b[cell].score_cents
+            for cell, row in table.cells(args.a).items()
+        )
         print(
             f"compare {args.a} vs {args.b}: {exc}; "
-            "statistical tests not applicable (all ties)"
+            f"statistical tests not applicable{' (all ties)' if all_ties else ''}"
         )
         return EXIT_DATA_ERROR
     if args.format == "csv":

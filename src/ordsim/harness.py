@@ -104,16 +104,17 @@ def compare(
         raise CoverageMismatchError(f"no cells for method {a!r}")
     if not cells_b:
         raise CoverageMismatchError(f"no cells for method {b!r}")
-    missing_b = [k for k in cells_a if k not in cells_b]
-    missing_a = [k for k in cells_b if k not in cells_a]
-    if missing_a or missing_b:
+    only_a = len(cells_a.keys() - cells_b.keys())
+    only_b = len(cells_b.keys() - cells_a.keys())
+    if only_a or only_b:
         raise CoverageMismatchError(
             f"methods {a!r} and {b!r} cover different cells: "
-            f"{len(missing_b)} only in {a!r}, {len(missing_a)} only in {b!r}"
+            f"{only_a} only in {a!r}, {only_b} only in {b!r}"
         )
     keys = list(cells_a)
-    scores_a = [cells_a[k].score for k in keys]
-    scores_b = [cells_b[k].score for k in keys]
+    # ResultsRow.score, without a property call per cell.
+    scores_a = [cells_a[k].score_cents / 100.0 for k in keys]
+    scores_b = [cells_b[k].score_cents / 100.0 for k in keys]
     diffs = PairedDiffs(
         tuple(sa - sb for sa, sb in zip(scores_a, scores_b)),
         tuple(keys),

@@ -50,7 +50,9 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-_SCORE_RE = re.compile(r"^[+-]?\d+(?:\.(\d{1,2}))?$")
+# ASCII digits only: ``\d`` would also match other scripts' digits, which
+# ``int`` accepts but ``save_results`` would write back as ASCII.
+_SCORE_RE = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]{1,2}))?")
 
 
 def parse_vector(text: str) -> DenseVector:
@@ -253,13 +255,11 @@ def save_pairs(dataset: PairDataset, path: PathLike) -> None:
 
 
 def _parse_score_cents(text: str) -> int:
-    match = _SCORE_RE.match(text)
+    match = _SCORE_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"score must be a decimal with at most 2 fraction digits: {text!r}")
-    sign = -1 if text.lstrip().startswith("-") else 1
-    integer, _, fraction = text.strip().lstrip("+-").partition(".")
-    cents = int(integer) * 100 + int(fraction.ljust(2, "0") or "0")
-    return sign * cents
+    signed_integer, fraction = match.groups()
+    return int(signed_integer + (fraction or "").ljust(2, "0"))
 
 
 def _format_score_cents(cents: int) -> str:
@@ -291,8 +291,9 @@ class ResultsRow:
     score_cents: int
 
     def __post_init__(self) -> None:
-        for fname in ("model", "method", "dataset"):
-            _check_results_field(fname, getattr(self, fname))
+        _check_results_field("model", self.model)
+        _check_results_field("method", self.method)
+        _check_results_field("dataset", self.dataset)
 
     @property
     def score(self) -> float:
@@ -301,17 +302,25 @@ class ResultsRow:
 
 @dataclass(frozen=True)
 class ResultsTable:
-    """Benchmark cells with unique (model, method, dataset) triples."""
+    """Benchmark cells with unique (model, method, dataset) triples.
+
+    The constructor indexes the rows by method and (model, dataset) once; the
+    index is not a field, so it takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     rows: tuple[ResultsRow, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, str, str]] = set()
+        by_method: dict[str, dict[tuple[str, str], ResultsRow]] = {}
         for row in self.rows:
-            key = (row.model, row.method, row.dataset)
-            if key in seen:
-                raise DegenerateInputError(f"duplicate cell {key!r}")
-            seen.add(key)
+            cells = by_method.setdefault(row.method, {})
+            cell = (row.model, row.dataset)
+            if cell in cells:
+                raise DegenerateInputError(
+                    f"duplicate cell {(row.model, row.method, row.dataset)!r}"
+                )
+            cells[cell] = row
+        object.__setattr__(self, "_by_method", by_method)
 
     def methods(self) -> tuple[str, ...]:
         return self._distinct("method")
@@ -323,20 +332,14 @@ class ResultsTable:
         return self._distinct("dataset")
 
     def _distinct(self, attr: str) -> tuple[str, ...]:
-        out: list[str] = []
-        for row in self.rows:
-            value = getattr(row, attr)
-            if value not in out:
-                out.append(value)
-        return tuple(out)
+        return tuple(dict.fromkeys(getattr(row, attr) for row in self.rows))
 
     def cells(self, method: str) -> Mapping[tuple[str, str], ResultsRow]:
-        """(model, dataset) -> row for one method, in file order."""
-        return {
-            (row.model, row.dataset): row
-            for row in self.rows
-            if row.method == method
-        }
+        """(model, dataset) -> row for one method, in file order.
+
+        The mapping is a new dict on every call, empty for an unknown method.
+        """
+        return dict(self._by_method.get(method, ()))
 
 
 _RESULTS_HEADER = "model,method,dataset,score"
@@ -362,7 +365,7 @@ def load_results(path: PathLike) -> ResultsTable:
             raise DatasetFormatError(
                 f"{path}:{lineno}: expected 4 fields, got {len(fields)}", line=lineno
             )
-        model, method, dataset, score_text = (f.strip() for f in fields)
+        model, method, dataset, score_text = [f.strip() for f in fields]
         try:
             cents = _parse_score_cents(score_text)
         except ValueError as exc:

@@ -59,7 +59,7 @@ class PairedDiffs:
             )
         if len(self.diffs) == 0:
             raise DegenerateInputError("need at least one paired difference")
-        if not all(math.isfinite(d) for d in self.diffs):
+        if not all(map(math.isfinite, self.diffs)):
             raise DegenerateInputError("differences must be finite")
 
     @classmethod
@@ -209,6 +209,15 @@ def wilcoxon_signed_rank(
     )
 
 
+def _binomial_head_sum(n: int, m: int) -> int:
+    """C(n, 0) + ... + C(n, m), by the exact recurrence C(n, i+1) = C(n, i) * (n-i) // (i+1)."""
+    term = total = 1
+    for i in range(m):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return total
+
+
 def sign_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     """Exact sign test: binomial tail at rate 1/2 over the nonzero diffs.
 
@@ -216,18 +225,19 @@ def sign_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     the success rate among nonzero differences.
     """
     _check_alternative(alternative)
-    nonzero = [x for x in d.diffs if x != 0.0]
-    n = len(nonzero)
+    diffs = np.asarray(d.diffs, dtype=np.float64)
+    k = int(np.count_nonzero(diffs > 0.0))
+    n = k + int(np.count_nonzero(diffs < 0.0))
     if n == 0:
         raise DegenerateInputError("all differences are zero")
-    k = sum(1 for x in nonzero if x > 0.0)
+    # By the symmetry C(n, i) = C(n, n-i), the upper tail from k is the head
+    # sum up to n-k, the lower tail up to k is the head sum up to k, and the
+    # smaller tail is the one with fewer terms.
     total = 2**n
-    upper = sum(math.comb(n, i) for i in range(k, n + 1))
     if alternative == "greater":
-        p = upper / total
+        p = _binomial_head_sum(n, n - k) / total
     else:
-        lower = sum(math.comb(n, i) for i in range(0, k + 1))
-        p = min(1.0, 2.0 * (min(upper, lower) / total))
+        p = min(1.0, 2.0 * (_binomial_head_sum(n, min(k, n - k)) / total))
     return TestResult(
         statistic=float(k),
         p_value=p,
@@ -312,19 +322,21 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     df = (number of datasets) - 1.
     """
     _check_alternative(alternative)
-    datasets: list[str] = []
-    for _, ds in d.labels:
-        if ds not in datasets:
-            datasets.append(ds)
-    if len(datasets) < 2:
+    # Datasets numbered in order of first appearance.
+    codes_of: dict[str, int] = {}
+    codes = np.fromiter(
+        (codes_of.setdefault(ds, len(codes_of)) for _, ds in d.labels),
+        dtype=np.intp,
+        count=d.n,
+    )
+    if len(codes_of) < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
     arr = np.asarray(d.diffs, dtype=np.float64)
-    ds_labels = np.asarray([ds for _, ds in d.labels])
     exclusion_means = []
-    for ds in datasets:
-        kept = arr[ds_labels != ds]
-        if kept.size == 0:
-            raise DegenerateInputError(f"every cell belongs to dataset {ds!r}")
-        exclusion_means.append(float(kept.mean()))
+    for code in range(len(codes_of)):
+        # Never empty: another dataset's cells remain.  add.reduce / size is
+        # what ndarray.mean computes, without its Python-level overhead.
+        kept = arr[codes != code]
+        exclusion_means.append(float(np.add.reduce(kept) / kept.size))
     result = paired_t_test(PairedDiffs.from_values(exclusion_means), alternative)
     return replace(result, method_name="lodo-t")

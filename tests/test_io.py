@@ -301,10 +301,24 @@ class TestScoreCents:
     def test_parse(self, text, cents):
         assert _parse_score_cents(text) == cents
 
-    @pytest.mark.parametrize("bad", ["1.234", "1e-3", "abc", "", "1.", ".5", "1,0"])
+    @pytest.mark.parametrize(
+        "bad", ["1.234", "1e-3", "abc", "", "1.", ".5", "1,0", "٣.٥", "３", "1.²", "1_0"]
+    )
     def test_reject(self, bad):
         with pytest.raises(ValueError):
             _parse_score_cents(bad)
+
+    @pytest.mark.parametrize("score", ["٣.٥", "3.٥", "１２"])
+    def test_load_rejects_non_ascii_digits(self, tmp_path, score):
+        # int() reads these, but save_results would write them back as ASCII.
+        path = tmp_path / "r.csv"
+        path.write_text(f"model,method,dataset,score\nm,a,d,{score}\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as err:
+            load_results(path)
+        assert str(err.value) == (
+            f"{path}:2: score must be a decimal with at most 2 fraction digits: {score!r}"
+        )
+        assert err.value.line == 2
 
     @pytest.mark.parametrize(
         "cents,text", [(6640, "66.40"), (7, "0.07"), (-31, "-0.31"), (300, "3.00")]
@@ -373,6 +387,47 @@ class TestResultsTable:
         path.write_text("model,method,dataset,score\nm,cos,D\n")
         with pytest.raises(DatasetFormatError, match="4 fields"):
             load_results(path)
+
+    def test_duplicate_messages(self, tmp_path):
+        row = ResultsRow("m", "cos", "STS12", 100)
+        with pytest.raises(DegenerateInputError) as err:
+            ResultsTable((row, ResultsRow("m", "recos", "STS12", 1), row))
+        assert str(err.value) == "duplicate cell ('m', 'cos', 'STS12')"
+        path = tmp_path / "r.csv"
+        path.write_text("model,method,dataset,score\nm,cos,D,1.2\nm,recos,D,1\n\nm,cos,D,1.3\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_results(path)
+        assert str(err.value) == (
+            f"{path}:5: duplicate cell ('m', 'cos', 'D') (first on line 2)"
+        )
+
+    def test_cells_in_file_order_and_fresh_per_call(self):
+        rows = (
+            ResultsRow("m2", "cos", "D2", 1),
+            ResultsRow("m1", "recos", "D2", 2),
+            ResultsRow("m1", "cos", "D1", 3),
+            ResultsRow("m2", "cos", "D1", 4),
+        )
+        table = ResultsTable(rows)
+        cells = table.cells("cos")
+        assert list(cells.items()) == [
+            (("m2", "D2"), rows[0]),
+            (("m1", "D1"), rows[2]),
+            (("m2", "D1"), rows[3]),
+        ]
+        cells.clear()
+        table.cells("recos")[("m9", "D9")] = rows[0]
+        assert list(table.cells("cos").values()) == [rows[0], rows[2], rows[3]]
+        assert list(table.cells("recos").values()) == [rows[1]]
+        assert table.cells("decos") == {}
+        assert table.cells("m1") == {}
+
+    def test_index_is_not_part_of_value(self):
+        rows = (ResultsRow("m", "cos", "D", 1), ResultsRow("m", "recos", "D", 2))
+        table = ResultsTable(rows)
+        assert repr(table) == f"ResultsTable(rows={rows!r})"
+        assert table == ResultsTable(rows) and hash(table) == hash(ResultsTable(rows))
+        assert table != ResultsTable(rows[:1])
 
     def test_distinct_helpers_preserve_first_seen_order(self):
         table = ResultsTable(

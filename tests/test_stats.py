@@ -1,5 +1,7 @@
 """Paired statistics: hand-computed cases, scipy/mpmath oracles, invariants."""
 
+import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -225,6 +227,21 @@ class TestSignTest:
             )
             assert r.p_value == pytest.approx(ref.pvalue, abs=1e-14)
 
+    def test_equals_math_comb_tail_sums(self):
+        # Every n in 1..400 and every k: the same integers, so the same floats.
+        for n in range(1, 401):
+            coeffs = [math.comb(n, i) for i in range(n + 1)]
+            lowers = list(itertools.accumulate(coeffs))  # C(n, 0) + ... + C(n, k)
+            uppers = list(itertools.accumulate(reversed(coeffs)))[::-1]  # C(n, k) + ... + C(n, n)
+            labels = (("", ""),) * n
+            for k in range(n + 1):
+                d = PairedDiffs((1.0,) * k + (-1.0,) * (n - k), labels)
+                upper, lower = uppers[k], lowers[k]
+                assert sign_test(d, "greater").p_value == upper / 2**n
+                assert sign_test(d, "two-sided").p_value == min(
+                    1.0, 2.0 * (min(upper, lower) / 2**n)
+                )
+
     def test_exact_arithmetic_at_scale(self):
         # 71 successes out of 72 at rate 1/2, computed with integer arithmetic.
         values = [1.0] * 71 + [-1.0]
@@ -370,3 +387,43 @@ class TestLeaveOneDatasetOut:
         assert r.statistic == pytest.approx(float(ref.statistic), abs=1e-12)
         assert r.p_value == pytest.approx(float(ref.pvalue), abs=1e-12)
         assert r.n_used == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["A", "B", "C", "STS12", "STS-B", "b", ""]),
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+                | st.integers(-10_000, 10_000).map(lambda c: c / 100.0),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        st.sampled_from(["greater", "two-sided"]),
+    )
+    def test_equals_per_label_loop(self, cells, alternative):
+        d = PairedDiffs.from_values([v for _, v in cells], datasets=[ds for ds, _ in cells])
+        try:
+            want = repr(_lodo_per_label_loop(d, alternative))
+        except DegenerateInputError as exc:
+            want = repr(exc)
+        try:
+            got = repr(leave_one_dataset_out(d, alternative))
+        except DegenerateInputError as exc:
+            got = repr(exc)
+        assert got == want
+
+
+def _lodo_per_label_loop(d, alternative):
+    """leave_one_dataset_out as first written: a string compare and a mean per label."""
+    datasets = []
+    for _, ds in d.labels:
+        if ds not in datasets:
+            datasets.append(ds)
+    if len(datasets) < 2:
+        raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
+    arr = np.asarray(d.diffs, dtype=np.float64)
+    ds_labels = np.asarray([ds for _, ds in d.labels])
+    means = [float(arr[ds_labels != ds].mean()) for ds in datasets]
+    result = paired_t_test(PairedDiffs.from_values(means), alternative)
+    return dataclasses.replace(result, method_name="lodo-t")
