@@ -63,14 +63,12 @@ def rearrangement_bound(u: VectorLike, v: VectorLike) -> float:
     it is ``|sort_asc(u) . sort_desc(v)|``; for ``u.v == 0`` the larger of
     the two.
     """
-    a, b = _pair(u, v)
-    return _rearrangement(a, b, float(np.dot(a, b)))
+    return _rearrangement(*_pair(u, v))
 
 
 def bound_chain(u: VectorLike, v: VectorLike) -> BoundChain:
     """Compute all four chain values from shared dot/norm/sort primitives."""
-    a, b = _pair(u, v)
-    d = float(np.dot(a, b))
+    a, b, d = _pair(u, v)
     na = _norm(a)
     nb = _norm(b)
     return BoundChain(
@@ -87,15 +85,13 @@ def brute_force_rearrangement(u: VectorLike, v: VectorLike) -> float:
     Independent of the sort-based route: enumerates all d! orderings of v
     and takes the extreme dot product against u.
     """
-    a, b = _pair(u, v)
-    d = a.size
-    if d > 8:
-        raise ValueError(f"brute force is limited to dimension <= 8, got {d}")
+    a, b, d = _pair(u, v)
+    if a.size > 8:
+        raise ValueError(f"brute force is limited to dimension <= 8, got {a.size}")
     perms = np.array(list(itertools.permutations(b.tolist())))
     prods = perms @ a
-    sign = float(np.dot(a, b))
-    if sign > 0.0:
+    if d > 0.0:
         return float(prods.max())
-    if sign < 0.0:
+    if d < 0.0:
         return float(abs(prods.min()))
     return float(max(prods.max(), abs(prods.min())))

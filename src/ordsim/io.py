@@ -377,10 +377,20 @@ def load_results(path: PathLike) -> ResultsTable:
                 line=lineno,
             )
         seen[key] = lineno
-        try:
-            rows.append(ResultsRow(model, method, dataset, cents))
-        except DegenerateInputError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+        # After split(",") and strip(), emptiness is the one ResultsRow check
+        # a name can fail, so the row is built without rerunning the checks,
+        # field by field as the dataclass __init__ sets them.
+        if "" in key:
+            try:
+                ResultsRow(model, method, dataset, cents)
+            except DegenerateInputError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+        row = object.__new__(ResultsRow)
+        object.__setattr__(row, "model", model)
+        object.__setattr__(row, "method", method)
+        object.__setattr__(row, "dataset", dataset)
+        object.__setattr__(row, "score_cents", cents)
+        rows.append(row)
     return ResultsTable(tuple(rows))
 
 

@@ -8,11 +8,16 @@ same direction as ``u`` when ``u.v > 0`` and the opposite direction when
 same numerator by the Cauchy-Schwarz, arithmetic-mean and union-style
 denominators.  All four share sign and symmetry; the ordinal predicates at
 the bottom of the module characterize when ``recos`` saturates at +/-1.
-Each operand is checked once, by ``_vector``; the formulas run on its arrays.
+
+Pair functions take their arrays and their dot u.v from ``_pair``.  A finite
+dot certifies that every component is finite, so a clean pair is never
+scanned for inf or NaN; any other pair gets ``_vector``'s full check of each
+operand, in argument order, and raises what that check raises.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence, Union
@@ -92,6 +97,7 @@ def _vector(value: VectorLike) -> np.ndarray:
     # A checked C-contiguous float64 array, ``value`` itself if it is one, so
     # never write to it.  ndim is checked before ascontiguousarray makes 0-d
     # input 1-d; contiguity keeps np.dot on the BLAS path and rounding of a copy.
+    # The one check of a single operand: DenseVector, norm and _pair's fallback.
     if isinstance(value, DenseVector):
         return value.components
     try:
@@ -116,11 +122,31 @@ class MetricKind(str, Enum):
     TANIMOTO = "tanimoto"
 
 
-def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray]:
+def _operand(value: VectorLike) -> np.ndarray:
+    # ``_vector``'s conversion without its checks, for ``_pair``'s fast path.
+    if isinstance(value, DenseVector):
+        return value.components
+    arr = np.asarray(value, dtype=np.float64)
+    return np.ascontiguousarray(arr) if arr.ndim == 1 else arr
+
+
+def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray, float]:
+    # Checked arrays of equal size and their dot d = a.b, which every pair
+    # function needs.  A finite d certifies both operands: an inf or NaN
+    # component makes its product, and so the sum, inf or NaN.  If any step
+    # of the fast path fails or d is not finite, the full checks run in order.
+    try:
+        a, b = _operand(u), _operand(v)
+        if a.ndim == b.ndim == 1 and a.size == b.size > 0:
+            d = float(np.dot(a, b))
+            if math.isfinite(d):
+                return a, b, d
+    except Exception:  # whatever failed, the full checks below raise the typed error
+        pass
     a, b = _vector(u), _vector(v)
     if a.size != b.size:
         raise DimensionMismatchError(f"dimension mismatch: {a.size} vs {b.size}")
-    return a, b
+    return a, b, float(np.dot(a, b))
 
 
 def _clip_unit(x: float) -> float:
@@ -130,8 +156,7 @@ def _clip_unit(x: float) -> float:
 
 def dot(u: VectorLike, v: VectorLike) -> float:
     """Dot product in float64."""
-    a, b = _pair(u, v)
-    return float(np.dot(a, b))
+    return _pair(u, v)[2]
 
 
 def norm(u: VectorLike) -> float:
@@ -144,11 +169,11 @@ def norm(u: VectorLike) -> float:
 
 
 def _norm(a: np.ndarray) -> float:
-    # ``norm`` on an array that is already validated.
-    n = float(np.linalg.norm(a))
+    # ``norm`` on a validated array: np.linalg.norm's value, sqrt(a.dot(a)).
+    n = math.sqrt(float(np.dot(a, a)))
     if n == 0.0 and np.any(a != 0.0):
         scale = float(np.max(np.abs(a)))
-        n = scale * float(np.linalg.norm(a / scale))
+        n = scale * _norm(a / scale)
     return n
 
 
@@ -171,8 +196,7 @@ def recos(u: VectorLike, v: VectorLike) -> float:
     ``u.v / |sort_asc(u) . sort_desc(v)|`` when ``u.v < 0``,
     and exactly 0 when ``u.v == 0``.
     """
-    a, b = _pair(u, v)
-    d = float(np.dot(a, b))
+    a, b, d = _pair(u, v)
     if d == 0.0:
         return 0.0
     den = _rearrangement(a, b, d)
@@ -183,12 +207,12 @@ def recos(u: VectorLike, v: VectorLike) -> float:
 
 def cosine(u: VectorLike, v: VectorLike) -> float:
     """Cosine similarity in [-1, 1].  Rejects zero vectors."""
-    a, b = _pair(u, v)
+    a, b, d = _pair(u, v)
     na = _norm(a)
     nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         raise DegenerateInputError("cosine is undefined for a zero vector")
-    return _clip_unit(float(np.dot(a, b)) / (na * nb))
+    return _clip_unit(d / (na * nb))
 
 
 def decos(u: VectorLike, v: VectorLike) -> float:
@@ -196,11 +220,11 @@ def decos(u: VectorLike, v: VectorLike) -> float:
 
     Defined whenever at least one vector is nonzero.
     """
-    a, b = _pair(u, v)
+    a, b, d = _pair(u, v)
     sq = float(np.dot(a, a)) + float(np.dot(b, b))
     if sq == 0.0:
         raise DegenerateInputError("decos is undefined when both vectors are zero")
-    return _clip_unit(float(np.dot(a, b)) / (0.5 * sq))
+    return _clip_unit(d / (0.5 * sq))
 
 
 def tanimoto(u: VectorLike, v: VectorLike) -> float:
@@ -210,8 +234,7 @@ def tanimoto(u: VectorLike, v: VectorLike) -> float:
     opposed vectors.  The denominator vanishes only when both vectors are
     zero, which is rejected.
     """
-    a, b = _pair(u, v)
-    d = float(np.dot(a, b))
+    a, b, d = _pair(u, v)
     den = float(np.dot(a, a)) + float(np.dot(b, b)) - d
     if den == 0.0:
         raise DegenerateInputError("tanimoto is undefined when both vectors are zero")
@@ -306,13 +329,13 @@ def is_similarly_ordered(u: VectorLike, v: VectorLike) -> bool:
     group of equal ``u`` components must be <= every ``v`` value in the next
     group.
     """
-    a, b = _pair(u, v)
+    a, b, _ = _pair(u, v)
     gmin, gmax = _group_extrema(a, b)
     return bool(np.all(gmax[:-1] <= gmin[1:]))
 
 
 def is_oppositely_ordered(u: VectorLike, v: VectorLike) -> bool:
     """Whether ``(u_i - u_j) * (v_i - v_j) <= 0`` for every index pair."""
-    a, b = _pair(u, v)
+    a, b, _ = _pair(u, v)
     gmin, gmax = _group_extrema(a, b)
     return bool(np.all(gmin[:-1] >= gmax[1:]))

@@ -103,7 +103,7 @@ def _vector_forms(x):
         "readonly": readonly,
         "float32": x.astype(np.float32),
     }
-    if np.array_equal(x, np.rint(x)):
+    if np.isfinite(x).all() and np.array_equal(x, np.rint(x)):
         forms["int"] = [int(c) for c in x]
     return forms
 
@@ -111,5 +111,6 @@ def _vector_forms(x):
 @pytest.fixture
 def vector_forms():
     """Map a float64 vector with float32-exact components to each input form
-    holding the same values; the ``int`` form only where the values are integers."""
+    holding the same values; the ``int`` form only where the values are
+    finite integers."""
     return _vector_forms

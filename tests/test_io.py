@@ -388,6 +388,30 @@ class TestResultsTable:
         with pytest.raises(DatasetFormatError, match="4 fields"):
             load_results(path)
 
+    @pytest.mark.parametrize(
+        "fname, row", [("model", " ,cos,D,1"), ("method", "m,,D,1"), ("dataset", "m,cos,\t,1")]
+    )
+    def test_empty_name_messages(self, tmp_path, fname, row):
+        path = tmp_path / "r.csv"
+        path.write_text(f"model,method,dataset,score\nm,cos,D,1.2\n{row}\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_results(path)
+        assert str(err.value) == f"{path}:3: {fname} must be non-empty and comma-free, got ''"
+        assert err.value.line == 3
+        path.write_text(f"model,method,dataset,score\n{row}.234\n")
+        with pytest.raises(DatasetFormatError, match="at most 2 fraction digits"):
+            load_results(path)
+
+    def test_loaded_rows_equal_constructed_rows(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("model,method,dataset,score\n m1 ,cos,D1,50.28\nm2,recos, D1,-0.31\n")
+        rows = load_results(path).rows
+        want = (ResultsRow("m1", "cos", "D1", 5028), ResultsRow("m2", "recos", "D1", -31))
+        assert rows == want
+        assert [(hash(r), repr(r), vars(r)) for r in rows] == [
+            (hash(r), repr(r), vars(r)) for r in want
+        ]
+
     def test_duplicate_messages(self, tmp_path):
         row = ResultsRow("m", "cos", "STS12", 100)
         with pytest.raises(DegenerateInputError) as err:

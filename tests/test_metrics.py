@@ -1,5 +1,6 @@
 """Metric kernels: golden values, algebraic properties, ordinal predicates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordsim.metrics
 from ordsim import (
+    BoundChain,
+    BoundViolationError,
     DegenerateInputError,
     DenseVector,
     DimensionMismatchError,
@@ -530,3 +534,165 @@ class TestInputForms:
             f(u, v)
         norm(u)
         assert built == []
+
+    def test_clean_pairs_skip_the_full_check(self, monkeypatch):
+        checked = []
+        full_check = ordsim.metrics._vector
+
+        def counting(value):
+            checked.append(value)
+            return full_check(value)
+
+        u = np.array([1.0, -2.0, 3.0])
+        v = np.array([2.0, 0.5, 1.0])
+        du, dv = DenseVector(u), DenseVector(v)
+        nan = np.array([1.0, np.nan, 3.0])
+        huge = np.array([1e200, 2e200, 1.0])
+        monkeypatch.setattr(ordsim.metrics, "_vector", counting)
+        for a, b in ((u, v), (du, dv), (u, dv), (u.tolist(), v.tolist())):
+            for f in PAIR_FUNCS:
+                f(a, b)
+        assert checked == []
+        for f in PAIR_FUNCS:
+            checked.clear()
+            with pytest.raises(InvalidVectorError):
+                f(u, nan)
+            assert [id(x) for x in checked] == [id(u), id(nan)], f
+            checked.clear()
+            f(huge, huge)  # a finite pair whose dot overflows
+            assert len(checked) == 2, f
+
+
+FINITE_MESSAGE = "vector components must be finite"
+MALFORMED = {
+    "non-numeric": (["a", "b", "c"], "not a numeric vector: could not convert string to float: 'a'"),
+    "0-d": (2.0, "expected a 1-d vector, got shape ()"),
+    "2-d": ([[1.0, 2.0, 3.0]], "expected a 1-d vector, got shape (1, 3)"),
+    "empty": ([], "vector must have at least one component"),
+}
+
+# (x, sign) -> results of PAIR_FUNCS on (x, sign * x), in order: float.hex of
+# a float, a bool, the hex of BoundChain's four fields, or (exception type, message).
+_INF, _NEG1, _NAN = "inf", "-0x1.0000000000000p+0", "nan"
+_CHAIN_INF = (_INF,) * 4
+EDGE_RESULTS = {
+    ((1e200, 2e200), 1): (_NEG1, _NEG1, _NEG1, _NAN, _INF, _CHAIN_INF, _INF, True, False),
+    ((1e200, 2e200), -1): (_NEG1, _NEG1, _NEG1, _NAN, "-inf", _CHAIN_INF, _INF, False, True),
+    ((1e154, 1e154), 1): (_NEG1, _NEG1, _NEG1, _NAN, _INF, _CHAIN_INF, _INF, True, True),
+    ((1e154, 1e154), -1): (_NEG1, _NEG1, _NEG1, _NAN, "-inf", _CHAIN_INF, _INF, True, True),
+    ((1e308, -1e308), 1): (_NEG1, _NEG1, _NEG1, _NAN, _INF, _CHAIN_INF, _INF, True, False),
+    ((1e308, -1e308), -1): (_NEG1, _NEG1, _NEG1, _NAN, "-inf", _CHAIN_INF, _INF, False, True),
+}
+for _sign in (1, -1):
+    EDGE_RESULTS[((1e-170, 1e-170), _sign)] = (
+        "0x0.0p+0",
+        ("ZeroDivisionError", "float division by zero"),
+        ("DegenerateInputError", "decos is undefined when both vectors are zero"),
+        ("DegenerateInputError", "tanimoto is undefined when both vectors are zero"),
+        "0x0.0p+0",
+        ("0x0.0p+0",) * 4,
+        "0x0.0p+0",
+        True,
+        True,
+    )
+
+
+def outcome(f, u, v):
+    """f(u, v) as exact bits, or the type name and message of what it raised."""
+    try:
+        value = f(u, v)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, BoundChain):
+        return tuple(float.hex(x) for x in dataclasses.astuple(value))
+    return bits(value)
+
+
+class TestErrorsAndEdgeValues:
+    """Every rejection's type and message, and the exact results on pairs
+    whose dot overflows or underflows, for every pair function and form."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["u", "v", "both", "u, v shorter", "v, u shorter", "u, v longer"])
+    def test_non_finite_operand(self, vector_forms, bad, where):
+        ok = np.array([1.0, -2.0, 3.0])
+        x = ok.copy()
+        x[1] = bad
+        u, v = {
+            "u": (x, ok),
+            "v": (ok, x),
+            "both": (x, x),
+            "u, v shorter": (x, ok[:2]),
+            "v, u shorter": (ok[:2], x),
+            "u, v longer": (x, np.append(ok, 1.0)),
+        }[where]
+        fu, fv = vector_forms(u), vector_forms(v)
+        for form in fu.keys() & fv.keys():
+            for f in PAIR_FUNCS:
+                assert outcome(f, fu[form], fv[form]) == ("InvalidVectorError", FINITE_MESSAGE)
+
+    @pytest.mark.parametrize("kind", MALFORMED)
+    def test_malformed_operand_next_to_a_non_finite_one(self, vector_forms, kind):
+        malformed, message = MALFORMED[kind]
+        forms = vector_forms(np.array([1.0, np.nan, 3.0]))
+        for x in forms.values():
+            for f in PAIR_FUNCS:
+                assert outcome(f, x, malformed) == ("InvalidVectorError", FINITE_MESSAGE)
+                assert outcome(f, malformed, x) == ("InvalidVectorError", message)
+
+    @pytest.mark.parametrize("pair", EDGE_RESULTS, ids=lambda p: f"{p[0]}*{p[1]}")
+    def test_overflow_and_underflow_results(self, pair):
+        (x, sign), want = pair, EDGE_RESULTS[pair]
+        u = np.array(x)
+        for form in (np.array, list, DenseVector):
+            got = tuple(outcome(f, form(u), form(sign * u)) for f in PAIR_FUNCS)
+            assert got == want, form
+
+
+# Components across the float64 range: zero, subnormals, the extremes, and
+# m * 10**e with |m| < 10 and |e| <= 300.
+wide_component = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([5e-324, -5e-324, 1e308, -1e308]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 300)),
+)
+
+
+@st.composite
+def wide_pairs(draw):
+    d = draw(st.integers(1, 12))
+    u = draw(st.lists(wide_component, min_size=d, max_size=d))
+    v = draw(st.one_of(
+        st.lists(wide_component, min_size=d, max_size=d),
+        st.sampled_from([0.0, 5e-324, 1e308, -1e308]).map(lambda c: [c] * d),
+    ))
+    return np.array(u), np.array(v)
+
+
+class TestFiniteCertificate:
+    """A pair is accepted exactly when all its components are finite,
+    whatever the magnitudes of the components."""
+
+    @given(wide_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_finite_pairs_are_never_rejected_as_invalid(self, pair):
+        u, v = pair
+        for a, b in ((u, v), (v, u)):
+            for f in PAIR_FUNCS:
+                try:
+                    f(a, b)
+                except InvalidVectorError as exc:
+                    pytest.fail(f"{f.__name__}({a!r}, {b!r}) raised {exc!r}")
+                except (ArithmeticError, BoundViolationError, DegenerateInputError):
+                    pass
+
+    @given(wide_pairs(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_non_finite_component_is_always_rejected(self, pair, bad, data):
+        u, v = pair
+        target = (u, v)[data.draw(st.integers(0, 1))]
+        target[data.draw(st.integers(0, target.size - 1))] = bad
+        for f in PAIR_FUNCS:
+            for a, b in ((u, v), (v, u)):
+                assert outcome(f, a, b) == ("InvalidVectorError", FINITE_MESSAGE)
