@@ -98,27 +98,24 @@ def compare(
     double precision.  Raises DegenerateInputError (from the rank tests)
     when every cell is tied.
     """
-    cells_a = results.cells(a)
-    cells_b = results.cells(b)
-    if not cells_a:
+    keys, scores_a = results.scores(a)
+    keys_b, scores_b = results.scores(b)
+    if not keys:
         raise CoverageMismatchError(f"no cells for method {a!r}")
-    if not cells_b:
+    if not keys_b:
         raise CoverageMismatchError(f"no cells for method {b!r}")
-    only_a = len(cells_a.keys() - cells_b.keys())
-    only_b = len(cells_b.keys() - cells_a.keys())
-    if only_a or only_b:
-        raise CoverageMismatchError(
-            f"methods {a!r} and {b!r} cover different cells: "
-            f"{only_a} only in {a!r}, {only_b} only in {b!r}"
-        )
-    keys = list(cells_a)
-    # ResultsRow.score, without a property call per cell.
-    scores_a = [cells_a[k].score_cents / 100.0 for k in keys]
-    scores_b = [cells_b[k].score_cents / 100.0 for k in keys]
-    diffs = PairedDiffs(
-        tuple(sa - sb for sa, sb in zip(scores_a, scores_b)),
-        tuple(keys),
-    )
+    if keys != keys_b:
+        only_a = len(set(keys) - set(keys_b))
+        only_b = len(set(keys_b) - set(keys))
+        if only_a or only_b:
+            raise CoverageMismatchError(
+                f"methods {a!r} and {b!r} cover different cells: "
+                f"{only_a} only in {a!r}, {only_b} only in {b!r}"
+            )
+        # The same cells in another order: line b's scores up with a's cells.
+        position = {cell: i for i, cell in enumerate(keys_b)}
+        scores_b = scores_b[[position[cell] for cell in keys]]
+    diffs = PairedDiffs(tuple((scores_a - scores_b).tolist()), keys)
     wil = wilcoxon_signed_rank(diffs, alternative)
     sgn = sign_test(diffs, alternative)
     t = paired_t_test(diffs, alternative)
@@ -137,6 +134,7 @@ def compare(
             "t_test": adjusted[2],
         },
         lodo=leave_one_dataset_out(diffs, alternative),
-        micro_avg_a=sum(scores_a) / len(scores_a),
-        micro_avg_b=sum(scores_b) / len(scores_b),
+        # Python's left-to-right sum in a's cell order: np.sum adds pairwise.
+        micro_avg_a=sum(scores_a.tolist()) / len(keys),
+        micro_avg_b=sum(scores_b.tolist()) / len(keys),
     )

@@ -191,8 +191,12 @@ def _content_lines(path: Path) -> list[tuple[int, str]]:
         raise DatasetFormatError(
             f"{path}:{lineno}: not valid UTF-8: {exc.reason}", line=lineno
         ) from exc
-    numbered = [(i, line) for i, line in enumerate(text.splitlines(), start=1)]
-    return [(i, line) for i, line in numbered if line.strip()]
+    # isspace() is True for the lines strip() empties, without copying them.
+    return [
+        (i, line)
+        for i, line in enumerate(text.splitlines(), start=1)
+        if line and not line.isspace()
+    ]
 
 
 def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
@@ -259,7 +263,12 @@ def _parse_score_cents(text: str) -> int:
     if match is None:
         raise ValueError(f"score must be a decimal with at most 2 fraction digits: {text!r}")
     signed_integer, fraction = match.groups()
-    return int(signed_integer + (fraction or "").ljust(2, "0"))
+    cents = int(signed_integer + (fraction or "").ljust(2, "0"))
+    try:
+        cents / 100.0  # ResultsRow.score
+    except OverflowError:
+        raise ValueError(f"score is too large for a float64: {text!r}") from None
+    return cents
 
 
 def _format_score_cents(cents: int) -> str:
@@ -294,24 +303,37 @@ class ResultsRow:
         _check_results_field("model", self.model)
         _check_results_field("method", self.method)
         _check_results_field("dataset", self.dataset)
+        try:
+            self.score
+        except OverflowError:
+            raise DegenerateInputError(
+                "score_cents is too large: score_cents / 100.0 overflows a float64"
+            ) from None
 
     @property
     def score(self) -> float:
         return self.score_cents / 100.0
 
 
+_CellIndex = dict[str, dict[tuple[str, str], ResultsRow]]
+
+
 @dataclass(frozen=True)
 class ResultsTable:
     """Benchmark cells with unique (model, method, dataset) triples.
 
-    The constructor indexes the rows by method and (model, dataset) once; the
-    index is not a field, so it takes no part in ``==``, ``hash`` or ``repr``.
+    The constructor indexes the rows by method and (model, dataset) once.
+    From that index it builds each method's score column: the method's
+    (model, dataset) cells in file order and a read-only float64 array of
+    their scores, ``score_cents / 100.0`` bit for bit (see ``scores``).  The
+    index and the columns are not fields, so they take no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     rows: tuple[ResultsRow, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        by_method: dict[str, dict[tuple[str, str], ResultsRow]] = {}
+        by_method: _CellIndex = {}
         for row in self.rows:
             cells = by_method.setdefault(row.method, {})
             cell = (row.model, row.dataset)
@@ -320,7 +342,28 @@ class ResultsTable:
                     f"duplicate cell {(row.model, row.method, row.dataset)!r}"
                 )
             cells[cell] = row
+        self._set_index(by_method)
+
+    @classmethod
+    def _from_index(cls, rows: tuple[ResultsRow, ...], by_method: _CellIndex) -> ResultsTable:
+        # For rows that ``load_results`` has checked and indexed already.
+        table = cls.__new__(cls)
+        object.__setattr__(table, "rows", rows)
+        table._set_index(by_method)
+        return table
+
+    def _set_index(self, by_method: _CellIndex) -> None:
+        columns = {}
+        for method, cells in by_method.items():
+            # fromiter converts each int as float() does, so the division
+            # gives the bits of ResultsRow.score.
+            scores = np.fromiter(
+                (row.score_cents for row in cells.values()), np.float64, len(cells)
+            ) / 100.0
+            scores.setflags(write=False)
+            columns[method] = (tuple(cells), scores)
         object.__setattr__(self, "_by_method", by_method)
+        object.__setattr__(self, "_columns", columns)
 
     def methods(self) -> tuple[str, ...]:
         return self._distinct("method")
@@ -341,6 +384,18 @@ class ResultsTable:
         """
         return dict(self._by_method.get(method, ()))
 
+    def scores(self, method: str) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
+        """One method's score column: its (model, dataset) cells in file order
+        and a read-only float64 array of their scores, in the same order.
+
+        Both are empty for an unknown method.
+        """
+        return self._columns.get(method, ((), _NO_SCORES))
+
+
+_NO_SCORES = np.empty(0)
+_NO_SCORES.setflags(write=False)
+
 
 _RESULTS_HEADER = "model,method,dataset,score"
 
@@ -357,8 +412,8 @@ def load_results(path: PathLike) -> ResultsTable:
             f"{path}:{header_no}: header must be {_RESULTS_HEADER!r}, got {header!r}",
             line=header_no,
         )
-    rows = []
-    seen: dict[tuple[str, str, str], int] = {}
+    rows: list[ResultsRow] = []
+    by_method: _CellIndex = {}
     for lineno, line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 4:
@@ -371,27 +426,29 @@ def load_results(path: PathLike) -> ResultsTable:
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
         key = (model, method, dataset)
-        if key in seen:
+        cells = by_method.setdefault(method, {})
+        first = cells.get((model, dataset))
+        if first is not None:
+            # Row i was read from lines[1 + i].
+            first_no = lines[1 + rows.index(first)][0]
             raise DatasetFormatError(
-                f"{path}:{lineno}: duplicate cell {key!r} (first on line {seen[key]})",
+                f"{path}:{lineno}: duplicate cell {key!r} (first on line {first_no})",
                 line=lineno,
             )
-        seen[key] = lineno
         # After split(",") and strip(), emptiness is the one ResultsRow check
-        # a name can fail, so the row is built without rerunning the checks,
-        # field by field as the dataclass __init__ sets them.
+        # a name can fail, and _parse_score_cents has checked the score, so
+        # the row is built without rerunning the checks, its fields set in
+        # the order the dataclass __init__ sets them.
         if "" in key:
             try:
                 ResultsRow(model, method, dataset, cents)
             except DegenerateInputError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
         row = object.__new__(ResultsRow)
-        object.__setattr__(row, "model", model)
-        object.__setattr__(row, "method", method)
-        object.__setattr__(row, "dataset", dataset)
-        object.__setattr__(row, "score_cents", cents)
+        vars(row).update(model=model, method=method, dataset=dataset, score_cents=cents)
+        cells[model, dataset] = row
         rows.append(row)
-    return ResultsTable(tuple(rows))
+    return ResultsTable._from_index(tuple(rows), by_method)
 
 
 def save_results(table: ResultsTable, path: PathLike) -> None:

@@ -12,7 +12,10 @@ the bottom of the module characterize when ``recos`` saturates at +/-1.
 Pair functions take their arrays and their dot u.v from ``_pair``.  A finite
 dot certifies that every component is finite, so a clean pair is never
 scanned for inf or NaN; any other pair gets ``_vector``'s full check of each
-operand, in argument order, and raises what that check raises.
+operand, in argument order, and raises what that check raises.  The scalar
+kernels call ndarray methods (``a.dot(b)``, ``a.sort()`` on a copy) rather
+than ``np.dot`` and ``np.sort``: the same computation, without numpy's
+``__array_function__`` dispatch on every call.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray, float]:
     try:
         a, b = _operand(u), _operand(v)
         if a.ndim == b.ndim == 1 and a.size == b.size > 0:
-            d = float(np.dot(a, b))
+            d = float(a.dot(b))
             if math.isfinite(d):
                 return a, b, d
     except Exception:  # whatever failed, the full checks below raise the typed error
@@ -146,7 +149,7 @@ def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray, float]:
     a, b = _vector(u), _vector(v)
     if a.size != b.size:
         raise DimensionMismatchError(f"dimension mismatch: {a.size} vs {b.size}")
-    return a, b, float(np.dot(a, b))
+    return a, b, float(a.dot(b))
 
 
 def _clip_unit(x: float) -> float:
@@ -170,23 +173,25 @@ def norm(u: VectorLike) -> float:
 
 def _norm(a: np.ndarray) -> float:
     # ``norm`` on a validated array: np.linalg.norm's value, sqrt(a.dot(a)).
-    n = math.sqrt(float(np.dot(a, a)))
-    if n == 0.0 and np.any(a != 0.0):
-        scale = float(np.max(np.abs(a)))
+    n = math.sqrt(float(a.dot(a)))
+    if n == 0.0 and (a != 0.0).any():
+        scale = float(abs(a).max())
         n = scale * _norm(a / scale)
     return n
 
 
 def _rearrangement(a: np.ndarray, b: np.ndarray, d: float) -> float:
     # ``bounds.rearrangement_bound`` of checked arrays whose dot d = a.b is known.
-    sa = np.sort(a)
-    sb = np.sort(b)
+    sa = a.copy()
+    sa.sort()
+    sb = b.copy()
+    sb.sort()
     if d > 0.0:
-        return abs(float(np.dot(sa, sb)))
-    opposite = abs(float(np.dot(sa, sb[::-1])))
+        return abs(float(sa.dot(sb)))
+    opposite = abs(float(sa.dot(sb[::-1])))
     if d < 0.0:
         return opposite
-    return max(abs(float(np.dot(sa, sb))), opposite)
+    return max(abs(float(sa.dot(sb))), opposite)
 
 
 def recos(u: VectorLike, v: VectorLike) -> float:
@@ -221,7 +226,7 @@ def decos(u: VectorLike, v: VectorLike) -> float:
     Defined whenever at least one vector is nonzero.
     """
     a, b, d = _pair(u, v)
-    sq = float(np.dot(a, a)) + float(np.dot(b, b))
+    sq = float(a.dot(a)) + float(b.dot(b))
     if sq == 0.0:
         raise DegenerateInputError("decos is undefined when both vectors are zero")
     return _clip_unit(d / (0.5 * sq))
@@ -235,7 +240,7 @@ def tanimoto(u: VectorLike, v: VectorLike) -> float:
     zero, which is rejected.
     """
     a, b, d = _pair(u, v)
-    den = float(np.dot(a, a)) + float(np.dot(b, b)) - d
+    den = float(a.dot(a)) + float(b.dot(b)) - d
     if den == 0.0:
         raise DegenerateInputError("tanimoto is undefined when both vectors are zero")
     return d / den

@@ -44,10 +44,18 @@ __all__ = [
 
 _ALTERNATIVES = ("greater", "two-sided")
 
+# Mask entries per block of leave_one_dataset_out: about 1 MB of booleans.
+_LODO_BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class PairedDiffs:
-    """Paired differences with a (model, dataset) label per entry."""
+    """Paired differences with a (model, dataset) label per entry.
+
+    The constructor checks the differences and keeps one read-only float64
+    copy of them, which every test in this module reads.  The copy is not a
+    field, so it takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     diffs: tuple[float, ...]
     labels: tuple[tuple[str, str], ...]
@@ -61,6 +69,9 @@ class PairedDiffs:
             raise DegenerateInputError("need at least one paired difference")
         if not all(map(math.isfinite, self.diffs)):
             raise DegenerateInputError("differences must be finite")
+        values = np.array(self.diffs, dtype=np.float64)
+        values.setflags(write=False)
+        object.__setattr__(self, "_values", values)
 
     @classmethod
     def from_values(
@@ -128,7 +139,7 @@ def _check_alternative(alternative: str) -> str:
 
 def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
     """Summary statistics of the differences; ties are exact zeros."""
-    arr = np.asarray(d.diffs, dtype=np.float64)
+    arr = d._values
     n = arr.size
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1)) if n > 1 else 0.0
@@ -181,7 +192,7 @@ def wilcoxon_signed_rank(
     the effect size is r = |z| / sqrt(n_used).
     """
     _check_alternative(alternative)
-    diffs = np.asarray(d.diffs, dtype=np.float64)
+    diffs = d._values
     nonzero = diffs[diffs != 0.0]
     n = nonzero.size
     if n == 0:
@@ -225,7 +236,7 @@ def sign_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     the success rate among nonzero differences.
     """
     _check_alternative(alternative)
-    diffs = np.asarray(d.diffs, dtype=np.float64)
+    diffs = d._values
     k = int(np.count_nonzero(diffs > 0.0))
     n = k + int(np.count_nonzero(diffs < 0.0))
     if n == 0:
@@ -253,7 +264,7 @@ def paired_t_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     The effect size is Cohen's d_z = mean / sd of the differences.
     """
     _check_alternative(alternative)
-    arr = np.asarray(d.diffs, dtype=np.float64)
+    arr = d._values
     n = arr.size
     if n < 2:
         raise DegenerateInputError("paired t-test requires at least 2 differences")
@@ -331,12 +342,23 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     )
     if len(codes_of) < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
-    arr = np.asarray(d.diffs, dtype=np.float64)
-    exclusion_means = []
-    for code in range(len(codes_of)):
-        # Never empty: another dataset's cells remain.  add.reduce / size is
-        # what ndarray.mean computes, without its Python-level overhead.
-        kept = arr[codes != code]
-        exclusion_means.append(float(np.add.reduce(kept) / kept.size))
-    result = paired_t_test(PairedDiffs.from_values(exclusion_means), alternative)
+    arr = d._values
+    counts = np.bincount(codes)
+    exclusion_means = np.empty(counts.size)
+    # Datasets with the same cell count keep the same number of cells, so each
+    # block of them is one (rows, n - count) matrix of kept cells, summed row
+    # by row.  A row's add.reduce adds in the order and grouping a 1-d
+    # add.reduce of the same cells does, so every mean is bit-identical to it.
+    # Blocks hold at most _LODO_BLOCK_CELLS mask entries, whatever n is.
+    step = max(1, _LODO_BLOCK_CELLS // arr.size)
+    for count in sorted(set(counts.tolist())):
+        group = np.flatnonzero(counts == count)
+        for start in range(0, group.size, step):
+            rows = group[start : start + step]
+            keep = codes != rows[:, None]
+            kept = np.broadcast_to(arr, keep.shape)[keep].reshape(rows.size, -1)
+            exclusion_means[rows] = np.add.reduce(kept, axis=1) / kept.shape[1]
+    result = paired_t_test(
+        PairedDiffs.from_values(exclusion_means.tolist()), alternative
+    )
     return replace(result, method_name="lodo-t")

@@ -230,6 +230,18 @@ class TestCompare:
             "statistical tests not applicable\n"
         )
 
+    def test_oversized_score_is_data_error(self, fresh_python, tmp_path):
+        score = "1" + "0" * 400
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f"model,method,dataset,score\nm,a,d1,{score}\nm,b,d1,1.00\nm,a,d2,2.00\nm,b,d2,1.00\n"
+        )
+        proc = fresh_python("-m", "ordsim", "compare", "--results", str(path), "--a", "a", "--b", "b")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path}:2: score is too large for a float64: {score!r}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_csv_output(self, capsys, table2):
         code, out, _ = run_cli(
             capsys, "compare", "--results", table2, "--a", "recos", "--b", "cos",

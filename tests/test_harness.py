@@ -1,5 +1,6 @@
 """Evaluation and comparison harness mechanics."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -10,25 +11,33 @@ from hypothesis import strategies as st
 
 import ordsim.harness
 from ordsim import (
+    ComparisonReport,
     CoverageMismatchError,
     DegenerateInputError,
     DenseVector,
     EvalReport,
     MetricKind,
     PairDataset,
+    PairedDiffs,
     PairRecord,
     ResultsRow,
     ResultsTable,
+    benjamini_hochberg,
+    cohens_d_pooled,
     compare,
     cosine,
+    descriptive_stats,
     evaluate,
     fixture_path,
     load_pairs,
     load_results,
+    paired_t_test,
     recos,
     save_pairs,
+    sign_test,
     similarity,
     spearman_rho,
+    wilcoxon_signed_rank,
 )
 
 
@@ -332,6 +341,144 @@ class TestCompareMechanics:
     def test_unknown_method(self):
         with pytest.raises(CoverageMismatchError, match="no cells"):
             compare(self._synthetic(), "m1", "zzz")
+
+
+def _reference_compare(results, a, b, alternative="greater"):
+    """``compare`` as it was before score columns: rows looked up cell by cell.
+
+    Copied verbatim, except that it calls the per-dataset loop below for
+    leave-one-dataset-out.
+    """
+    cells_a = results.cells(a)
+    cells_b = results.cells(b)
+    if not cells_a:
+        raise CoverageMismatchError(f"no cells for method {a!r}")
+    if not cells_b:
+        raise CoverageMismatchError(f"no cells for method {b!r}")
+    only_a = len(cells_a.keys() - cells_b.keys())
+    only_b = len(cells_b.keys() - cells_a.keys())
+    if only_a or only_b:
+        raise CoverageMismatchError(
+            f"methods {a!r} and {b!r} cover different cells: "
+            f"{only_a} only in {a!r}, {only_b} only in {b!r}"
+        )
+    keys = list(cells_a)
+    # ResultsRow.score, without a property call per cell.
+    scores_a = [cells_a[k].score_cents / 100.0 for k in keys]
+    scores_b = [cells_b[k].score_cents / 100.0 for k in keys]
+    diffs = PairedDiffs(
+        tuple(sa - sb for sa, sb in zip(scores_a, scores_b)),
+        tuple(keys),
+    )
+    wil = wilcoxon_signed_rank(diffs, alternative)
+    sgn = sign_test(diffs, alternative)
+    t = paired_t_test(diffs, alternative)
+    adjusted = benjamini_hochberg([wil.p_value, sgn.p_value, t.p_value])
+    return ComparisonReport(
+        method_a=a,
+        method_b=b,
+        descriptive=descriptive_stats(diffs),
+        wilcoxon=wil,
+        sign=sgn,
+        t_test=t,
+        pooled_d=cohens_d_pooled(scores_a, scores_b),
+        bh_adjusted={
+            "wilcoxon": adjusted[0],
+            "sign": adjusted[1],
+            "t_test": adjusted[2],
+        },
+        lodo=_reference_lodo(diffs, alternative),
+        micro_avg_a=sum(scores_a) / len(scores_a),
+        micro_avg_b=sum(scores_b) / len(scores_b),
+    )
+
+
+def _reference_lodo(d, alternative):
+    """leave_one_dataset_out with one masked 1-d sum per dataset."""
+    codes_of = {}
+    codes = np.fromiter(
+        (codes_of.setdefault(ds, len(codes_of)) for _, ds in d.labels),
+        dtype=np.intp,
+        count=d.n,
+    )
+    if len(codes_of) < 2:
+        raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
+    arr = np.asarray(d.diffs, dtype=np.float64)
+    exclusion_means = []
+    for code in range(len(codes_of)):
+        kept = arr[codes != code]
+        exclusion_means.append(float(np.add.reduce(kept) / kept.size))
+    result = paired_t_test(PairedDiffs.from_values(exclusion_means), alternative)
+    return dataclasses.replace(result, method_name="lodo-t")
+
+
+def _compare_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (CoverageMismatchError, DegenerateInputError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def _two_method_tables(draw):
+    """Rows of methods "a" and "b" over a random subset of a model x dataset
+    grid, so datasets hold unequal numbers of cells, with b's scores random,
+    partly tied to a's, all tied, or a constant shift; every row order is
+    drawn, so b's cells need not come in a's order."""
+    grid = [
+        (f"m{i}", f"D{j}")
+        for i in range(draw(st.integers(1, 4)))
+        for j in range(draw(st.integers(1, 7)))
+    ]
+    cells = draw(st.lists(st.sampled_from(grid), min_size=min(3, len(grid)), unique=True))
+    n = len(cells)
+    cents = st.lists(st.integers(-20_000, 20_000), min_size=n, max_size=n)
+    a = draw(cents)
+    shape = draw(st.sampled_from(["random", "some ties", "all tied", "constant"]))
+    if shape == "random":
+        b = draw(cents)
+    elif shape == "some ties":
+        tied = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        b = [x if t else y for x, y, t in zip(a, draw(cents), tied)]
+    elif shape == "all tied":
+        b = list(a)
+    else:
+        shift = draw(st.integers(-500, 500))
+        b = [x - shift for x in a]
+    rows = [ResultsRow(m, "a", ds, c) for (m, ds), c in zip(cells, a)]
+    b_rows = [ResultsRow(m, "b", ds, c) for (m, ds), c in zip(cells, b)]
+    if draw(st.integers(0, 4)) == 4:  # sometimes a coverage mismatch
+        b_rows = draw(st.lists(st.sampled_from(b_rows), min_size=1, unique=True))
+    rows = draw(st.permutations(rows + b_rows))
+    return ResultsTable(tuple(rows))
+
+
+class TestCompareMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_two_method_tables(), st.sampled_from(["greater", "two-sided"]))
+    def test_same_report_or_error(self, table, alternative):
+        for a, b in (("a", "b"), ("b", "a")):
+            want = _compare_outcome(_reference_compare, table, a, b, alternative)
+            assert _compare_outcome(compare, table, a, b, alternative) == want
+
+    def test_other_key_order_is_aligned(self):
+        rows = [
+            ("A", "m1", "D1", 50),
+            ("B", "m1", "D2", 10),
+            ("A", "m1", "D2", 30),
+            ("B", "m1", "D1", 40),
+            ("B", "m2", "D2", 30),
+            ("A", "m2", "D1", 40),
+            ("B", "m2", "D1", 10),
+            ("A", "m2", "D2", 35),
+        ]
+        table = _table(rows)
+        assert table.scores("m1")[0] != table.scores("m2")[0]
+        r = compare(table, "m1", "m2")
+        assert repr(r) == repr(_reference_compare(table, "m1", "m2"))
+        d = r.descriptive
+        assert (d.wins, d.ties, d.losses) == (2, 0, 2)
+        assert r.micro_avg_b == (0.3 + 0.4 + 0.1 + 0.35) / 4
 
 
 class TestPublishedTableBehavior:

@@ -190,6 +190,22 @@ class TestPairsRoundTrip:
         path.write_text("gold,u_0,v_0\n1.0,2.0,3.0\n2.0,4.0,5.0\n\n\n")
         assert load_pairs(path).n == 2
 
+    def test_whitespace_only_lines_ignored(self, tmp_path):
+        # Lines of Unicode whitespace count as blank, as str.strip() sees them.
+        path = tmp_path / "blank.csv"
+        path.write_text("gold,u_0,v_0\n \t\n1.0,2.0,3.0\n\u3000\u00a0\n2.0,4.0,5.0\n\u2003\n")
+        assert load_pairs(path).n == 2
+        path.write_text("gold,u_0,v_0\n1.0,2.0,3.0\n\u200b\n2.0,4.0,5.0\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_pairs(path)  # a zero-width space is not whitespace
+        assert err.value.line == 3
+
+    def test_isspace_agrees_with_strip_on_every_code_point(self):
+        # The loaders drop a line when isspace() holds, which stands for
+        # strip() emptying it; the two must agree on every character.
+        chars = map(chr, range(0x110000))
+        assert [c for c in chars if c.isspace() != (c.strip() == "")] == []
+
     def test_minimal_two_row_file(self, tmp_path):
         path = tmp_path / "min.csv"
         path.write_text("gold,u_0,u_1,v_0,v_1\n5,1,2,1,2\n0,1,2,-1,-2\n")
@@ -330,6 +346,33 @@ class TestScoreCents:
     def test_round_trip(self, cents):
         assert _parse_score_cents(_format_score_cents(cents)) == cents
 
+    @pytest.mark.parametrize(
+        "cents",
+        [2**1024, -(2**1024), 2**1024 - 2**970, 10**400],
+        ids=["2^1024", "-2^1024", "halfway-to-2^1024", "10^400"],
+    )
+    def test_reject_scores_beyond_float64(self, cents):
+        text = _format_score_cents(cents)
+        with pytest.raises(ValueError) as err:
+            _parse_score_cents(text)
+        assert str(err.value) == f"score is too large for a float64: {text!r}"
+
+    @pytest.mark.parametrize(
+        "cents", [2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)], ids=["max", "-max"]
+    )
+    def test_accept_the_largest_scores(self, cents):
+        # The largest cents that round to a finite float64 rather than to inf.
+        assert _parse_score_cents(_format_score_cents(cents)) == cents
+
+    def test_load_rejects_an_oversized_score(self, tmp_path):
+        score = "1" + "0" * 400
+        path = tmp_path / "r.csv"
+        path.write_text(f"model,method,dataset,score\nm,a,d,1.00\n\nm,b,d,{score}\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_results(path)
+        assert str(err.value) == f"{path}:4: score is too large for a float64: {score!r}"
+        assert err.value.line == 4
+
     def test_score_property_matches_text_parse(self):
         # cents/100.0 must equal float() of the literal bit for bit, so that
         # differencing reproduces a double-subtraction pipeline exactly.
@@ -350,6 +393,14 @@ class TestResultsTable:
             ResultsRow(name, "cos", "STS12", 100)
         with pytest.raises(DegenerateInputError):
             ResultsRow("m", "cos", name, 100)
+
+    @pytest.mark.parametrize("cents", [10**400, -(2**1024)], ids=["10^400", "-2^1024"])
+    def test_row_rejects_an_oversized_score(self, cents):
+        with pytest.raises(DegenerateInputError) as err:
+            ResultsRow("m", "cos", "STS12", cents)
+        assert str(err.value) == (
+            "score_cents is too large: score_cents / 100.0 overflows a float64"
+        )
 
     def test_duplicate_triple_rejected_at_type_level(self):
         row = ResultsRow("m", "cos", "STS12", 100)
@@ -445,6 +496,42 @@ class TestResultsTable:
         assert list(table.cells("recos").values()) == [rows[1]]
         assert table.cells("decos") == {}
         assert table.cells("m1") == {}
+
+    def test_score_columns_in_file_order(self):
+        rows = (
+            ResultsRow("m2", "cos", "D2", 2**53 + 1),
+            ResultsRow("m1", "recos", "D2", 2),
+            ResultsRow("m1", "cos", "D1", -31),
+            ResultsRow("m2", "cos", "D1", 2**1024 - 2**970 - 1),
+        )
+        keys, scores = ResultsTable(rows).scores("cos")
+        assert keys == (("m2", "D2"), ("m1", "D1"), ("m2", "D1"))
+        assert scores.dtype == np.float64 and not scores.flags.writeable
+        assert [s.hex() for s in scores.tolist()] == [rows[i].score.hex() for i in (0, 2, 3)]
+        keys, scores = ResultsTable(rows).scores("decos")
+        assert keys == () and scores.size == 0 and not scores.flags.writeable
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-(2**1023), 2**1023) | st.integers(-10**6, 10**6), min_size=1))
+    def test_score_column_bits_equal_row_scores(self, cents):
+        rows = tuple(ResultsRow("m", "cos", f"D{i}", c) for i, c in enumerate(cents))
+        _, scores = ResultsTable(rows).scores("cos")
+        assert [s.hex() for s in scores.tolist()] == [row.score.hex() for row in rows]
+
+    def test_loaded_table_has_the_constructed_columns(self, tmp_path):
+        rows = (
+            ResultsRow("m2", "cos", "D2", 5028),
+            ResultsRow("m1", "recos", "D2", -31),
+            ResultsRow("m1", "cos", "D1", 7),
+        )
+        path = tmp_path / "r.csv"
+        save_results(ResultsTable(rows), path)
+        loaded = load_results(path)
+        for method in ("cos", "recos", "decos"):
+            want_keys, want = ResultsTable(rows).scores(method)
+            keys, got = loaded.scores(method)
+            assert keys == want_keys and got.tolist() == want.tolist()
+            assert loaded.cells(method) == ResultsTable(rows).cells(method)
 
     def test_index_is_not_part_of_value(self):
         rows = (ResultsRow("m", "cos", "D", 1), ResultsRow("m", "recos", "D", 2))

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordsim.stats
 from ordsim import (
     DegenerateInputError,
     PairedDiffs,
@@ -47,6 +49,33 @@ class TestPairedDiffs:
         d = diffs(0.1, 0.2, datasets=["A", "B"])
         assert d.labels == (("", "A"), ("", "B"))
         assert d.n == 2
+
+    def test_values_are_a_read_only_copy_outside_the_value(self):
+        labels = (("m", "A"), ("m", "B"))
+        d = PairedDiffs((0.5, -0.25), labels)
+        assert d._values.dtype == np.float64 and d._values.tolist() == [0.5, -0.25]
+        assert not d._values.flags.writeable
+        with pytest.raises(ValueError):
+            d._values[0] = 1.0
+        assert [f.name for f in dataclasses.fields(d)] == ["diffs", "labels"]
+        assert repr(d) == f"PairedDiffs(diffs=(0.5, -0.25), labels={labels!r})"
+        twin = PairedDiffs((0.5, -0.25), labels)
+        assert d == twin and hash(d) == hash(twin)
+        assert d != PairedDiffs((0.5, -0.5), labels)
+
+    def test_stats_agree_across_constructions(self):
+        ints = [3, -1, 0, 2, 2, -4, 1, 0, 5]
+        datasets = ["A", "B", "A", "C", "B", "C", "A", "B", "C"]
+        labels = tuple(("", ds) for ds in datasets)
+        forms = [
+            PairedDiffs(tuple(float(v) for v in ints), labels),
+            PairedDiffs(list(ints), labels),
+            PairedDiffs.from_values(ints, datasets=datasets),
+        ]
+        for alternative in ("greater", "two-sided"):
+            for test in (wilcoxon_signed_rank, sign_test, paired_t_test, leave_one_dataset_out):
+                assert len({repr(test(d, alternative)) for d in forms}) == 1
+        assert len({repr(descriptive_stats(d)) for d in forms}) == 1
 
 
 class TestDescriptiveStats:
@@ -411,6 +440,32 @@ class TestLeaveOneDatasetOut:
             got = repr(leave_one_dataset_out(d, alternative))
         except DegenerateInputError as exc:
             got = repr(exc)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 12).map(lambda i: f"D{i}"),
+                st.integers(-10_000, 10_000).map(lambda c: c / 100.0),
+            ),
+            min_size=2,
+            max_size=120,
+        ),
+        st.integers(1, 400),
+    )
+    def test_blocks_do_not_change_the_result(self, cells, block_cells):
+        # Small blocks split each group of equal-count datasets into many.
+        d = PairedDiffs.from_values([v for _, v in cells], datasets=[ds for ds, _ in cells])
+        try:
+            want = repr(_lodo_per_label_loop(d, "greater"))
+        except DegenerateInputError as exc:
+            want = repr(exc)
+        with mock.patch.object(ordsim.stats, "_LODO_BLOCK_CELLS", block_cells):
+            try:
+                got = repr(leave_one_dataset_out(d))
+            except DegenerateInputError as exc:
+                got = repr(exc)
         assert got == want
 
 
