@@ -325,7 +325,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _TYPED_ERRORS as exc:
+    except (*_TYPED_ERRORS, ArithmeticError) as exc:
+        # An ArithmeticError is float arithmetic the library does not guard
+        # yet, such as a norm product that underflows to zero.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

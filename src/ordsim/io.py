@@ -8,7 +8,15 @@ dimension d >= 1, one scored vector pair per row.  ``gold`` is the reference
 similarity score for the pair; all values are decimal literals.
 ``load_pairs`` parses the rows straight into a ``PairDataset``'s columns,
 ``gold``, ``U`` and ``V``; ``PairRecord`` objects are made only when
-``PairDataset.records`` is read.
+``PairDataset.records`` is read.  When every data row holds nothing but
+ASCII digits, ``.``, ``e``, ``E``, ``+``, ``-`` and commas, as the rows
+``save_pairs`` writes do, numpy's C reader (``np.loadtxt``) parses the
+rows in one call.  Any other file, and any file that reader rejects or
+reads as a table of the wrong shape or with a value that is not finite,
+is parsed line by line with ``float()``.  The values and the errors are
+the same either way: over those characters both accept the same literals
+and give them the same bits, and every error is raised by the per-line
+parse.
 
 Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
@@ -218,8 +226,49 @@ def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
             f"{path}:{header_no}: malformed header for dimension {dim}",
             line=header_no,
         )
-    width = 1 + 2 * dim
     rows = lines[1:]
+    table = _plain_table([line for _, line in rows], 1 + 2 * dim)
+    if table is None:
+        table = _table_by_line(path, rows, dim)
+    return PairDataset._from_columns(
+        name or path.stem, table[:, 0], table[:, 1 : 1 + dim], table[:, 1 + dim :]
+    )
+
+
+# The characters of a plain numeric row.  On decimal literals made of them,
+# numpy's C reader and float() accept the same ones and give them the same
+# bits; tests/test_io.py checks every literal of up to 3 characters.  The
+# literals where the two differ (surrounding whitespace, "_", "inf", "nan",
+# non-ASCII digits) all need other characters.
+_PLAIN_ROW_CHARS = b"0123456789.eE+-,"
+
+
+def _plain_table(rows: list[str], width: int) -> np.ndarray | None:
+    """The rows of a pair file, parsed by numpy's C reader, if they are plain.
+
+    Only rows made of ``_PLAIN_ROW_CHARS`` are parsed here, and only a finite
+    table of at least 2 rows and ``width`` columns is returned.  Anything
+    else gives None, so that ``_table_by_line`` parses the rows and raises
+    its usual error.  The rows are the lines that ``_table_by_line`` would
+    read, so both split the file into the same rows.
+    """
+    if len(rows) < 2:
+        return None  # and loadtxt would warn about a file without rows
+    text = ",".join(rows)
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_ROW_CHARS):
+        return None
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (len(rows), width) or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _table_by_line(path: Path, rows: list[tuple[int, str]], dim: int) -> np.ndarray:
+    """Parse the rows one by one with float(); errors name the first bad line."""
+    width = 1 + 2 * dim
     table = np.empty((len(rows), width))
     for values, (lineno, line) in zip(table, rows):
         fields = line.split(",")
@@ -244,9 +293,7 @@ def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
                 raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
     if len(rows) < 2:
         raise DatasetFormatError(f"{path}: need at least 2 data rows")
-    return PairDataset._from_columns(
-        name or path.stem, table[:, 0], table[:, 1 : 1 + dim], table[:, 1 + dim :]
-    )
+    return table
 
 
 def save_pairs(dataset: PairDataset, path: PathLike) -> None:

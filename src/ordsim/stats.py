@@ -48,6 +48,13 @@ _ALTERNATIVES = ("greater", "two-sided")
 _LODO_BLOCK_CELLS = 1 << 20
 
 
+def _check_sizes(n_diffs: int, n_labels: int) -> None:
+    if n_diffs != n_labels:
+        raise DegenerateInputError(f"{n_diffs} diffs but {n_labels} labels")
+    if n_diffs == 0:
+        raise DegenerateInputError("need at least one paired difference")
+
+
 @dataclass(frozen=True)
 class PairedDiffs:
     """Paired differences with a (model, dataset) label per entry.
@@ -61,17 +68,28 @@ class PairedDiffs:
     labels: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        if len(self.diffs) != len(self.labels):
-            raise DegenerateInputError(
-                f"{len(self.diffs)} diffs but {len(self.labels)} labels"
-            )
-        if len(self.diffs) == 0:
-            raise DegenerateInputError("need at least one paired difference")
+        _check_sizes(len(self.diffs), len(self.labels))
         if not all(map(math.isfinite, self.diffs)):
             raise DegenerateInputError("differences must be finite")
         values = np.array(self.diffs, dtype=np.float64)
         values.setflags(write=False)
         object.__setattr__(self, "_values", values)
+
+    @classmethod
+    def _from_array(
+        cls, values: np.ndarray, labels: tuple[tuple[str, str], ...]
+    ) -> "PairedDiffs":
+        # For a 1-d float64 array that no one else writes to; it becomes the
+        # read-only copy.  The checks and the fields are the constructor's.
+        _check_sizes(values.size, len(labels))
+        if not np.isfinite(values).all():
+            raise DegenerateInputError("differences must be finite")
+        values.setflags(write=False)
+        paired = cls.__new__(cls)
+        fields = {"diffs": tuple(values.tolist()), "labels": labels, "_values": values}
+        for attr, value in fields.items():
+            object.__setattr__(paired, attr, value)
+        return paired
 
     @classmethod
     def from_values(

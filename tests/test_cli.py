@@ -312,6 +312,16 @@ class TestCompareOutputPinned:
         assert digest == COMPARE_OUTPUT_SHA256[a, b, alternative, fmt]
 
 
+class TestArithmeticErrors:
+    def test_unguarded_float_error_is_a_data_error(self, fresh_python):
+        # cos of (1e-170, 1e-170) with itself: the norm product underflows to 0.
+        pair = "1e-170,1e-170"
+        proc = fresh_python("-m", "ordsim", "sim", "--metric", "cos", "--u", pair, "--v", pair)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: float division by zero\n"
+
+
 class TestNonUtf8Input:
     @pytest.mark.parametrize(
         "command, flag, extra",

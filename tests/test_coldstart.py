@@ -1,5 +1,7 @@
 """Cold start: everything but the paired t-test runs without importing scipy.
 
+That includes ``ordsim bench`` on a plain pair file, which numpy's reader parses.
+
 pytest's own process has scipy loaded already, so the check runs in a fresh
 interpreter.
 """
@@ -12,6 +14,15 @@ from ordsim import DenseVector, PairDataset, PairRecord, cosine, save_pairs
 
 _PROBE = """
 import json, sys
+
+import numpy
+
+# Count the pair files that numpy's reader parses.
+loadtxt_calls = []
+def counting_loadtxt(*args, _loadtxt=numpy.loadtxt, **kwargs):
+    loadtxt_calls.append(1)
+    return _loadtxt(*args, **kwargs)
+numpy.loadtxt = counting_loadtxt
 
 import ordsim
 from ordsim import MetricKind, PairedDiffs, bound_chain, evaluate, load_pairs, paired_t_test, run_selftest
@@ -33,7 +44,10 @@ codes = [
 ]
 before = scipy_modules()
 p_value = paired_t_test(PairedDiffs.from_values([1.0, 3.0])).p_value
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules(), "p": p_value}))
+print(json.dumps({
+    "codes": codes, "before": before, "after": scipy_modules(), "p": p_value,
+    "loadtxt_calls": len(loadtxt_calls),
+}))
 """
 
 
@@ -52,5 +66,7 @@ def test_scipy_is_imported_only_by_the_t_test(fresh_python, tmp_path):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0, 0]
     assert probe["before"] == []
+    # load_pairs and bench both took numpy's reader: the file is plain.
+    assert probe["loadtxt_calls"] == 2
     assert "scipy.special" in probe["after"]
     assert probe["p"] == 0.14758361765043326

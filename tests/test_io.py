@@ -1,10 +1,16 @@
 """Dataset IO: round-trips, error reporting with line numbers, fixture integrity."""
 
+import gzip
+import itertools
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordsim.io
 from ordsim import (
     DatasetFormatError,
     DegenerateInputError,
@@ -23,7 +29,7 @@ from ordsim import (
     save_pairs,
     save_results,
 )
-from ordsim.io import _format_score_cents, _parse_score_cents
+from ordsim.io import _format_score_cents, _pair_header, _parse_score_cents, _plain_table
 
 component = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -307,6 +313,236 @@ class TestNonUtf8Input:
         with pytest.raises(DatasetFormatError) as err:
             load_pairs(path)
         assert err.value.line == 1
+
+
+def _reference_load_pairs(path, name=None):
+    """load_pairs as it was before plain files went to numpy's reader: every
+    row split on commas and parsed by float(), one line at a time."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DatasetFormatError(f"{path}: cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = exc.object[: exc.start].count(b"\n") + 1
+        raise DatasetFormatError(
+            f"{path}:{lineno}: not valid UTF-8: {exc.reason}", line=lineno
+        ) from exc
+    lines = [
+        (i, line)
+        for i, line in enumerate(text.splitlines(), start=1)
+        if line and not line.isspace()
+    ]
+    if not lines:
+        raise DatasetFormatError(f"{path}: empty file")
+    header_no, header = lines[0]
+    columns = header.split(",")
+    if len(columns) < 3 or len(columns) % 2 == 0:
+        raise DatasetFormatError(
+            f"{path}:{header_no}: header must be gold,u_0..u_d-1,v_0..v_d-1",
+            line=header_no,
+        )
+    dim = (len(columns) - 1) // 2
+    if header != _pair_header(dim):
+        raise DatasetFormatError(
+            f"{path}:{header_no}: malformed header for dimension {dim}",
+            line=header_no,
+        )
+    width = 1 + 2 * dim
+    rows = lines[1:]
+    table = np.empty((len(rows), width))
+    for values, (lineno, line) in zip(table, rows):
+        fields = line.split(",")
+        if len(fields) != width:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: expected {width} fields, got {len(fields)}",
+                line=lineno,
+            )
+        try:
+            values[:] = [float(f) for f in fields]
+        except ValueError:
+            raise DatasetFormatError(
+                f"{path}:{lineno}: non-numeric field", line=lineno
+            ) from None
+        if not np.isfinite(values).all():
+            try:
+                PairRecord(
+                    values[0], DenseVector(values[1 : 1 + dim]), DenseVector(values[1 + dim :])
+                )
+            except (InvalidVectorError, DegenerateInputError) as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+    if len(rows) < 2:
+        raise DatasetFormatError(f"{path}: need at least 2 data rows")
+    return PairDataset._from_columns(
+        name or path.stem, table[:, 0], table[:, 1 : 1 + dim], table[:, 1 + dim :]
+    )
+
+
+def _load_outcome(load, path):
+    """The columns' bits and the name, or the error's type, message and line.
+
+    Any warning is raised as an error, so a warning changes the outcome.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    columns = (ds.gold, ds.U, ds.V)
+    return ds.name, ds.dim, [(c.shape, c.tobytes()) for c in columns]
+
+
+_PLAIN_CHARS = "0123456789.eE+-"
+_repr_literals = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_plain_literals = st.one_of(
+    _repr_literals,
+    st.integers(-(10**30), 10**30).map(str),
+    st.text(_PLAIN_CHARS, min_size=1, max_size=5),
+    st.sampled_from(["-0.0", "-0", "5e-324", "2e-324", "1e999", "-1e999", "1E5", "+.5", "1.", ""]),
+)
+_other_literals = st.one_of(
+    _repr_literals,
+    st.sampled_from(
+        [" 1", "1 ", "\t2", "1_0", "inf", "-inf", "nan", "Infinity", "\u0661", "\uff11",
+         "0x10", "\u00a01", "1,", "\x0c1", "1\u2028", "\x1c"]
+    ),
+)
+_blank_lines = st.sampled_from(["", " ", "\t", "\x0c", "\u2028", "\u3000"])
+
+
+@st.composite
+def _pair_file_texts(draw):
+    """Pair-file texts, mostly well formed, some of plain literals only."""
+    dim = draw(st.integers(1, 3))
+    width = 1 + 2 * dim
+    literal = draw(st.sampled_from([_repr_literals] * 2 + [_plain_literals, _other_literals]))
+    lines = draw(st.lists(_blank_lines, max_size=2)) + [_pair_header(dim)]
+    for _ in range(draw(st.integers(0, 5))):
+        n_fields = draw(st.sampled_from([width] * 18 + [width - 1, width + 1]))
+        lines.append(",".join(draw(st.lists(literal, min_size=n_fields, max_size=n_fields))))
+        lines += draw(st.lists(_blank_lines, max_size=1))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _short_pair_file(rows, newline="\n"):
+    return newline.join(["gold,u_0,v_0", *rows]) + newline
+
+
+class TestNumpyReaderMatchesFloat:
+    """Plain files are parsed by numpy's C reader; every file must load to the
+    same columns, or fail with the same error, as the per-line reference."""
+
+    @given(_pair_file_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_columns_or_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _load_outcome(load_pairs, path) == _load_outcome(_reference_load_pairs, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _short_pair_file(["-0.0,0.0,-0", "1,-0.0,2"]),
+            _short_pair_file(["5e-324,2.2250738585072014e-308,-4e-320", "1e-310,0,1"]),
+            _short_pair_file(["1e999,1,2", "1,2,3"]),
+            _short_pair_file(["1,2,3", "-1e999,1,2"]),
+            _short_pair_file(["1,2,3", "4,5,6"], "\r\n"),
+            _short_pair_file(["1,2,3", "4,5,6"], "\r"),
+            "gold,u_0,v_0\n\n1,2,3\r\n\r\n\n4,5,6\n\n",
+            "\n \n\r\ngold,u_0,v_0\n1,2,3\n4,5,6\n",
+            "gold,u_0,v_0\n\n\n",
+            "gold,u_0,v_0\n\r\n",
+            _short_pair_file(["1,2,3\x0c4,5,6"]),
+            _short_pair_file(["1,2,3\x1c4,5,6", "7,8,9"]),
+            _short_pair_file(["1,2,3\u20284,5,6"]),
+            _short_pair_file(["1,2\x0c,3", "4,5,6"]),
+            _short_pair_file(["1,,3", "4,5,6"]),
+            _short_pair_file(["1,2,3,", "4,5,6,"]),
+            _short_pair_file(["1,2,3", "4,5,6,"]),
+            _short_pair_file(["1,2", "4,5"]),
+            _short_pair_file(["1,2,3"]),
+            _short_pair_file(["1e5,1E-5,+.5", "1.,-0e0,00"]),
+        ],
+    )
+    def test_edge_case_files(self, tmp_path, text):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _load_outcome(load_pairs, path) == _load_outcome(_reference_load_pairs, path)
+
+    @pytest.mark.parametrize("suffix", [".csv.gz", ".csv.bz2", ".csv.xz"])
+    def test_plain_text_named_as_compressed(self, tmp_path, suffix):
+        path = tmp_path / f"pairs{suffix}"
+        path.write_text(_short_pair_file(["1,2,3", "4,5,6"]))
+        outcome = _load_outcome(load_pairs, path)
+        assert outcome == _load_outcome(_reference_load_pairs, path)
+        assert outcome[0] == "pairs.csv"
+
+    def test_gzip_file_is_not_decompressed(self, tmp_path):
+        path = tmp_path / "pairs.csv.gz"
+        path.write_bytes(gzip.compress(_short_pair_file(["1,2,3", "4,5,6"]).encode()))
+        outcome = _load_outcome(load_pairs, path)
+        assert outcome == _load_outcome(_reference_load_pairs, path)
+        assert outcome[0] is DatasetFormatError and "not valid UTF-8" in outcome[1]
+
+    def test_every_short_plain_literal_parses_as_float_does(self):
+        # Every literal of 1 to 3 characters over the plain alphabet: numpy's
+        # reader must accept exactly the ones float() accepts, with its bits.
+        mismatches = []
+        for k in (1, 2, 3):
+            for chars in itertools.product(_PLAIN_CHARS, repeat=k):
+                token = "".join(chars)
+                try:
+                    want = np.float64(float(token)).tobytes()
+                except ValueError:
+                    want = None
+                table = _plain_table([f"{token},0,0", "0,0,0"], 3)
+                got = None if table is None else table[0, 0].tobytes()
+                if got != want:
+                    mismatches.append(token)
+        assert mismatches == []
+
+    def test_long_literals_round_as_float_does(self):
+        # 17 to 40 significant digits, values from the subnormal range up
+        # to 1e300: the digits past the 17th decide the rounding.
+        rng = np.random.default_rng(2718)
+        tokens = []
+        for _ in range(5000):
+            digits = "".join(map(str, rng.integers(0, 10, rng.integers(17, 41))))
+            point = int(rng.integers(0, len(digits) + 1))
+            sign = str(rng.choice(["", "-", "+"]))
+            tokens.append(f"{sign}{digits[:point]}.{digits[point:]}e{rng.integers(-345, 261)}")
+        table = _plain_table([f"{token},1,1" for token in tokens], 3)
+        assert table is not None
+        assert table[:, 0].tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    def test_saved_files_take_numpys_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "pairs.csv"
+        ds = _random_dataset(np.random.default_rng(163), n=8, dim=5)
+        save_pairs(ds, path)
+
+        def per_line(*args):
+            raise AssertionError("a plain file went to the per-line loop")
+
+        monkeypatch.setattr(ordsim.io, "_table_by_line", per_line)
+        assert load_pairs(path, name=ds.name) == ds
+
+    def test_parses_the_text_it_read(self, tmp_path, monkeypatch):
+        # The file is read once: a writer that replaces it right after the
+        # read does not change what is loaded.
+        path = tmp_path / "pairs.csv"
+        path.write_text(_short_pair_file(["1,2,3", "4,5,6"]))
+        read_text = Path.read_text
+
+        def read_then_replace(self, *args, **kwargs):
+            text = read_text(self, *args, **kwargs)
+            self.write_text(_short_pair_file(["7,8,9", "1,2,x"]))
+            return text
+
+        monkeypatch.setattr(Path, "read_text", read_then_replace)
+        ds = load_pairs(path)
+        assert ds.gold.tolist() == [1.0, 4.0] and ds.V.tolist() == [[3.0], [6.0]]
 
 
 class TestScoreCents:

@@ -63,6 +63,34 @@ class TestPairedDiffs:
         assert d == twin and hash(d) == hash(twin)
         assert d != PairedDiffs((0.5, -0.5), labels)
 
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=200)
+    def test_from_array_equals_the_constructor(self, values):
+        labels = tuple(("m", str(i)) for i in range(len(values)))
+        built = PairedDiffs(tuple(values), labels)
+        array = np.array(values)
+        from_array = PairedDiffs._from_array(array, labels)
+        assert repr(from_array) == repr(built)
+        assert from_array == built and hash(from_array) == hash(built)
+        assert from_array._values is array and not array.flags.writeable
+        assert from_array._values.tobytes() == built._values.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, n_labels",
+        [([1.0, 2.0], 1), ([], 0), ([1.0, float("nan")], 2), ([float("-inf")], 1)],
+    )
+    def test_from_array_raises_as_the_constructor(self, values, n_labels):
+        labels = (("m", "d"),) * n_labels
+        with pytest.raises(DegenerateInputError) as want:
+            PairedDiffs(tuple(values), labels)
+        with pytest.raises(DegenerateInputError) as got:
+            PairedDiffs._from_array(np.array(values, dtype=np.float64), labels)
+        assert str(got.value) == str(want.value)
+
     def test_stats_agree_across_constructions(self):
         ints = [3, -1, 0, 2, 2, -4, 1, 0, 5]
         datasets = ["A", "B", "A", "C", "B", "C", "A", "B", "C"]
