@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Sequence
 
 from .bounds import bound_chain
@@ -42,8 +42,10 @@ def _fmt_fixed(x: float, places: int) -> str:
     """
     if not math.isfinite(x):
         raise DegenerateInputError(f"result is not finite: {float(x)!r}")
-    quantum = Decimal(1).scaleb(-places)
-    q = Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP)
+    # A finite float64 has at most 309 integer digits; the default 28-digit
+    # context would make quantize fail from about 1e22 on.
+    context = Context(prec=309 + places, rounding=ROUND_HALF_UP)
+    q = Decimal(repr(float(x))).quantize(Decimal(1).scaleb(-places), context=context)
     if q == 0:
         q = abs(q)
     return f"{q:.{places}f}"

@@ -115,7 +115,7 @@ def compare(
         # The same cells in another order: line b's scores up with a's cells.
         position = {cell: i for i, cell in enumerate(keys_b)}
         scores_b = scores_b[[position[cell] for cell in keys]]
-    diffs = PairedDiffs._from_array(scores_a - scores_b, keys)
+    diffs = PairedDiffs(scores_a - scores_b, keys)
     wil = wilcoxon_signed_rank(diffs, alternative)
     sgn = sign_test(diffs, alternative)
     t = paired_t_test(diffs, alternative)

@@ -7,16 +7,16 @@ Pair datasets -- header ``gold,u_0,...,u_{d-1},v_0,...,v_{d-1}`` for some
 dimension d >= 1, one scored vector pair per row.  ``gold`` is the reference
 similarity score for the pair; all values are decimal literals.
 ``load_pairs`` parses the rows straight into a ``PairDataset``'s columns,
-``gold``, ``U`` and ``V``; ``PairRecord`` objects are made only when
-``PairDataset.records`` is read.  When every data row holds nothing but
-ASCII digits, ``.``, ``e``, ``E``, ``+``, ``-`` and commas, as the rows
-``save_pairs`` writes do, numpy's C reader (``np.loadtxt``) parses the
-rows in one call.  Any other file, and any file that reader rejects or
-reads as a table of the wrong shape or with a value that is not finite,
-is parsed line by line with ``float()``.  The values and the errors are
-the same either way: over those characters both accept the same literals
-and give them the same bits, and every error is raised by the per-line
-parse.
+``gold``, ``U`` and ``V``, the dataset's one representation; its
+constructor stacks ``PairRecord`` objects into the same columns.  When
+every data row holds nothing but ASCII digits, ``.``, ``e``, ``E``, ``+``,
+``-`` and commas, as the rows ``save_pairs`` writes do, numpy's C reader
+(``np.loadtxt``) parses the rows in one call.  Any other file, and any
+file that reader rejects or reads as a table of the wrong shape or with a
+value that is not finite, is parsed line by line with ``float()``.  The
+values and the errors are the same either way: over those characters both
+accept the same literals and give them the same bits, and every error is
+raised by the per-line parse.
 
 Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -115,8 +114,7 @@ class PairDataset:
     Stored as read-only float64 columns: ``gold`` of shape (n,) and ``U``,
     ``V`` of shape (n, dim), whose row i holds pair i.  The constructor
     stacks ``PairRecord``s, which are validated already; ``load_pairs``
-    fills the columns straight from the file.  ``records`` is rebuilt from
-    the columns the first time it is read.
+    fills the columns straight from the file.
     """
 
     name: str
@@ -161,14 +159,6 @@ class PairDataset:
     def n(self) -> int:
         return int(self.gold.size)
 
-    @cached_property
-    def records(self) -> tuple[PairRecord, ...]:
-        """The pairs as records, in row order."""
-        return tuple(
-            PairRecord(g, DenseVector(u), DenseVector(v))
-            for g, u, v in zip(self.gold.tolist(), self.U, self.V)
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairDataset):
             return NotImplemented
@@ -189,44 +179,43 @@ def _pair_header(dim: int) -> str:
     return f"gold,{u_cols},{v_cols}"
 
 
-def _content_lines(path: Path) -> list[tuple[int, str]]:
+def _bad_line(path: Path, lineno: int, message: object) -> DatasetFormatError:
+    """The error for a bad line: its message starts with ``{path}:{lineno}: ``."""
+    return DatasetFormatError(f"{path}:{lineno}: {message}", line=lineno)
+
+
+def _read_lines(path: Path) -> tuple[int, str, list[tuple[int, str]]]:
+    """A CSV file's header line number and text, and its rows after the header
+    as (line number, text), blank lines dropped.  An empty file is an error."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
         lineno = exc.object[: exc.start].count(b"\n") + 1
-        raise DatasetFormatError(
-            f"{path}:{lineno}: not valid UTF-8: {exc.reason}", line=lineno
-        ) from exc
+        raise _bad_line(path, lineno, f"not valid UTF-8: {exc.reason}") from exc
     # isspace() is True for the lines strip() empties, without copying them.
-    return [
+    lines = [
         (i, line)
         for i, line in enumerate(text.splitlines(), start=1)
         if line and not line.isspace()
     ]
+    if not lines:
+        raise DatasetFormatError(f"{path}: empty file")
+    header_no, header = lines[0]
+    return header_no, header, lines[1:]
 
 
 def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
     """Load a pair dataset, validating the header and every row."""
     path = Path(path)
-    lines = _content_lines(path)
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    header_no, header = lines[0]
+    header_no, header, rows = _read_lines(path)
     columns = header.split(",")
     if len(columns) < 3 or len(columns) % 2 == 0:
-        raise DatasetFormatError(
-            f"{path}:{header_no}: header must be gold,u_0..u_d-1,v_0..v_d-1",
-            line=header_no,
-        )
+        raise _bad_line(path, header_no, "header must be gold,u_0..u_d-1,v_0..v_d-1")
     dim = (len(columns) - 1) // 2
     if header != _pair_header(dim):
-        raise DatasetFormatError(
-            f"{path}:{header_no}: malformed header for dimension {dim}",
-            line=header_no,
-        )
-    rows = lines[1:]
+        raise _bad_line(path, header_no, f"malformed header for dimension {dim}")
     table = _plain_table([line for _, line in rows], 1 + 2 * dim)
     if table is None:
         table = _table_by_line(path, rows, dim)
@@ -273,24 +262,16 @@ def _table_by_line(path: Path, rows: list[tuple[int, str]], dim: int) -> np.ndar
     for values, (lineno, line) in zip(table, rows):
         fields = line.split(",")
         if len(fields) != width:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected {width} fields, got {len(fields)}",
-                line=lineno,
-            )
+            raise _bad_line(path, lineno, f"expected {width} fields, got {len(fields)}")
         try:
             values[:] = [float(f) for f in fields]
         except ValueError:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: non-numeric field", line=lineno
-            ) from None
+            raise _bad_line(path, lineno, "non-numeric field") from None
         if not np.isfinite(values).all():
-            # Let the record types raise, so the message says which part is not finite.
-            try:
-                PairRecord(
-                    values[0], DenseVector(values[1 : 1 + dim]), DenseVector(values[1 + dim :])
-                )
-            except (InvalidVectorError, DegenerateInputError) as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+            # A non-finite u or v is named before a non-finite gold score.
+            if np.isfinite(values[1:]).all():
+                raise _bad_line(path, lineno, "gold score must be finite")
+            raise _bad_line(path, lineno, "vector components must be finite")
     if len(rows) < 2:
         raise DatasetFormatError(f"{path}: need at least 2 data rows")
     return table
@@ -450,38 +431,27 @@ _RESULTS_HEADER = "model,method,dataset,score"
 def load_results(path: PathLike) -> ResultsTable:
     """Load a results table, enforcing the schema and triple uniqueness."""
     path = Path(path)
-    lines = _content_lines(path)
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    header_no, header = lines[0]
+    header_no, header, lines = _read_lines(path)
     if header != _RESULTS_HEADER:
-        raise DatasetFormatError(
-            f"{path}:{header_no}: header must be {_RESULTS_HEADER!r}, got {header!r}",
-            line=header_no,
-        )
+        raise _bad_line(path, header_no, f"header must be {_RESULTS_HEADER!r}, got {header!r}")
     rows: list[ResultsRow] = []
     by_method: _CellIndex = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != 4:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected 4 fields, got {len(fields)}", line=lineno
-            )
+            raise _bad_line(path, lineno, f"expected 4 fields, got {len(fields)}")
         model, method, dataset, score_text = [f.strip() for f in fields]
         try:
             cents = _parse_score_cents(score_text)
         except ValueError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+            raise _bad_line(path, lineno, exc) from exc
         key = (model, method, dataset)
         cells = by_method.setdefault(method, {})
         first = cells.get((model, dataset))
         if first is not None:
-            # Row i was read from lines[1 + i].
-            first_no = lines[1 + rows.index(first)][0]
-            raise DatasetFormatError(
-                f"{path}:{lineno}: duplicate cell {key!r} (first on line {first_no})",
-                line=lineno,
-            )
+            # Row i was read from lines[i].
+            first_no = lines[rows.index(first)][0]
+            raise _bad_line(path, lineno, f"duplicate cell {key!r} (first on line {first_no})")
         # After split(",") and strip(), emptiness is the one ResultsRow check
         # a name can fail, and _parse_score_cents has checked the score, so
         # the row is built without rerunning the checks, its fields set in
@@ -490,7 +460,7 @@ def load_results(path: PathLike) -> ResultsTable:
             try:
                 ResultsRow(model, method, dataset, cents)
             except DegenerateInputError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+                raise _bad_line(path, lineno, exc) from exc
         row = object.__new__(ResultsRow)
         vars(row).update(model=model, method=method, dataset=dataset, score_cents=cents)
         cells[model, dataset] = row
@@ -529,32 +499,21 @@ def load_experts(path: PathLike | None = None) -> dict[str, DenseVector]:
     if path is None:
         path = fixture_path("experts.csv")
     path = Path(path)
-    lines = _content_lines(path)
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    header_no, header = lines[0]
+    header_no, header, lines = _read_lines(path)
     columns = header.split(",")
     dim = len(columns) - 1
     if dim < 1 or columns != ["name"] + [f"c{i}" for i in range(1, dim + 1)]:
-        raise DatasetFormatError(
-            f"{path}:{header_no}: header must be name,c1,...,cK", line=header_no
-        )
+        raise _bad_line(path, header_no, "header must be name,c1,...,cK")
     out: dict[str, DenseVector] = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != dim + 1:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}",
-                line=lineno,
-            )
+            raise _bad_line(path, lineno, f"expected {dim + 1} fields, got {len(fields)}")
         name = fields[0].strip()
         if not name or name in out:
-            raise DatasetFormatError(
-                f"{path}:{lineno}: vector name must be non-empty and unique",
-                line=lineno,
-            )
+            raise _bad_line(path, lineno, "vector name must be non-empty and unique")
         try:
             out[name] = parse_vector(",".join(fields[1:]))
         except InvalidVectorError as exc:
-            raise DatasetFormatError(f"{path}:{lineno}: {exc}", line=lineno) from exc
+            raise _bad_line(path, lineno, exc) from exc
     return out

@@ -87,7 +87,8 @@ class DenseVector:
         return np.array_equal(self.components, other.components)
 
     def __hash__(self) -> int:
-        return hash(self.components.tobytes())
+        # Adding 0.0 turns -0.0 into 0.0, which == counts as equal to it.
+        return hash((self.components + 0.0).tobytes())
 
     def __repr__(self) -> str:
         return f"DenseVector({self.components.tolist()!r})"

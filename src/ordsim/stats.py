@@ -48,48 +48,36 @@ _ALTERNATIVES = ("greater", "two-sided")
 _LODO_BLOCK_CELLS = 1 << 20
 
 
-def _check_sizes(n_diffs: int, n_labels: int) -> None:
-    if n_diffs != n_labels:
-        raise DegenerateInputError(f"{n_diffs} diffs but {n_labels} labels")
-    if n_diffs == 0:
-        raise DegenerateInputError("need at least one paired difference")
-
-
 @dataclass(frozen=True)
 class PairedDiffs:
     """Paired differences with a (model, dataset) label per entry.
 
-    The constructor checks the differences and keeps one read-only float64
-    copy of them, which every test in this module reads.  The copy is not a
-    field, so it takes no part in ``==``, ``hash`` or ``repr``.
+    The constructor takes the differences as any 1-d sequence or array of
+    finite numbers and stores them as a tuple of floats.  It also keeps one
+    read-only float64 copy of them, which every test in this module reads.
+    The copy is not a field, so it takes no part in ``==``, ``hash`` or
+    ``repr``.
     """
 
     diffs: tuple[float, ...]
     labels: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        _check_sizes(len(self.diffs), len(self.labels))
-        if not all(map(math.isfinite, self.diffs)):
-            raise DegenerateInputError("differences must be finite")
-        values = np.array(self.diffs, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "_values", values)
-
-    @classmethod
-    def _from_array(
-        cls, values: np.ndarray, labels: tuple[tuple[str, str], ...]
-    ) -> "PairedDiffs":
-        # For a 1-d float64 array that no one else writes to; it becomes the
-        # read-only copy.  The checks and the fields are the constructor's.
-        _check_sizes(values.size, len(labels))
+        try:
+            values = np.array(self.diffs, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DegenerateInputError(f"differences must be numeric: {exc}") from None
+        if values.ndim != 1:
+            raise DegenerateInputError(f"differences must be 1-d, got shape {values.shape}")
+        if values.size != len(self.labels):
+            raise DegenerateInputError(f"{values.size} diffs but {len(self.labels)} labels")
+        if values.size == 0:
+            raise DegenerateInputError("need at least one paired difference")
         if not np.isfinite(values).all():
             raise DegenerateInputError("differences must be finite")
         values.setflags(write=False)
-        paired = cls.__new__(cls)
-        fields = {"diffs": tuple(values.tolist()), "labels": labels, "_values": values}
-        for attr, value in fields.items():
-            object.__setattr__(paired, attr, value)
-        return paired
+        object.__setattr__(self, "diffs", tuple(values.tolist()))
+        object.__setattr__(self, "_values", values)
 
     @classmethod
     def from_values(
@@ -100,7 +88,7 @@ class PairedDiffs:
             labels = tuple(("", str(i)) for i in range(len(values)))
         else:
             labels = tuple(("", ds) for ds in datasets)
-        return cls(tuple(float(v) for v in values), labels)
+        return cls(values, labels)
 
     @property
     def n(self) -> int:
@@ -376,7 +364,5 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
             keep = codes != rows[:, None]
             kept = np.broadcast_to(arr, keep.shape)[keep].reshape(rows.size, -1)
             exclusion_means[rows] = np.add.reduce(kept, axis=1) / kept.shape[1]
-    result = paired_t_test(
-        PairedDiffs.from_values(exclusion_means.tolist()), alternative
-    )
+    result = paired_t_test(PairedDiffs.from_values(exclusion_means), alternative)
     return replace(result, method_name="lodo-t")

@@ -104,6 +104,31 @@ class TestBounds:
         assert code == 0
         assert all(line.endswith("1.000000") for line in out.splitlines())
 
+    def test_large_finite_values_print_in_full(self, capsys):
+        # About 2e30 and 1e40: beyond the 28 digits of Decimal's default context.
+        code, out, err = run_cli(capsys, "bounds", "--u", "1e20,1e20", "--v", "1e10,1e10")
+        assert (code, err) == (0, "")
+        assert out == (
+            "|u·v|           2000000000000000000000000000000.000000\n"
+            "rearrangement   2000000000000000000000000000000.000000\n"
+            "cauchy_schwarz  2000000000000000300000000000000.000000\n"
+            "am_qm           1" + "0" * 40 + ".000000\n"
+        )
+
+
+class TestFixedPoint:
+    def test_largest_float_formats_in_full(self):
+        text = cli._fmt_fixed(1.7976931348623157e308, 6)
+        assert text == "17976931348623157" + "0" * 292 + ".000000"
+        assert cli._fmt_fixed(-1e22, 6) == "-1" + "0" * 22 + ".000000"
+
+    @pytest.mark.parametrize(
+        "x, places, text",
+        [(2.675, 2, "2.68"), (-0.0005, 3, "-0.001"), (-1e-9, 3, "0.000"), (0.8, 6, "0.800000")],
+    )
+    def test_ties_round_away_from_zero(self, x, places, text):
+        assert cli._fmt_fixed(x, places) == text
+
 
 @pytest.fixture
 def perfect_pairs(tmp_path):
@@ -174,7 +199,10 @@ class TestBench:
         flipped = PairDataset(
             "reversed",
             ds.dim,
-            tuple(PairRecord(-r.gold, r.u, r.v) for r in ds.records),
+            [
+                PairRecord(-gold, DenseVector(u), DenseVector(v))
+                for gold, u, v in zip(ds.gold, ds.U, ds.V)
+            ],
         )
         path = tmp_path / "reversed.csv"
         save_pairs(flipped, path)

@@ -118,13 +118,13 @@ def _outcome(run):
 
 
 def _per_pair(ds, kind):
-    """Scores and report from one ``similarity`` call per record: the reference."""
+    """Scores and report from one ``similarity`` call per pair: the reference."""
     sims = []
 
     def run():
-        for rec in ds.records:
-            sims.append(similarity(kind, rec.u, rec.v))
-        rho = spearman_rho(sims, [rec.gold for rec in ds.records])
+        for u, v in zip(ds.U, ds.V):
+            sims.append(similarity(kind, u, v))
+        rho = spearman_rho(sims, ds.gold)
         return EvalReport(ds.name, MetricKind(kind), 100.0 * rho, ds.n)
 
     report = _outcome(run)

@@ -2,6 +2,7 @@
 
 import gzip
 import itertools
+import re
 import warnings
 from pathlib import Path
 
@@ -80,6 +81,13 @@ def _random_dataset(rng, name="synth", n=6, dim=3):
     return PairDataset(name=name, dim=dim, records=tuple(records))
 
 
+def _records_of(ds):
+    """The dataset's pairs as records, read from its columns in row order."""
+    return [
+        PairRecord(gold, DenseVector(u), DenseVector(v)) for gold, u, v in zip(ds.gold, ds.U, ds.V)
+    ]
+
+
 class TestPairRecordAndDataset:
     def test_record_validation(self):
         with pytest.raises(DegenerateInputError):
@@ -103,9 +111,11 @@ class TestPairRecordAndDataset:
     def test_value_equality(self):
         rng = np.random.default_rng(149)
         ds = _random_dataset(rng)
-        same = PairDataset(name=ds.name, dim=ds.dim, records=list(ds.records))
+        same = PairDataset(name=ds.name, dim=ds.dim, records=_records_of(ds))
         assert same == ds and hash(same) == hash(ds)
-        flipped = PairDataset(ds.name, ds.dim, [PairRecord(-r.gold, r.u, r.v) for r in ds.records])
+        flipped = PairDataset(
+            ds.name, ds.dim, [PairRecord(-r.gold, r.u, r.v) for r in _records_of(ds)]
+        )
         assert flipped != ds
 
 
@@ -136,16 +146,15 @@ class TestColumns:
         records = self._records()
         ds = PairDataset("synth", 3, records)
         self._assert_columns_of(ds, records)
-        assert ds.records == tuple(records)
+        assert _records_of(ds) == records
 
     def test_loaded_from_file(self, tmp_path):
         records = self._records()
         path = tmp_path / "pairs.csv"
         save_pairs(PairDataset("synth", 3, records), path)
         ds = load_pairs(path)
-        assert "records" not in vars(ds)  # records are built only when read
         self._assert_columns_of(ds, records)
-        assert ds.records == tuple(records)
+        assert _records_of(ds) == records
 
 
 class TestPairsRoundTrip:
@@ -157,7 +166,8 @@ class TestPairsRoundTrip:
         loaded = load_pairs(path, name=ds.name)
         assert loaded.name == ds.name
         assert loaded.dim == ds.dim
-        assert loaded.records == ds.records
+        for mine, theirs in zip((loaded.gold, loaded.U, loaded.V), (ds.gold, ds.U, ds.V)):
+            assert mine.tobytes() == theirs.tobytes()
 
     def test_file_text_is_shortest_repr(self, tmp_path):
         ds = PairDataset(
@@ -217,8 +227,8 @@ class TestPairsRoundTrip:
         path.write_text("gold,u_0,u_1,v_0,v_1\n5,1,2,1,2\n0,1,2,-1,-2\n")
         ds = load_pairs(path)
         assert ds.dim == 2
-        assert ds.records[0].u == DenseVector([1, 2])
-        assert ds.records[1].v == DenseVector([-1, -2])
+        assert DenseVector(ds.U[0]) == DenseVector([1, 2])
+        assert DenseVector(ds.V[1]) == DenseVector([-1, -2])
 
 
 class TestPairsErrors:
@@ -870,3 +880,71 @@ class TestExpertsFormat:
         path.write_text("label,c1\na,1\n")
         with pytest.raises(DatasetFormatError, match="header"):
             load_experts(path)
+
+
+# The malformed files of the tests above, for each of the three loaders.
+_MALFORMED_FILES = [
+    *(
+        (load_pairs, text)
+        for text in [
+            b"",
+            b"gold,a_0,v_0\n1,2,3\n2,3,4\n",
+            b"gold,u_0,u_1,v_0\n1,2,3,4\n1,2,3,4\n",
+            b"gold,u_0,v_0\n1.0,2.0,3.0\n1.0,2.0\n",
+            b"gold,u_0,v_0\n1.0,x,3.0\n1.0,2.0,3.0\n",
+            b"gold,u_0,v_0\n1.0,2.0,3.0\n1.0,inf,3.0\n1.0,x,3.0\n",
+            b"gold,u_0,v_0\n1.0,2.0,3.0\nnan,2.0,3.0\n1.0,x,3.0\n",
+            b"gold,u_0,v_0\n1.0,2.0,3.0\n",
+            "gold,u_0,v_0\n1.0,2.0,3.0\n\u200b\n2.0,4.0,5.0\n".encode(),
+            b"gold\xff,u_0,v_0\n",
+            b"gold,u_0,v_0\r\n1,2,3\r\n\xff1,2,3\n",
+        ]
+    ),
+    *(
+        (load_results, text.encode())
+        for text in [
+            "",
+            "model,method,dataset\nm,cos,D\n",
+            "model,method,dataset,score\nm,cos,D,1.234\n",
+            "model,method,dataset,score\nm,cos,D,1.2\nm,recos,D,1\n\nm,cos,D,1.3\n",
+            "model,method,dataset,score\nm,cos,D\n",
+            "model,method,dataset,score\nm,cos,D,1.2\nm,,D,1\n",
+            "model,method,dataset,score\nm,a,d,\u0661\n",
+            "model,method,dataset,score\nm,a,d,1.00\n\nm,b,d,1" + "0" * 400 + "\n",
+        ]
+    ),
+    (load_results, b"model,method,dataset,score\r\nm,cos,D,1.25\r\n\xffm,cos,D,1.25\n"),
+    *(
+        (load_experts, text.encode())
+        for text in [
+            "",
+            "label,c1\na,1\n",
+            "name,c1\na,1\na,2\n",
+            "name,c1\na,1,2\n",
+            "name,c1\na,x\n",
+        ]
+    ),
+    (load_experts, b"name,c1\r\na,1\r\n\xffa,1\n"),
+]
+
+
+class TestErrorFormat:
+    """A loader error names a line exactly when its message starts with
+    ``{path}:{line}: ``."""
+
+    @pytest.mark.parametrize("load, data", _MALFORMED_FILES)
+    def test_line_prefix_iff_line(self, tmp_path, load, data):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(DatasetFormatError) as err:
+            load(path)
+        message, line = str(err.value), err.value.line
+        prefix = re.match(rf"{re.escape(str(path))}:(\d+): ", message)
+        assert (int(prefix.group(1)) if prefix else None) == line
+
+    def test_missing_file_has_no_line(self, tmp_path):
+        for load in (load_pairs, load_results, load_experts):
+            with pytest.raises(DatasetFormatError) as err:
+                load(tmp_path / "nope.csv")
+            assert err.value.line is None
+            assert str(err.value).startswith(f"{tmp_path / 'nope.csv'}: cannot read: ")

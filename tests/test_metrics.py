@@ -78,6 +78,12 @@ class TestDenseVector:
         assert DenseVector([1, 2]) != [1, 2]
         assert hash(DenseVector([1, 2])) == hash(DenseVector([1.0, 2.0]))
 
+    def test_signed_zeros_are_equal_and_hash_alike(self):
+        plus, minus = DenseVector([0.0, 1.0]), DenseVector([-0.0, 1.0])
+        assert plus == minus and hash(plus) == hash(minus)
+        assert len({plus, minus}) == 1
+        assert minus.components.tobytes() != plus.components.tobytes()  # kept as given
+
     def test_components_are_read_only(self):
         v = DenseVector([1.0, 2.0])
         with pytest.raises(ValueError):

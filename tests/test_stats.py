@@ -73,11 +73,13 @@ class TestPairedDiffs:
         labels = tuple(("m", str(i)) for i in range(len(values)))
         built = PairedDiffs(tuple(values), labels)
         array = np.array(values)
-        from_array = PairedDiffs._from_array(array, labels)
+        from_array = PairedDiffs(array, labels)
         assert repr(from_array) == repr(built)
         assert from_array == built and hash(from_array) == hash(built)
-        assert from_array._values is array and not array.flags.writeable
+        assert from_array._values is not array and array.flags.writeable
         assert from_array._values.tobytes() == built._values.tobytes()
+        from_list = PairedDiffs(list(values), labels)
+        assert from_list == built and hash(from_list) == hash(built)
 
     @pytest.mark.parametrize(
         "values, n_labels",
@@ -88,8 +90,31 @@ class TestPairedDiffs:
         with pytest.raises(DegenerateInputError) as want:
             PairedDiffs(tuple(values), labels)
         with pytest.raises(DegenerateInputError) as got:
-            PairedDiffs._from_array(np.array(values, dtype=np.float64), labels)
+            PairedDiffs(np.array(values, dtype=np.float64), labels)
         assert str(got.value) == str(want.value)
+
+    def test_array_and_list_input_hash_and_compare(self):
+        labels = (("m", "A"), ("m", "B"))
+        want = PairedDiffs((1.0, 2.0), labels)
+        for diffs in ([1, 2], np.array([1.0, 2.0]), np.array([1, 2])):
+            got = PairedDiffs(diffs, labels)
+            assert type(got.diffs) is tuple and got.diffs == (1.0, 2.0)
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+        assert PairedDiffs(np.array([1.0, 2.5]), labels) != want
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (["x", "y"], "^differences must be numeric: "),
+            ([[1.0, 2.0], [3.0, 4.0]], r"^differences must be 1-d, got shape \(2, 2\)$"),
+            (1.0, r"^differences must be 1-d, got shape \(\)$"),
+            ([1.0, None], "^differences must be finite$"),
+        ],
+    )
+    def test_malformed_input_is_a_typed_error(self, values, message):
+        with pytest.raises(DegenerateInputError, match=message):
+            PairedDiffs(values, (("m", "A"), ("m", "B")))
 
     def test_stats_agree_across_constructions(self):
         ints = [3, -1, 0, 2, 2, -4, 1, 0, 5]
