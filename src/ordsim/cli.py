@@ -218,11 +218,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report = compare(table, args.a, args.b, alternative)
     except DegenerateInputError as exc:
         # compare checked coverage first, so both methods have every cell.
-        cells_b = table.cells(args.b)
-        all_ties = all(
-            row.score_cents == cells_b[cell].score_cents
-            for cell, row in table.cells(args.a).items()
-        )
+        cells_a, scores_a = table.scores(args.a)
+        cells_b, scores_b = table.scores(args.b)
+        all_ties = dict(zip(cells_a, scores_a.tolist())) == dict(zip(cells_b, scores_b.tolist()))
         print(
             f"compare {args.a} vs {args.b}: {exc}; "
             f"statistical tests not applicable{' (all ties)' if all_ties else ''}"

@@ -97,14 +97,21 @@ def compare(
     exactly 0.0 and are counted as ties; unequal scores are differenced in
     double precision.  Raises DegenerateInputError (from the rank tests)
     when every cell is tied.
+
+    The comparison reads the columns the table built once per method: cell
+    codes, the score array, dataset codes and the micro-average.  The
+    tests run in a's cell order; b's scores are reordered to it if needed.
     """
-    keys, scores_a = results.scores(a)
-    keys_b, scores_b = results.scores(b)
-    if not keys:
+    col_a = results._method_columns(a)
+    col_b = results._method_columns(b)
+    if col_a is None:
         raise CoverageMismatchError(f"no cells for method {a!r}")
-    if not keys_b:
+    if col_b is None:
         raise CoverageMismatchError(f"no cells for method {b!r}")
-    if keys != keys_b:
+    scores_a, scores_b = col_a.scores, col_b.scores
+    micro_avg_b = col_b.micro_average
+    if not np.array_equal(col_a.cell_codes, col_b.cell_codes):
+        keys, keys_b = col_a.cells, col_b.cells
         only_a = len(set(keys) - set(keys_b))
         only_b = len(set(keys_b) - set(keys))
         if only_a or only_b:
@@ -115,7 +122,9 @@ def compare(
         # The same cells in another order: line b's scores up with a's cells.
         position = {cell: i for i, cell in enumerate(keys_b)}
         scores_b = scores_b[[position[cell] for cell in keys]]
-    diffs = PairedDiffs(scores_a - scores_b, keys)
+        # Python's left-to-right sum in a's cell order: np.sum adds pairwise.
+        micro_avg_b = sum(scores_b.tolist()) / len(keys)
+    diffs = PairedDiffs._from_columns(scores_a - scores_b, col_a.cells, col_a.datasets)
     wil = wilcoxon_signed_rank(diffs, alternative)
     sgn = sign_test(diffs, alternative)
     t = paired_t_test(diffs, alternative)
@@ -134,7 +143,6 @@ def compare(
             "t_test": adjusted[2],
         },
         lodo=leave_one_dataset_out(diffs, alternative),
-        # Python's left-to-right sum in a's cell order: np.sum adds pairwise.
-        micro_avg_a=sum(scores_a.tolist()) / len(keys),
-        micro_avg_b=sum(scores_b.tolist()) / len(keys),
+        micro_avg_a=col_a.micro_average,
+        micro_avg_b=micro_avg_b,
     )

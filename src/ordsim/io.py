@@ -22,7 +22,10 @@ Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
 as integer hundredths, so equal published scores compare exactly equal and a
 cell difference of zero is exactly zero.  A (model, method, dataset) triple
-may appear only once.
+may appear only once.  ``load_results`` checks the rows a column at a time
+and reads a file that fails any check again line by line, which raises the
+error.  A ``ResultsTable`` is kept as columns, with per-method columns built
+once, which ``compare`` reads; its ``rows`` are built on first access.
 
 Errors name the file and 1-based line number of the offending record.
 """
@@ -33,7 +36,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from itertools import repeat
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -60,6 +64,8 @@ PathLike = Union[str, Path]
 # ASCII digits only: ``\d`` would also match other scripts' digits, which
 # ``int`` accepts but ``save_results`` would write back as ASCII.
 _SCORE_RE = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]{1,2}))?")
+# The same scores, each followed by a line feed, for a whole column at once.
+_SCORE_COLUMN_RE = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]{1,2})?\n)*")
 
 
 def parse_vector(text: str) -> DenseVector:
@@ -343,74 +349,148 @@ class ResultsRow:
         return self.score_cents / 100.0
 
 
-_CellIndex = dict[str, dict[tuple[str, str], ResultsRow]]
+def _unchecked_row(model: str, method: str, dataset: str, score_cents: int) -> ResultsRow:
+    """A row of fields checked already, set in the order the dataclass
+    ``__init__`` sets them, without rerunning its checks."""
+    row = object.__new__(ResultsRow)
+    vars(row).update(model=model, method=method, dataset=dataset, score_cents=score_cents)
+    return row
+
+
+def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct values in order of first appearance, and the index of
+    each value among them."""
+    names = tuple(dict.fromkeys(values))
+    code_of = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+
+
+class _MethodColumns(NamedTuple):
+    """One method's cells, in file order, as columns."""
+
+    rows: list[int]  # the cells' row numbers in the table
+    cells: tuple[tuple[str, str], ...]  # (model, dataset)
+    cell_codes: np.ndarray  # one code per (model, dataset) of the table
+    scores: np.ndarray  # read-only float64, score_cents / 100.0
+    datasets: np.ndarray  # dataset codes, numbered in this method's first-appearance order
+    micro_average: float
 
 
 @dataclass(frozen=True)
 class ResultsTable:
     """Benchmark cells with unique (model, method, dataset) triples.
 
-    The constructor indexes the rows by method and (model, dataset) once.
-    From that index it builds each method's score column: the method's
-    (model, dataset) cells in file order and a read-only float64 array of
-    their scores, ``score_cents / 100.0`` bit for bit (see ``scores``).  The
-    index and the columns are not fields, so they take no part in ``==``,
-    ``hash`` or ``repr``.
+    A table is kept as columns.  Once, when it is made, it builds each
+    method's columns: the method's (model, dataset) cells in file order, a
+    read-only float64 array of their scores (``score_cents / 100.0`` bit for
+    bit, see ``scores``), dataset codes numbered in the method's own order of
+    first appearance, and the micro-average of the scores.  ``compare``
+    reads only these.
+
+    ``rows`` is the table's value: ``==``, ``hash`` and ``repr`` read it and
+    nothing else.  A table that ``load_results`` made builds its rows on
+    first access and keeps them.
     """
 
     rows: tuple[ResultsRow, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        by_method: _CellIndex = {}
-        for row in self.rows:
-            cells = by_method.setdefault(row.method, {})
-            cell = (row.model, row.dataset)
-            if cell in cells:
-                raise DegenerateInputError(
-                    f"duplicate cell {(row.model, row.method, row.dataset)!r}"
-                )
-            cells[cell] = row
-        self._set_index(by_method)
+        rows = self.rows
+        self._set_columns(
+            [row.model for row in rows],
+            [row.method for row in rows],
+            [row.dataset for row in rows],
+            [row.score_cents for row in rows],
+        )
 
     @classmethod
-    def _from_index(cls, rows: tuple[ResultsRow, ...], by_method: _CellIndex) -> ResultsTable:
-        # For rows that ``load_results`` has checked and indexed already.
+    def _from_columns(
+        cls, models: list[str], methods: list[str], datasets: list[str], cents: list[int]
+    ) -> ResultsTable:
+        # For columns whose values ``load_results`` has checked.
         table = cls.__new__(cls)
-        object.__setattr__(table, "rows", rows)
-        table._set_index(by_method)
+        table._set_columns(models, methods, datasets, cents)
         return table
 
-    def _set_index(self, by_method: _CellIndex) -> None:
+    def __getattr__(self, name: str) -> tuple[ResultsRow, ...]:
+        # Python calls this only for an attribute the instance lacks: the
+        # rows of a loaded table, before their first use.
+        if name != "rows":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = tuple(map(_unchecked_row, *self._row_columns))
+        object.__setattr__(self, "rows", rows)
+        return rows
+
+    def _set_columns(
+        self, models: list[str], methods: list[str], datasets: list[str], cents: list[int]
+    ) -> None:
+        """Build each method's columns from the row columns.
+
+        Raises DegenerateInputError naming the first row whose (model,
+        method, dataset) an earlier row has.
+        """
+        model_names, model_codes = _encode(models)
+        method_names, method_codes = _encode(methods)
+        dataset_names, dataset_codes = _encode(datasets)
+        # Every code is below the row count n, so no product here reaches n**2.
+        _, cell_codes = np.unique(
+            model_codes * len(dataset_names) + dataset_codes, return_inverse=True
+        )
+        triples, first = np.unique(
+            cell_codes * len(method_names) + method_codes, return_index=True
+        )
+        if triples.size < len(cents):
+            repeated = np.ones(len(cents), dtype=bool)
+            repeated[first] = False
+            i = int(np.argmax(repeated))
+            raise DegenerateInputError(f"duplicate cell {(models[i], methods[i], datasets[i])!r}")
+        # fromiter converts each int as float() does, so the division gives
+        # the bits of ResultsRow.score.
+        scores = np.fromiter(cents, np.float64, len(cents)) / 100.0
         columns = {}
-        for method, cells in by_method.items():
-            # fromiter converts each int as float() does, so the division
-            # gives the bits of ResultsRow.score.
-            scores = np.fromiter(
-                (row.score_cents for row in cells.values()), np.float64, len(cells)
-            ) / 100.0
-            scores.setflags(write=False)
-            columns[method] = (tuple(cells), scores)
-        object.__setattr__(self, "_by_method", by_method)
+        for code, method in enumerate(method_names):
+            rows = np.flatnonzero(method_codes == code)
+            row_list = rows.tolist()
+            method_scores = scores[rows]
+            method_scores.setflags(write=False)
+            _, first, local = np.unique(
+                dataset_codes[rows], return_index=True, return_inverse=True
+            )
+            renumber = np.empty_like(first)
+            renumber[np.argsort(first)] = np.arange(first.size)
+            columns[method] = _MethodColumns(
+                rows=row_list,
+                cells=tuple(
+                    zip(map(models.__getitem__, row_list), map(datasets.__getitem__, row_list))
+                ),
+                cell_codes=cell_codes[rows],
+                scores=method_scores,
+                datasets=renumber[local],
+                # Python's left-to-right sum in file order: np.sum adds pairwise.
+                micro_average=sum(method_scores.tolist()) / len(row_list),
+            )
+        object.__setattr__(self, "_names", (model_names, method_names, dataset_names))
+        object.__setattr__(self, "_row_columns", (models, methods, datasets, cents))
         object.__setattr__(self, "_columns", columns)
 
     def methods(self) -> tuple[str, ...]:
-        return self._distinct("method")
+        return self._names[1]
 
     def models(self) -> tuple[str, ...]:
-        return self._distinct("model")
+        return self._names[0]
 
     def datasets(self) -> tuple[str, ...]:
-        return self._distinct("dataset")
-
-    def _distinct(self, attr: str) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(getattr(row, attr) for row in self.rows))
+        return self._names[2]
 
     def cells(self, method: str) -> Mapping[tuple[str, str], ResultsRow]:
         """(model, dataset) -> row for one method, in file order.
 
         The mapping is a new dict on every call, empty for an unknown method.
         """
-        return dict(self._by_method.get(method, ()))
+        column = self._columns.get(method)
+        if column is None:
+            return {}
+        return dict(zip(column.cells, map(self.rows.__getitem__, column.rows)))
 
     def scores(self, method: str) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
         """One method's score column: its (model, dataset) cells in file order
@@ -418,7 +498,13 @@ class ResultsTable:
 
         Both are empty for an unknown method.
         """
-        return self._columns.get(method, ((), _NO_SCORES))
+        column = self._columns.get(method)
+        if column is None:
+            return (), _NO_SCORES
+        return column.cells, column.scores
+
+    def _method_columns(self, method: str) -> _MethodColumns | None:
+        return self._columns.get(method)
 
 
 _NO_SCORES = np.empty(0)
@@ -429,13 +515,59 @@ _RESULTS_HEADER = "model,method,dataset,score"
 
 
 def load_results(path: PathLike) -> ResultsTable:
-    """Load a results table, enforcing the schema and triple uniqueness."""
+    """Load a results table, enforcing the schema and triple uniqueness.
+
+    The rows are checked a column at a time.  A file that fails one of those
+    checks is read again line by line, which raises the error of its first
+    bad line.
+    """
     path = Path(path)
     header_no, header, lines = _read_lines(path)
     if header != _RESULTS_HEADER:
         raise _bad_line(path, header_no, f"header must be {_RESULTS_HEADER!r}, got {header!r}")
-    rows: list[ResultsRow] = []
-    by_method: _CellIndex = {}
+    table = _table_by_column([line for _, line in lines])
+    if table is None:
+        table = ResultsTable._from_columns(*_results_by_line(path, lines))
+    return table
+
+
+def _table_by_column(lines: list[str]) -> ResultsTable | None:
+    """The table of a results file's rows, or None unless there is at least
+    one row, every row has 4 fields, no field is empty after ``strip()``,
+    every score is a ``_SCORE_RE`` decimal of magnitude below 1e13, and no
+    cell is repeated."""
+    if set(map(str.count, lines, repeat(","))) != {3}:
+        return None
+    joined = ",".join(lines)
+    fields = joined.split(",")
+    if joined.split(None, 1) != [joined]:  # the rows hold whitespace to strip
+        fields = list(map(str.strip, fields))
+    scores = fields[3::4]
+    if not _SCORE_COLUMN_RE.fullmatch("\n".join(scores) + "\n"):
+        return None
+    values = np.fromiter(map(float, scores), np.float64, len(scores))
+    # Below 1e13, float() is within 2**-53 relative of the exact score, so a
+    # hundred times it is within 0.25 of the exact cents, which rint returns.
+    if not np.abs(values).max() < 1e13:
+        return None
+    cents = np.rint(values * 100.0).astype(np.int64).tolist()
+    try:
+        table = ResultsTable._from_columns(fields[0::4], fields[1::4], fields[2::4], cents)
+    except DegenerateInputError:
+        return None  # a repeated cell
+    if "" in table.models() + table.methods() + table.datasets():
+        return None
+    return table
+
+
+def _results_by_line(
+    path: Path, lines: list[tuple[int, str]]
+) -> tuple[list[str], list[str], list[str], list[int]]:
+    """The model, method, dataset and score-cents columns of a results
+    file's rows, each field stripped, read one line at a time; errors name
+    the first bad line."""
+    columns: tuple[list, list, list, list] = ([], [], [], [])
+    first_line: dict[tuple[str, str, str], int] = {}
     for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != 4:
@@ -446,26 +578,18 @@ def load_results(path: PathLike) -> ResultsTable:
         except ValueError as exc:
             raise _bad_line(path, lineno, exc) from exc
         key = (model, method, dataset)
-        cells = by_method.setdefault(method, {})
-        first = cells.get((model, dataset))
-        if first is not None:
-            # Row i was read from lines[i].
-            first_no = lines[rows.index(first)][0]
-            raise _bad_line(path, lineno, f"duplicate cell {key!r} (first on line {first_no})")
-        # After split(",") and strip(), emptiness is the one ResultsRow check
-        # a name can fail, and _parse_score_cents has checked the score, so
-        # the row is built without rerunning the checks, its fields set in
-        # the order the dataclass __init__ sets them.
-        if "" in key:
-            try:
-                ResultsRow(model, method, dataset, cents)
-            except DegenerateInputError as exc:
-                raise _bad_line(path, lineno, exc) from exc
-        row = object.__new__(ResultsRow)
-        vars(row).update(model=model, method=method, dataset=dataset, score_cents=cents)
-        cells[model, dataset] = row
-        rows.append(row)
-    return ResultsTable._from_index(tuple(rows), by_method)
+        if key in first_line:
+            raise _bad_line(
+                path, lineno, f"duplicate cell {key!r} (first on line {first_line[key]})"
+            )
+        try:
+            ResultsRow(model, method, dataset, cents)
+        except DegenerateInputError as exc:
+            raise _bad_line(path, lineno, exc) from exc
+        first_line[key] = lineno
+        for column, value in zip(columns, (model, method, dataset, cents)):
+            column.append(value)
+    return columns
 
 
 def save_results(table: ResultsTable, path: PathLike) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -53,31 +54,74 @@ class PairedDiffs:
     """Paired differences with a (model, dataset) label per entry.
 
     The constructor takes the differences as any 1-d sequence or array of
-    finite numbers and stores them as a tuple of floats.  It also keeps one
-    read-only float64 copy of them, which every test in this module reads.
-    The copy is not a field, so it takes no part in ``==``, ``hash`` or
-    ``repr``.
+    finite numbers and stores them as a tuple of floats, and the labels as
+    a tuple of (model, dataset) pairs of str.  It also keeps one read-only
+    float64 copy of the differences, which every test in this module reads,
+    and computes their mean and sd once, for all of them.  Neither is a
+    field, so they take no part in ``==``, ``hash`` or ``repr``.
+
+    ``compare`` builds its diffs from a results table's columns instead,
+    with the table's dataset codes, and makes the diffs tuple on first use.
     """
 
     diffs: tuple[float, ...]
     labels: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        labels = _checked_labels(self.labels)
         try:
             values = np.array(self.diffs, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DegenerateInputError(f"differences must be numeric: {exc}") from None
         if values.ndim != 1:
             raise DegenerateInputError(f"differences must be 1-d, got shape {values.shape}")
-        if values.size != len(self.labels):
-            raise DegenerateInputError(f"{values.size} diffs but {len(self.labels)} labels")
+        if values.size != len(labels):
+            raise DegenerateInputError(f"{values.size} diffs but {len(labels)} labels")
         if values.size == 0:
             raise DegenerateInputError("need at least one paired difference")
+        self._set_values(values, labels, None)
+        object.__setattr__(self, "diffs", tuple(values.tolist()))
+
+    @classmethod
+    def _from_columns(
+        cls,
+        values: np.ndarray,
+        labels: tuple[tuple[str, str], ...],
+        datasets: np.ndarray | None,
+    ) -> PairedDiffs:
+        # For a non-empty float64 array that the caller hands over, labels
+        # that are already a tuple of (model, dataset) pairs of str, and, if
+        # known, the labels' dataset codes numbered in order of first
+        # appearance.  The diffs tuple is made on first access.
+        diffs = cls.__new__(cls)
+        diffs._set_values(values, labels, datasets)
+        return diffs
+
+    def _set_values(
+        self, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: np.ndarray | None
+    ) -> None:
         if not np.isfinite(values).all():
             raise DegenerateInputError("differences must be finite")
         values.setflags(write=False)
-        object.__setattr__(self, "diffs", tuple(values.tolist()))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_datasets", datasets)
+
+    def __getattr__(self, name: str) -> tuple[float, ...]:
+        # Python calls this only for an attribute the instance lacks: the
+        # diffs tuple of a PairedDiffs made by _from_columns.
+        if name != "diffs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        diffs = tuple(self._values.tolist())
+        object.__setattr__(self, "diffs", diffs)
+        return diffs
+
+    @cached_property
+    def _moments(self) -> tuple[float, float, float]:
+        """(mean, sd, scale): the mean and sample sd of the differences
+        divided by ``scale``, which is 1.0 unless the squares overflow."""
+        mean, var, scale = _scaled_mean_var(self._values)
+        return mean, math.sqrt(var), scale
 
     @classmethod
     def from_values(
@@ -92,7 +136,62 @@ class PairedDiffs:
 
     @property
     def n(self) -> int:
-        return len(self.diffs)
+        return self._values.size
+
+
+def _checked_labels(labels: Sequence[Sequence[str]]) -> tuple[tuple[str, str], ...]:
+    """Labels as a tuple of (model, dataset) pairs of str, or a typed error."""
+    try:
+        pairs = tuple(labels)
+    except TypeError:
+        raise DegenerateInputError(f"labels must be a sequence, got {labels!r}") from None
+    for label in pairs:
+        if not (
+            isinstance(label, (tuple, list))
+            and len(label) == 2
+            and isinstance(label[0], str)
+            and isinstance(label[1], str)
+        ):
+            raise DegenerateInputError(
+                f"a label must be a (model, dataset) pair of str, got {label!r}"
+            )
+    return tuple((str(model), str(dataset)) for model, dataset in pairs)
+
+
+def _mean_var(arr: np.ndarray) -> tuple[float, float]:
+    """``arr.mean()`` and ``arr.var(ddof=1)`` (0.0 for one value), bit for
+    bit: the same sums, without numpy's per-call overhead."""
+    n = arr.size
+    mean = np.add.reduce(arr) / n
+    if n < 2:
+        return float(mean), 0.0
+    dev = arr - mean
+    return float(mean), float(np.add.reduce(dev * dev) / (n - 1))
+
+
+def _power_of_two_scale(*arrays: np.ndarray) -> float:
+    """The power of two just above the largest magnitude in the arrays.
+
+    Dividing by it is exact, except for values so small that they are
+    below the rounding of any sum that holds the largest one, and it leaves
+    every magnitude below 1, so no square or sum of them overflows.
+    """
+    peak = max(float(np.abs(arr).max()) for arr in arrays)
+    return math.ldexp(1.0, math.frexp(peak)[1])
+
+
+def _scaled_mean_var(arr: np.ndarray) -> tuple[float, float, float]:
+    """(mean, var, scale): ``_mean_var`` of ``arr / scale``.
+
+    scale is 1.0 unless the sum or the squared deviations of arr overflow;
+    then it is the power of two from ``_power_of_two_scale``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = _mean_var(arr)
+    if math.isfinite(mean) and math.isfinite(var):
+        return mean, var, 1.0
+    scale = _power_of_two_scale(arr)
+    return (*_mean_var(arr / scale), scale)
 
 
 @dataclass(frozen=True)
@@ -147,8 +246,9 @@ def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
     """Summary statistics of the differences; ties are exact zeros."""
     arr = d._values
     n = arr.size
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1)) if n > 1 else 0.0
+    mean, sd, scale = d._moments
+    mean *= scale
+    sd *= scale
     q1, med, q3 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
     wins = int(np.count_nonzero(arr > 0.0))
     ties = int(np.count_nonzero(arr == 0.0))
@@ -203,11 +303,14 @@ def wilcoxon_signed_rank(
     n = nonzero.size
     if n == 0:
         raise DegenerateInputError("all differences are zero")
-    magnitudes = np.abs(nonzero)
-    ranks = average_ranks(magnitudes)
+    ranks = average_ranks(np.abs(nonzero))
     v_stat = float(ranks[nonzero > 0.0].sum())
     mu = n * (n + 1) / 4.0
-    _, tie_counts = np.unique(magnitudes, return_counts=True)
+    # Each group of tied magnitudes shares one average rank, a multiple of
+    # 1/2 that rises with the magnitude, so counting the doubled ranks gives
+    # the group sizes in ascending order of magnitude, as np.unique would.
+    tie_counts = np.bincount((2.0 * ranks).astype(np.intp))
+    tie_counts = tie_counts[tie_counts > 0]
     tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
     sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
     if alternative == "greater":
@@ -270,12 +373,11 @@ def paired_t_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     The effect size is Cohen's d_z = mean / sd of the differences.
     """
     _check_alternative(alternative)
-    arr = d._values
-    n = arr.size
+    n = d.n
     if n < 2:
         raise DegenerateInputError("paired t-test requires at least 2 differences")
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
+    # mean / sd is the same at any scale.
+    mean, sd, _ = d._moments
     if sd == 0.0:
         raise DegenerateInputError("paired t-test is undefined for constant differences")
     t_stat = mean / (sd / math.sqrt(n))
@@ -301,13 +403,22 @@ def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
         raise DegenerateInputError("cohens_d_pooled requires two samples of size >= 2")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
         raise DegenerateInputError("samples must be finite")
-    na, nb = xa.size, xb.size
-    var_a = float(xa.var(ddof=1))
-    var_b = float(xb.var(ddof=1))
-    pooled = ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap, pooled = _mean_gap_and_pooled_var(xa, xb)
+    if not (math.isfinite(gap) and math.isfinite(pooled)):
+        # d is the same at any common scale of both samples.
+        scale = _power_of_two_scale(xa, xb)
+        gap, pooled = _mean_gap_and_pooled_var(xa / scale, xb / scale)
     if pooled == 0.0:
         raise DegenerateInputError("pooled variance is zero")
-    return (float(xa.mean()) - float(xb.mean())) / math.sqrt(pooled)
+    return gap / math.sqrt(pooled)
+
+
+def _mean_gap_and_pooled_var(xa: np.ndarray, xb: np.ndarray) -> tuple[float, float]:
+    mean_a, var_a = _mean_var(xa)
+    mean_b, var_b = _mean_var(xb)
+    na, nb = xa.size, xb.size
+    return mean_a - mean_b, ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
 
 
 def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
@@ -339,17 +450,31 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     df = (number of datasets) - 1.
     """
     _check_alternative(alternative)
-    # Datasets numbered in order of first appearance.
-    codes_of: dict[str, int] = {}
-    codes = np.fromiter(
-        (codes_of.setdefault(ds, len(codes_of)) for _, ds in d.labels),
-        dtype=np.intp,
-        count=d.n,
-    )
-    if len(codes_of) < 2:
+    codes = d._datasets
+    if codes is None:
+        # Datasets numbered in order of first appearance.
+        codes_of: dict[str, int] = {}
+        codes = np.fromiter(
+            (codes_of.setdefault(ds, len(codes_of)) for _, ds in d.labels),
+            dtype=np.intp,
+            count=d.n,
+        )
+    counts = np.bincount(codes)
+    if counts.size < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
     arr = d._values
-    counts = np.bincount(codes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exclusion_means = _exclusion_means(arr, codes, counts)
+    if not np.isfinite(exclusion_means).all():
+        # The t statistic is the same at any scale of the differences.
+        exclusion_means = _exclusion_means(arr / _power_of_two_scale(arr), codes, counts)
+    labels = tuple(("", str(i)) for i in range(counts.size))
+    result = paired_t_test(PairedDiffs._from_columns(exclusion_means, labels, None), alternative)
+    return replace(result, method_name="lodo-t")
+
+
+def _exclusion_means(arr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For each dataset code, the mean of the values of the other datasets."""
     exclusion_means = np.empty(counts.size)
     # Datasets with the same cell count keep the same number of cells, so each
     # block of them is one (rows, n - count) matrix of kept cells, summed row
@@ -364,5 +489,4 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
             keep = codes != rows[:, None]
             kept = np.broadcast_to(arr, keep.shape)[keep].reshape(rows.size, -1)
             exclusion_means[rows] = np.add.reduce(kept, axis=1) / kept.shape[1]
-    result = paired_t_test(PairedDiffs.from_values(exclusion_means), alternative)
-    return replace(result, method_name="lodo-t")
+    return exclusion_means

@@ -298,6 +298,57 @@ class TestCompare:
         assert "zzz" in err
 
 
+def _huge_scores_file(path):
+    """3 models x 4 datasets; in cell k = 1..12, A scores k * 1e305 and B
+    scores -k * 1e305, so every squared difference overflows a float64."""
+    lines = ["model,method,dataset,score"]
+    for k in range(1, 13):
+        model, dataset = f"m{(k - 1) // 4}", f"D{(k - 1) % 4}"
+        lines += [f"{model},A,{dataset},{k}{'0' * 305}", f"{model},B,{dataset},-{k}{'0' * 305}"]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestCompareLargeScores:
+    def test_csv_and_table_print_the_same_finite_values(self, fresh_python, tmp_path):
+        path = _huge_scores_file(tmp_path / "huge.csv")
+        runs = {
+            fmt: fresh_python("-m", "ordsim", "compare", "--results", path,
+                              "--a", "A", "--b", "B", "--format", fmt)
+            for fmt in ("csv", "table")
+        }
+        for proc in runs.values():
+            assert (proc.returncode, proc.stderr) == (0, "")
+        csv = dict(line.split(",", 1) for line in runs["csv"].stdout.splitlines()[1:])
+        keys = ("mean", "sd", "se", "t_stat", "t_dz", "lodo_t", "pooled_d", "micro_avg_a")
+        values = {key: float(csv[key]) for key in keys}
+        assert all(np.isfinite(v) and v != 0.0 for v in values.values())
+        assert values["t_stat"] == pytest.approx(6.5 / (13 / 12) ** 0.5, rel=1e-12)
+        assert values["pooled_d"] == pytest.approx(13**0.5, rel=1e-12)
+        assert float(csv["t_p"]) < 1e-4 and float(csv["lodo_p"]) < 1e-4
+        table = runs["table"].stdout
+        for key, label, places in [
+            ("mean", "mean", 3), ("sd", "sd", 3), ("se", "se", 3),
+            ("t_stat", "t(11) =", 3), ("t_dz", "d_z =", 3), ("lodo_t", "t(3) =", 3),
+            ("pooled_d", "pooled cohen d =", 3), ("micro_avg_a", "A", 2),
+        ]:
+            assert f"{label} {cli._fmt_fixed(values[key], places)}" in table, key
+
+    def test_the_cli_reads_columns_not_rows(self, capsys, monkeypatch, tmp_path, table2):
+        tables = []
+
+        def load(path):
+            tables.append(load_results(path))
+            return tables[-1]
+
+        monkeypatch.setattr(cli, "load_results", load)
+        code, out, _ = run_cli(capsys, "compare", "--results", table2, "--a", "recos", "--b", "cos")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "compare", "--results", table2, "--a", "cos", "--b", "cos")
+        assert code == 1 and "(all ties)" in out
+        assert len(tables) == 2 and all("rows" not in vars(t) for t in tables)
+
+
 # sha256 of `ordsim compare` stdout on the bundled table2.csv, for every
 # ordered pair of distinct methods, both alternatives and both formats.
 COMPARE_OUTPUT_SHA256 = {

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordsim.harness
+import ordsim.stats
 from ordsim import (
     ComparisonReport,
     CoverageMismatchError,
@@ -29,6 +30,7 @@ from ordsim import (
     descriptive_stats,
     evaluate,
     fixture_path,
+    leave_one_dataset_out,
     load_pairs,
     load_results,
     paired_t_test,
@@ -495,3 +497,146 @@ class TestPublishedTableBehavior:
         r = compare(table, "recos", "cos")
         assert f"{r.descriptive.min:.2f}" == "-0.31"
         assert f"{r.descriptive.max:.2f}" == "1.36"
+
+
+def _public_compare(results, a, b, alternative):
+    """``compare`` from the public functions alone, on
+    ``PairedDiffs(scores_a - scores_b, labels)`` with b lined up to a's cells."""
+    keys, scores_a = results.scores(a)
+    keys_b, scores_b = results.scores(b)
+    if not keys or not keys_b:
+        raise CoverageMismatchError("no cells")
+    if set(keys) != set(keys_b):
+        raise CoverageMismatchError("cover different cells")
+    position = {cell: i for i, cell in enumerate(keys_b)}
+    scores_b = scores_b[[position[cell] for cell in keys]]
+    diffs = PairedDiffs(scores_a - scores_b, list(keys))
+    wil = wilcoxon_signed_rank(diffs, alternative)
+    sgn = sign_test(diffs, alternative)
+    t = paired_t_test(diffs, alternative)
+    adjusted = benjamini_hochberg([wil.p_value, sgn.p_value, t.p_value])
+    return ComparisonReport(
+        method_a=a,
+        method_b=b,
+        descriptive=descriptive_stats(diffs),
+        wilcoxon=wil,
+        sign=sgn,
+        t_test=t,
+        pooled_d=cohens_d_pooled(scores_a, scores_b),
+        bh_adjusted={"wilcoxon": adjusted[0], "sign": adjusted[1], "t_test": adjusted[2]},
+        lodo=leave_one_dataset_out(diffs, alternative),
+        micro_avg_a=sum(scores_a.tolist()) / len(keys),
+        micro_avg_b=sum(scores_b.tolist()) / len(keys),
+    )
+
+
+def _report_bits(fn, *args):
+    """repr of the report with every float as hex, or the error type."""
+    try:
+        report = fn(*args)
+    except (CoverageMismatchError, DegenerateInputError) as exc:
+        return type(exc).__name__
+
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if dataclasses.is_dataclass(value):
+            return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+        if isinstance(value, dict):
+            return tuple((k, bits(v)) for k, v in value.items())
+        return value
+
+    return bits(report)
+
+
+@st.composite
+def _shuffled_method_tables(draw):
+    """Methods over the same model x dataset cells, each listing its cells,
+    and so its datasets, in its own order."""
+    models = [f"m{i}" for i in range(draw(st.integers(1, 3)))]
+    datasets = [f"D{j}" for j in range(draw(st.integers(2, 6)))]
+    grid = [(m, ds) for m in models for ds in datasets]
+    cells = draw(st.lists(st.sampled_from(grid), min_size=2, unique=True))
+    rows = []
+    for method in ("a", "b", "c"):
+        order = draw(st.permutations(cells))
+        for model, dataset in order:
+            rows.append(ResultsRow(model, method, dataset, draw(st.integers(-3000, 3000))))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return ResultsTable(tuple(rows))
+
+
+class TestCompareMatchesPublicFunctions:
+    @settings(max_examples=300, deadline=None)
+    @given(_shuffled_method_tables(), st.sampled_from(["greater", "two-sided"]))
+    def test_bit_identical_reports(self, table, alternative):
+        for a, b in (("a", "b"), ("b", "c"), ("c", "a")):
+            want = _report_bits(_public_compare, table, a, b, alternative)
+            assert _report_bits(compare, table, a, b, alternative) == want
+
+    def test_published_table(self):
+        table = load_results(fixture_path("table2.csv"))
+        for a in table.methods():
+            for b in table.methods():
+                for alternative in ("greater", "two-sided"):
+                    want = _report_bits(_public_compare, table, a, b, alternative)
+                    assert _report_bits(compare, table, a, b, alternative) == want
+
+
+def _scaled_table(scale, values=range(1, 13), models=3, datasets=4):
+    """models x datasets cells; in cell k, A scores values[k] * scale and B
+    scores -values[k] * scale (scale a power of ten of at least 1)."""
+    cents = [v * scale * 100 for v in values]
+    cells = [(f"m{i}", f"D{j}") for i in range(models) for j in range(datasets)]
+    return ResultsTable(
+        tuple(ResultsRow(m, "A", ds, c) for (m, ds), c in zip(cells, cents))
+        + tuple(ResultsRow(m, "B", ds, -c) for (m, ds), c in zip(cells, cents))
+    )
+
+
+class TestLargeScores:
+    """Squares of differences near 1e306 overflow; the statistics must not."""
+
+    def test_huge_scores_give_the_scaled_statistics(self):
+        huge = compare(_scaled_table(10**305), "A", "B")
+        small = compare(_scaled_table(10**5), "A", "B")
+        d, s = huge.descriptive, small.descriptive
+        for name in ("mean", "sd", "se", "median", "q1", "q3", "iqr", "min", "max"):
+            assert getattr(d, name) == pytest.approx(getattr(s, name) * 1e300, rel=1e-12), name
+        assert d.sd == pytest.approx(2e305 * math.sqrt(13), rel=1e-12)
+        for test in ("t_test", "lodo", "wilcoxon", "sign"):
+            got, want = getattr(huge, test), getattr(small, test)
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-12), test
+            assert got.p_value == pytest.approx(want.p_value, rel=1e-12), test
+            assert got.effect_size == pytest.approx(want.effect_size, rel=1e-12), test
+        assert huge.t_test.statistic == pytest.approx(6.5 / math.sqrt(13 / 12), rel=1e-12)
+        assert huge.pooled_d == pytest.approx(small.pooled_d, rel=1e-12)
+        assert huge.pooled_d == pytest.approx(13 / math.sqrt(13), rel=1e-12)
+        assert huge.micro_avg_a == pytest.approx(6.5e305, rel=1e-12)
+
+    def test_overflowing_sums_give_the_scaled_statistics(self):
+        # 150 differences near 1.55e306: the sum of all of them, and of the
+        # 125 that each leave-one-dataset-out mean keeps, overflow.
+        values = [70 + (k * 37) % 16 for k in range(150)]
+        huge = compare(_scaled_table(10**304, values, 25, 6), "A", "B")
+        small = compare(_scaled_table(10**4, values, 25, 6), "A", "B")
+        assert huge.descriptive.mean == pytest.approx(small.descriptive.mean * 1e300, rel=1e-12)
+        assert huge.descriptive.sd == pytest.approx(small.descriptive.sd * 1e300, rel=1e-12)
+        for test in ("t_test", "lodo"):
+            got, want = getattr(huge, test), getattr(small, test)
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-12), test
+            assert got.p_value == pytest.approx(want.p_value, rel=1e-12), test
+        assert huge.pooled_d == pytest.approx(small.pooled_d, rel=1e-12)
+
+    def test_ordinary_data_never_rescales(self, monkeypatch):
+        def fail(*arrays):
+            raise AssertionError("rescaled")
+
+        monkeypatch.setattr(ordsim.stats, "_power_of_two_scale", fail)
+        table = load_results(fixture_path("table2.csv"))
+        for a in table.methods():
+            for b in table.methods():
+                if a != b:
+                    compare(table, a, b, "two-sided")
+        compare(_scaled_table(10**100), "A", "B")

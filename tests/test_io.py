@@ -800,6 +800,172 @@ class TestResultsTable:
         assert set(table.cells("cos")) == {("m2", "D1"), ("m1", "D1")}
 
 
+def _results_outcome(load, path):
+    """A table's rows, repr, hash and every method's columns, or the error's
+    type, message and line."""
+    try:
+        table = load(path)
+    except DatasetFormatError as exc:
+        return type(exc), str(exc), exc.line
+    columns = [
+        (column.rows, column.cells, column.cell_codes.tolist(), column.scores.tobytes(),
+         column.datasets.tolist(), column.micro_average.hex())
+        for column in map(table._method_columns, table.methods())
+    ]
+    names = (table.models(), table.methods(), table.datasets())
+    return table.rows, repr(table), hash(table), names, columns
+
+
+def _load_results_by_line(path):
+    """load_results through the per-line loop alone."""
+    _, _, lines = ordsim.io._read_lines(path)
+    return ResultsTable._from_columns(*ordsim.io._results_by_line(path, lines))
+
+
+_score_texts = st.one_of(
+    st.integers(-(10**6), 10**6).map(_format_score_cents),  # 2 fraction digits
+    st.integers(-(10**6), 10**6).map(lambda c: f"{c / 10:.1f}"),
+    st.integers(-(10**4), 10**4).map(str),
+    st.sampled_from(["+7", "-0", "-0.0", "007.5", "9999999999999.99", "-9999999999999.9",
+                     "10000000000000", "2251799813685.24", "900719925474.09"]),
+    st.integers(10**13, 10**40).map(str),  # huge, through the per-line loop
+)
+_bad_scores = st.sampled_from(
+    ["1.234", "", "1e5", "inf", "nan", "1_0", "٣", ".5", "1.", "1" + "0" * 400]
+)
+_names = st.sampled_from(["m1", "m2", "cos", "recos", "STS12", "D x", "é"])
+
+
+@st.composite
+def _results_file_texts(draw):
+    """Results-file texts: a grid of cells in a random order, with optional
+    surrounding whitespace, blank lines and CRLF, and sometimes one fault:
+    a repeated cell, a bad score, 3 or 5 fields or an empty name."""
+    cells = draw(
+        st.lists(st.tuples(_names, _names, _names), min_size=0, max_size=12, unique=True)
+    )
+    rows = [[m, k, d, draw(_score_texts)] for m, k, d in cells]
+    fault = draw(st.sampled_from([None] * 4 + ["repeat", "score", "fields", "empty"]))
+    if rows and fault == "repeat":
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    elif rows and fault == "score":
+        draw(st.sampled_from(rows))[3] = draw(_bad_scores)
+    elif rows and fault == "fields":
+        row = draw(st.sampled_from(rows))
+        row.append("x") if draw(st.booleans()) else row.pop()
+    elif rows and fault == "empty":
+        draw(st.sampled_from(rows))[draw(st.integers(0, 2))] = draw(st.sampled_from(["", " "]))
+    pads = st.sampled_from(["", "", " ", "\t", "\u3000"])
+    lines = ["model,method,dataset,score"]
+    for row in rows:
+        if draw(st.booleans()):
+            row = [draw(pads) + field + draw(pads) for field in row]
+        lines.append(",".join(row))
+        lines += draw(st.lists(st.sampled_from(["", " "]), max_size=1))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+class TestColumnarResults:
+    """load_results checks a file a column at a time; every file must load
+    to the same table, or fail with the same error, as the per-line loop."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_results_file_texts())
+    def test_same_table_or_error_as_the_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("results") / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        want = _results_outcome(_load_results_by_line, path)
+        assert _results_outcome(load_results, path) == want
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("m,b,D,1.00", "duplicate cell ('m', 'b', 'D') (first on line 3)"),
+            ("m,b,D", "expected 4 fields, got 3"),
+            ("m,b,D,1.00,x", "expected 4 fields, got 5"),
+            ("m, ,D,1.00", "method must be non-empty and comma-free, got ''"),
+            ("m,b,D,1.001", "score must be a decimal with at most 2 fraction digits: '1.001'"),
+            ("m,b,E," + "9" * 320, "score is too large for a float64: '" + "9" * 320 + "'"),
+        ],
+    )
+    def test_faults_name_their_line(self, tmp_path, row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(f"model,method,dataset,score\nm,a,D,2.50\nm,b,D,0.5\n\n{row}\nm,a,E,1\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_results(path)
+        assert (str(err.value), err.value.line) == (f"{path}:5: {message}", 5)
+
+    @pytest.mark.parametrize(
+        "rows", [" m,a,D,1.00\nm,b,D,2", "m,a,D,1.00\nm,b,D,2\t", " ,a,D,1", "m,a,D,1\nm,b,\u3000,2"]
+    )
+    def test_whitespace_at_either_end_of_the_rows(self, tmp_path, rows):
+        path = tmp_path / "r.csv"
+        path.write_text(f"model,method,dataset,score\n{rows}\n")
+        assert _results_outcome(load_results, path) == _results_outcome(_load_results_by_line, path)
+
+    def test_saved_files_never_reach_the_line_loop(self, tmp_path, monkeypatch):
+        rows = tuple(
+            ResultsRow(f"m{i % 3}", f"k{i % 2}", f"D{i // 6}", (-1) ** i * 997 * i)
+            for i in range(24)
+        )
+        path = tmp_path / "r.csv"
+        save_results(ResultsTable(rows), path)
+
+        def fail(*args):
+            raise AssertionError("per-line loop called")
+
+        monkeypatch.setattr(ordsim.io, "_results_by_line", fail)
+        assert load_results(path).rows == rows
+
+    def test_scores_near_the_column_bound_keep_exact_cents(self, tmp_path):
+        # Just below 1e13 the float path must still give the exact cents.
+        texts = ["9999999999999.99", "-9999999999999.99", "9999999999999.01", "0.01", "-0.01"]
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "model,method,dataset,score\n"
+            + "".join(f"m,a,D{i},{t}\n" for i, t in enumerate(texts))
+        )
+        cents = [row.score_cents for row in load_results(path).rows]
+        assert cents == [_parse_score_cents(t) for t in texts]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_names, _names, _names, st.integers(-(10**20), 10**20)),
+            max_size=10,
+            unique_by=lambda r: r[:3],
+        )
+    )
+    def test_constructed_and_loaded_tables_are_equal(self, tmp_path_factory, cells):
+        table = ResultsTable(tuple(ResultsRow(*cell) for cell in cells))
+        path = tmp_path_factory.mktemp("results") / "r.csv"
+        save_results(table, path)
+        loaded = load_results(path)
+        assert loaded == table and hash(loaded) == hash(table)
+        assert repr(loaded) == repr(table) and loaded.rows == table.rows
+        assert _results_outcome(load_results, path) == _results_outcome(lambda p: table, path)
+
+    def test_rows_are_built_on_first_access_and_kept(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("model,method,dataset,score\nm,a,D1,1.5\nm,b,D1,2\nm,a,D2,3.25\n")
+        table = load_results(path)
+        assert table.methods() == ("a", "b") and table.models() == ("m",)
+        assert table.datasets() == ("D1", "D2")
+        keys, scores = table.scores("a")
+        assert keys == (("m", "D1"), ("m", "D2")) and scores.tolist() == [1.5, 3.25]
+        assert "rows" not in vars(table)
+        rows = table.rows
+        assert rows is table.rows and "rows" in vars(table)
+        assert rows == (
+            ResultsRow("m", "a", "D1", 150),
+            ResultsRow("m", "b", "D1", 200),
+            ResultsRow("m", "a", "D2", 325),
+        )
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            table.nope
+
+
 EXPECTED_MODELS = (
     "Word2Vec",
     "FastText",

@@ -130,6 +130,57 @@ class TestPairedDiffs:
                 assert len({repr(test(d, alternative)) for d in forms}) == 1
         assert len({repr(descriptive_stats(d)) for d in forms}) == 1
 
+    def test_labels_are_normalized_to_tuples_of_str(self):
+        want = PairedDiffs((1.0, 2.0), (("m", "d1"), ("m", "d2")))
+        forms = (
+            [("m", "d1"), ("m", "d2")],
+            [["m", "d1"], ["m", "d2"]],
+            (("m", np.str_("d1")), ("m", "d2")),
+            (label for label in [("m", "d1"), ("m", "d2")]),
+        )
+        for labels in forms:
+            got = PairedDiffs((1.0, 2.0), labels)
+            assert got.labels == want.labels and type(got.labels) is tuple
+            assert all(type(part) is str for label in got.labels for part in label)
+            assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        single = PairedDiffs((1.0,), [("m", "d")])
+        assert hash(single) == hash(PairedDiffs((1.0,), (("m", "d"),)))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [None, 3, "md", [("m",)], [("m", "d", "x")], ["md"], [("m", 1)], [(b"m", "d")], [None]],
+    )
+    def test_malformed_labels_are_a_typed_error(self, labels):
+        with pytest.raises(DegenerateInputError, match="label"):
+            PairedDiffs((1.0,), labels)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_moments_equal_numpy_mean_and_std(self, values):
+        d = PairedDiffs(values, tuple(("m", str(i)) for i in range(len(values))))
+        mean, sd, scale = d._moments
+        arr = np.array(values)
+        assert scale == 1.0
+        assert mean.hex() == float(arr.mean()).hex()
+        want_sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+        assert sd.hex() == want_sd.hex()
+
+    def test_moments_rescale_only_when_the_squares_overflow(self):
+        k = np.arange(1.0, 13.0)
+        huge = PairedDiffs(k * 2e305, tuple(("m", str(i)) for i in range(12)))
+        small = PairedDiffs(k, tuple(("m", str(i)) for i in range(12)))
+        mean, sd, scale = huge._moments
+        assert scale == 2.0 ** math.frexp(24e305)[1]  # the largest difference is 24e305
+        assert mean * scale == pytest.approx(6.5 * 2e305, rel=1e-15)
+        assert sd * scale == pytest.approx(small._moments[1] * 2e305, rel=1e-15)
+        assert small._moments[2] == 1.0
+
 
 class TestDescriptiveStats:
     def test_hand_case(self):
