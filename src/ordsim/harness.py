@@ -15,6 +15,7 @@ from .stats import (
     DescriptiveStats,
     PairedDiffs,
     TestResult,
+    _micro_average,
     benjamini_hochberg,
     cohens_d_pooled,
     descriptive_stats,
@@ -109,21 +110,24 @@ def compare(
     if col_b is None:
         raise CoverageMismatchError(f"no cells for method {b!r}")
     scores_a, scores_b = col_a.scores, col_b.scores
+    codes_a, codes_b = col_a.cell_codes, col_b.cell_codes
     micro_avg_b = col_b.micro_average
-    if not np.array_equal(col_a.cell_codes, col_b.cell_codes):
-        keys, keys_b = col_a.cells, col_b.cells
-        only_a = len(set(keys) - set(keys_b))
-        only_b = len(set(keys_b) - set(keys))
+    if not np.array_equal(codes_a, codes_b):
+        # A method holds each cell code once: b's position of each of a's
+        # cells, or -1 where b lacks it.
+        position = np.full(max(codes_a.max(), codes_b.max()) + 1, -1)
+        position[codes_b] = np.arange(codes_b.size)
+        order = position[codes_a]
+        only_a = int(np.count_nonzero(order < 0))
+        only_b = codes_b.size - (codes_a.size - only_a)
         if only_a or only_b:
             raise CoverageMismatchError(
                 f"methods {a!r} and {b!r} cover different cells: "
                 f"{only_a} only in {a!r}, {only_b} only in {b!r}"
             )
         # The same cells in another order: line b's scores up with a's cells.
-        position = {cell: i for i, cell in enumerate(keys_b)}
-        scores_b = scores_b[[position[cell] for cell in keys]]
-        # Python's left-to-right sum in a's cell order: np.sum adds pairwise.
-        micro_avg_b = sum(scores_b.tolist()) / len(keys)
+        scores_b = scores_b[order]
+        micro_avg_b = _micro_average(scores_b)
     diffs = PairedDiffs._from_columns(scores_a - scores_b, col_a.cells, col_a.datasets)
     wil = wilcoxon_signed_rank(diffs, alternative)
     sgn = sign_test(diffs, alternative)

@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
 from .metrics import DenseVector
+from .stats import _encode, _micro_average
 
 __all__ = [
     "PairRecord",
@@ -357,14 +358,6 @@ def _unchecked_row(model: str, method: str, dataset: str, score_cents: int) -> R
     return row
 
 
-def _encode(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The distinct values in order of first appearance, and the index of
-    each value among them."""
-    names = tuple(dict.fromkeys(values))
-    code_of = dict(zip(names, range(len(names))))
-    return names, np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
-
-
 class _MethodColumns(NamedTuple):
     """One method's cells, in file order, as columns."""
 
@@ -453,11 +446,6 @@ class ResultsTable:
             row_list = rows.tolist()
             method_scores = scores[rows]
             method_scores.setflags(write=False)
-            _, first, local = np.unique(
-                dataset_codes[rows], return_index=True, return_inverse=True
-            )
-            renumber = np.empty_like(first)
-            renumber[np.argsort(first)] = np.arange(first.size)
             columns[method] = _MethodColumns(
                 rows=row_list,
                 cells=tuple(
@@ -465,9 +453,8 @@ class ResultsTable:
                 ),
                 cell_codes=cell_codes[rows],
                 scores=method_scores,
-                datasets=renumber[local],
-                # Python's left-to-right sum in file order: np.sum adds pairwise.
-                micro_average=sum(method_scores.tolist()) / len(row_list),
+                datasets=_encode(dataset_codes[rows].tolist())[1],
+                micro_average=_micro_average(method_scores),
             )
         object.__setattr__(self, "_names", (model_names, method_names, dataset_names))
         object.__setattr__(self, "_row_columns", (models, methods, datasets, cents))

@@ -21,9 +21,9 @@ Conventions shared by every test in this module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -57,7 +57,8 @@ class PairedDiffs:
     finite numbers and stores them as a tuple of floats, and the labels as
     a tuple of (model, dataset) pairs of str.  It also keeps one read-only
     float64 copy of the differences, which every test in this module reads,
-    and computes their mean and sd once, for all of them.  Neither is a
+    computes their mean and sd once, for all of them, and numbers the
+    labels' datasets in order of first appearance.  None of these is a
     field, so they take no part in ``==``, ``hash`` or ``repr``.
 
     ``compare`` builds its diffs from a results table's columns instead,
@@ -79,26 +80,23 @@ class PairedDiffs:
             raise DegenerateInputError(f"{values.size} diffs but {len(labels)} labels")
         if values.size == 0:
             raise DegenerateInputError("need at least one paired difference")
-        self._set_values(values, labels, None)
+        self._set_values(values, labels, _encode([ds for _, ds in labels])[1])
         object.__setattr__(self, "diffs", tuple(values.tolist()))
 
     @classmethod
     def _from_columns(
-        cls,
-        values: np.ndarray,
-        labels: tuple[tuple[str, str], ...],
-        datasets: np.ndarray | None,
+        cls, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: np.ndarray
     ) -> PairedDiffs:
         # For a non-empty float64 array that the caller hands over, labels
-        # that are already a tuple of (model, dataset) pairs of str, and, if
-        # known, the labels' dataset codes numbered in order of first
-        # appearance.  The diffs tuple is made on first access.
+        # that are already a tuple of (model, dataset) pairs of str, and the
+        # labels' dataset codes as ``_encode`` numbers them.  The diffs tuple
+        # is made on first access.
         diffs = cls.__new__(cls)
         diffs._set_values(values, labels, datasets)
         return diffs
 
     def _set_values(
-        self, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: np.ndarray | None
+        self, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: np.ndarray
     ) -> None:
         if not np.isfinite(values).all():
             raise DegenerateInputError("differences must be finite")
@@ -120,8 +118,7 @@ class PairedDiffs:
     def _moments(self) -> tuple[float, float, float]:
         """(mean, sd, scale): the mean and sample sd of the differences
         divided by ``scale``, which is 1.0 unless the squares overflow."""
-        mean, var, scale = _scaled_mean_var(self._values)
-        return mean, math.sqrt(var), scale
+        return _mean_sd_scale(self._values)
 
     @classmethod
     def from_values(
@@ -158,6 +155,14 @@ def _checked_labels(labels: Sequence[Sequence[str]]) -> tuple[tuple[str, str], .
     return tuple((str(model), str(dataset)) for model, dataset in pairs)
 
 
+def _encode(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
+    """The distinct values in order of first appearance, and the index of
+    each value among them."""
+    names = tuple(dict.fromkeys(values))
+    code_of = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+
+
 def _mean_var(arr: np.ndarray) -> tuple[float, float]:
     """``arr.mean()`` and ``arr.var(ddof=1)`` (0.0 for one value), bit for
     bit: the same sums, without numpy's per-call overhead."""
@@ -170,28 +175,41 @@ def _mean_var(arr: np.ndarray) -> tuple[float, float]:
 
 
 def _power_of_two_scale(*arrays: np.ndarray) -> float:
-    """The power of two just above the largest magnitude in the arrays.
+    """The power of two just above the largest magnitude in the arrays, at
+    most 2**1023 (the largest finite one).
 
     Dividing by it is exact, except for values so small that they are
     below the rounding of any sum that holds the largest one, and it leaves
-    every magnitude below 1, so no square or sum of them overflows.
+    every magnitude below 2, so no square or sum of them overflows.
     """
     peak = max(float(np.abs(arr).max()) for arr in arrays)
-    return math.ldexp(1.0, math.frexp(peak)[1])
+    return math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
 
 
-def _scaled_mean_var(arr: np.ndarray) -> tuple[float, float, float]:
-    """(mean, var, scale): ``_mean_var`` of ``arr / scale``.
-
-    scale is 1.0 unless the sum or the squared deviations of arr overflow;
-    then it is the power of two from ``_power_of_two_scale``.
-    """
+def _rescaled(compute: Callable, *arrays: np.ndarray) -> tuple:
+    """(result, scale): ``compute(*arrays)`` and 1.0, unless a value of that
+    result (a float, a tuple of floats or an array) is not finite; then
+    ``compute`` of the arrays divided by ``_power_of_two_scale(*arrays)``,
+    and that scale."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, var = _mean_var(arr)
-    if math.isfinite(mean) and math.isfinite(var):
-        return mean, var, 1.0
-    scale = _power_of_two_scale(arr)
-    return (*_mean_var(arr / scale), scale)
+        result = compute(*arrays)
+    if np.isfinite(result).all():
+        return result, 1.0
+    scale = _power_of_two_scale(*arrays)
+    return compute(*(arr / scale for arr in arrays)), scale
+
+
+def _mean_sd_scale(arr: np.ndarray) -> tuple[float, float, float]:
+    """(mean, sd, scale): ``_mean_var`` at the scale ``_rescaled`` picks, with the sd."""
+    (mean, var), scale = _rescaled(_mean_var, arr)
+    return mean, math.sqrt(var), scale
+
+
+def _micro_average(scores: np.ndarray) -> float:
+    """The mean of the scores by Python's left-to-right sum in their order
+    (np.sum adds pairwise), at the scale ``_rescaled`` picks."""
+    total, scale = _rescaled(lambda arr: sum(arr.tolist()), scores)
+    return total / scores.size * scale
 
 
 @dataclass(frozen=True)
@@ -373,11 +391,18 @@ def paired_t_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     The effect size is Cohen's d_z = mean / sd of the differences.
     """
     _check_alternative(alternative)
-    n = d.n
-    if n < 2:
+    if d.n < 2:
         raise DegenerateInputError("paired t-test requires at least 2 differences")
+    return _t_test(d._moments, d.n, alternative, "paired-t")
+
+
+def _t_test(
+    moments: tuple[float, float, float], n: int, alternative: str, name: str
+) -> TestResult:
+    """One-sample t-test against zero from the (mean, sd, scale) of n >= 2
+    values, df = n - 1, with effect size mean / sd."""
     # mean / sd is the same at any scale.
-    mean, sd, _ = d._moments
+    mean, sd, _ = moments
     if sd == 0.0:
         raise DegenerateInputError("paired t-test is undefined for constant differences")
     t_stat = mean / (sd / math.sqrt(n))
@@ -391,7 +416,7 @@ def paired_t_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
         p_value=p,
         effect_size=mean / sd,
         n_used=n,
-        method_name="paired-t",
+        method_name=name,
     )
 
 
@@ -403,12 +428,8 @@ def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
         raise DegenerateInputError("cohens_d_pooled requires two samples of size >= 2")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
         raise DegenerateInputError("samples must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap, pooled = _mean_gap_and_pooled_var(xa, xb)
-    if not (math.isfinite(gap) and math.isfinite(pooled)):
-        # d is the same at any common scale of both samples.
-        scale = _power_of_two_scale(xa, xb)
-        gap, pooled = _mean_gap_and_pooled_var(xa / scale, xb / scale)
+    # d is the same at any common scale of both samples.
+    (gap, pooled), _ = _rescaled(_mean_gap_and_pooled_var, xa, xb)
     if pooled == 0.0:
         raise DegenerateInputError("pooled variance is zero")
     return gap / math.sqrt(pooled)
@@ -451,26 +472,12 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     """
     _check_alternative(alternative)
     codes = d._datasets
-    if codes is None:
-        # Datasets numbered in order of first appearance.
-        codes_of: dict[str, int] = {}
-        codes = np.fromiter(
-            (codes_of.setdefault(ds, len(codes_of)) for _, ds in d.labels),
-            dtype=np.intp,
-            count=d.n,
-        )
     counts = np.bincount(codes)
     if counts.size < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
-    arr = d._values
-    with np.errstate(over="ignore", invalid="ignore"):
-        exclusion_means = _exclusion_means(arr, codes, counts)
-    if not np.isfinite(exclusion_means).all():
-        # The t statistic is the same at any scale of the differences.
-        exclusion_means = _exclusion_means(arr / _power_of_two_scale(arr), codes, counts)
-    labels = tuple(("", str(i)) for i in range(counts.size))
-    result = paired_t_test(PairedDiffs._from_columns(exclusion_means, labels, None), alternative)
-    return replace(result, method_name="lodo-t")
+    # The t statistic is the same at any scale of the differences.
+    exclusion_means, _ = _rescaled(lambda arr: _exclusion_means(arr, codes, counts), d._values)
+    return _t_test(_mean_sd_scale(exclusion_means), counts.size, alternative, "lodo-t")
 
 
 def _exclusion_means(arr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -334,6 +334,32 @@ class TestCompareLargeScores:
         ]:
             assert f"{label} {cli._fmt_fixed(values[key], places)}" in table, key
 
+    def test_overflowing_micro_average_sums_print_in_both_formats(self, fresh_python, tmp_path):
+        # 240 cells of about 1.3e306: each method's scores sum past 1.8e308.
+        # B's rows come in reverse order, so its average is taken in A's order.
+        values = [120 + k % 21 for k in range(240)]
+        cells = [(f"m{k // 6}", f"D{k % 6}", f"{v}{'0' * 304}") for k, v in enumerate(values)]
+        lines = ["model,method,dataset,score"]
+        lines += [f"{model},A,{dataset},{score}" for model, dataset, score in cells]
+        lines += [f"{model},B,{dataset},-{score}" for model, dataset, score in cells[::-1]]
+        path = tmp_path / "sums.csv"
+        path.write_text("\n".join(lines) + "\n")
+        runs = {
+            fmt: fresh_python("-m", "ordsim", "compare", "--results", str(path),
+                              "--a", "A", "--b", "B", "--format", fmt)
+            for fmt in ("csv", "table")
+        }
+        for proc in runs.values():
+            assert (proc.returncode, proc.stderr) == (0, "")
+        csv = dict(line.split(",", 1) for line in runs["csv"].stdout.splitlines()[1:])
+        avg_a, avg_b = float(csv["micro_avg_a"]), float(csv["micro_avg_b"])
+        assert avg_a == pytest.approx(sum(values) / 240 * 1e304, rel=1e-12)
+        assert avg_b == pytest.approx(-avg_a, rel=1e-12)
+        assert (
+            f"micro-average A {cli._fmt_fixed(avg_a, 2)}, B {cli._fmt_fixed(avg_b, 2)}"
+            in runs["table"].stdout
+        )
+
     def test_the_cli_reads_columns_not_rows(self, capsys, monkeypatch, tmp_path, table2):
         tables = []
 

@@ -595,8 +595,54 @@ def _scaled_table(scale, values=range(1, 13), models=3, datasets=4):
     )
 
 
+@st.composite
+def _separated_tables(draw):
+    """(A cents, diff cents) on a models x datasets grid, with B = A - diff.
+
+    Dataset j's diffs lie within 20 cents of 300 + 200 j cents, so the
+    diffs, their dataset means and the leave-one-dataset-out means are
+    spread by at least 0.2 against scores below 100.  A common scale of
+    10^k rounds each score by up to 2**-53 of its size, and that spread
+    keeps what this does to t, p, d_z, the pooled d and the LODO t below
+    1e-12 relative.
+    """
+    models, datasets = draw(st.integers(2, 4)), draw(st.integers(3, 6))
+    cells = models * datasets
+    a = draw(st.lists(st.integers(-8000, 8000), min_size=cells, max_size=cells))
+    noise = draw(st.lists(st.integers(-20, 20), min_size=cells, max_size=cells))
+    diff = [300 + 200 * (i % datasets) + e for i, e in enumerate(noise)]
+    return models, datasets, a, diff
+
+
+def _grid_table(models, datasets, a, diff, scale):
+    rows = []
+    for i, (ca, cd) in enumerate(zip(a, diff)):
+        model, dataset = f"m{i // datasets}", f"D{i % datasets}"
+        rows.append(ResultsRow(model, "A", dataset, ca * scale))
+        rows.append(ResultsRow(model, "B", dataset, (ca - cd) * scale))
+    return ResultsTable(tuple(rows))
+
+
 class TestLargeScores:
     """Squares of differences near 1e306 overflow; the statistics must not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _separated_tables(),
+        st.integers(0, 304),  # every score stays below the loader's limit, about 1.8e306
+        st.sampled_from(["greater", "two-sided"]),
+    )
+    def test_scale_invariance(self, grid, k, alternative):
+        base = compare(_grid_table(*grid, 1), "A", "B", alternative)
+        scaled = compare(_grid_table(*grid, 10**k), "A", "B", alternative)
+        for name, value in [
+            ("t", lambda r: r.t_test.statistic),
+            ("p", lambda r: r.t_test.p_value),
+            ("d_z", lambda r: r.t_test.effect_size),
+            ("pooled d", lambda r: r.pooled_d),
+            ("lodo t", lambda r: r.lodo.statistic),
+        ]:
+            assert value(scaled) == pytest.approx(value(base), rel=1e-12), name
 
     def test_huge_scores_give_the_scaled_statistics(self):
         huge = compare(_scaled_table(10**305), "A", "B")

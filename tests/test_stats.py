@@ -182,6 +182,33 @@ class TestPairedDiffs:
         assert small._moments[2] == 1.0
 
 
+class TestNearTheFloat64Limit:
+    """Magnitudes of 2**1023 and above: the power-of-two rescale must itself
+    stay finite."""
+
+    def test_moments_and_t_test(self):
+        values = [1e308, -1e308, 5e307, 1.0]
+        exact = [mpmath.mpf(v) for v in values]
+        mean = sum(exact) / 4
+        sd = mpmath.sqrt(sum((v - mean) ** 2 for v in exact) / 3)
+        d = PairedDiffs.from_values(values)
+        s = descriptive_stats(d)
+        assert s.mean == pytest.approx(float(mean), rel=1e-15)
+        assert s.sd == pytest.approx(float(sd), rel=1e-12)
+        t = paired_t_test(d, "two-sided")
+        assert t.statistic == pytest.approx(float(mean / (sd / 2)), rel=1e-12)
+        assert t.effect_size == pytest.approx(float(mean / sd), rel=1e-12)
+
+    def test_pooled_d(self):
+        a, b = [1e308, -1e308, 3.0], [1.0, 2.0, 3.0]
+        with mpmath.workdps(50):
+            xa, xb = [mpmath.mpf(v) for v in a], [mpmath.mpf(v) for v in b]
+            ma, mb = sum(xa) / 3, sum(xb) / 3
+            pooled = (sum((v - ma) ** 2 for v in xa) + sum((v - mb) ** 2 for v in xb)) / 4
+            want = float((ma - mb) / mpmath.sqrt(pooled))
+        assert cohens_d_pooled(a, b) == pytest.approx(want, rel=1e-12)
+
+
 class TestDescriptiveStats:
     def test_hand_case(self):
         s = descriptive_stats(diffs(1.0, 2.0, 3.0, 4.0))
