@@ -9,8 +9,10 @@ import numpy as np
 
 from .errors import CoverageMismatchError
 from .io import PairDataset, ResultsTable
-from .metrics import MetricKind, _similarity_rows, similarity
-from .ranks import spearman_rho
+from .metrics import MetricKind, _similarity_rows, _sorted_row_dots, similarity
+# evaluate ranks through the private pair; spearman_rho stays importable
+# here because perfbench/tracing.py wraps it at ordsim.harness.spearman_rho.
+from .ranks import _centered_ranks, _rank_correlation, spearman_rho  # noqa: F401
 from .stats import (
     DescriptiveStats,
     PairedDiffs,
@@ -27,11 +29,6 @@ from .stats import (
 
 __all__ = ["EvalReport", "ComparisonReport", "evaluate", "compare"]
 
-# Rows scored per vectorized pass.  It caps the temporaries, such as the two
-# sorted (rows, dim) copies recos makes, whatever the dataset's size.
-_BLOCK_ROWS = 64
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Rank-correlation score of one metric on one pair dataset."""
@@ -45,24 +42,29 @@ class EvalReport:
 def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
     """Score every pair in row order, then rank-correlate with gold.
 
-    Pairs are scored from the dataset's columns in blocks of rows, one
-    vectorized pass per block, and every score equals ``similarity(kind, u,
-    v)`` of its pair bit for bit.  A row where the per-pair metric may take
-    a branch (``u.v == 0``, a zero denominator or norm, or a non-finite dot
-    or denominator) is scored by ``similarity`` itself, so it gets the same
-    value or raises the same error as a per-pair loop would.
+    Every score equals ``similarity(kind, u, v)`` of its pair bit for bit,
+    and the report equals ``spearman_rho`` of those scores and gold.  The
+    dataset computes its row dots u.v, squared norms |u|^2 and |v|^2 and
+    gold's centered ranks once, on first use, 4n floats kept with it (its
+    columns are read-only, so they cannot go stale); each call reads them
+    and scores all pairs in one vectorized pass.  Only recos sorts the
+    vectors again on every call, in blocks of rows.  A row where the
+    per-pair metric may take a branch (``u.v == 0``, a zero denominator or
+    norm, or a non-finite dot or denominator) is scored by ``similarity``
+    itself, so it gets the same value or raises the same error as a
+    per-pair loop would, before any error about gold.
 
     Deterministic: same dataset and metric always give the same report.
     """
     kind = MetricKind(metric)
-    sims = np.empty(dataset.n)
-    for start in range(0, dataset.n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block, scalar = _similarity_rows(kind, dataset.U[rows], dataset.V[rows])
-        for i in np.flatnonzero(scalar):
-            block[i] = similarity(kind, dataset.U[start + i], dataset.V[start + i])
-        sims[rows] = block
-    rho = spearman_rho(sims, dataset.gold)
+    d = dataset._dots
+    if kind is MetricKind.RECOS:
+        sims, scalar = _similarity_rows(kind, d, sd=_sorted_row_dots(dataset.U, dataset.V, d))
+    else:
+        sims, scalar = _similarity_rows(kind, d, *dataset._squared_norms)
+    for i in np.flatnonzero(scalar):
+        sims[i] = similarity(kind, dataset.U[i], dataset.V[i])
+    rho = _rank_correlation(_centered_ranks(sims), dataset._gold_ranks)
     return EvalReport(
         dataset=dataset.name,
         metric=kind,
@@ -128,7 +130,11 @@ def compare(
         # The same cells in another order: line b's scores up with a's cells.
         scores_b = scores_b[order]
         micro_avg_b = _micro_average(scores_b)
-    diffs = PairedDiffs._from_columns(scores_a - scores_b, col_a.cells, col_a.datasets)
+    # Scores above about 9e307 can differ by more than float64 holds; the
+    # inf that makes is rejected by the tests below as a typed error.
+    with np.errstate(over="ignore"):
+        values = scores_a - scores_b
+    diffs = PairedDiffs._from_columns(values, col_a.cells, col_a.datasets)
     wil = wilcoxon_signed_rank(diffs, alternative)
     sgn = sign_test(diffs, alternative)
     t = paired_t_test(diffs, alternative)

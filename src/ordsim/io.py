@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -42,7 +43,8 @@ from typing import Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
-from .metrics import DenseVector
+from .metrics import DenseVector, _frozen_row_dots
+from .ranks import _centered_ranks
 from .stats import _encode, _micro_average
 
 __all__ = [
@@ -122,6 +124,12 @@ class PairDataset:
     ``V`` of shape (n, dim), whose row i holds pair i.  The constructor
     stacks ``PairRecord``s, which are validated already; ``load_pairs``
     fills the columns straight from the file.
+
+    ``evaluate`` reads three values computed from the columns on first use
+    and then kept, 4n floats in all: the row dots u.v, the squared norms
+    |u|^2 and |v|^2, and the centered ranks of ``gold``.  The columns are
+    read-only, so these never go stale; ``==``, ``hash`` and ``repr`` ignore
+    them.
     """
 
     name: str
@@ -165,6 +173,23 @@ class PairDataset:
     @property
     def n(self) -> int:
         return int(self.gold.size)
+
+    @cached_property
+    def _dots(self) -> np.ndarray:
+        """u.v of every pair, read-only."""
+        return _frozen_row_dots(self.U, self.V)
+
+    @cached_property
+    def _squared_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """u.u and v.v of every pair, read-only; recos needs neither."""
+        return _frozen_row_dots(self.U, self.U), _frozen_row_dots(self.V, self.V)
+
+    @cached_property
+    def _gold_ranks(self) -> tuple[np.ndarray, float]:
+        """``ranks._centered_ranks`` of ``gold``, the array read-only."""
+        ranks, sum_sq = _centered_ranks(self.gold)
+        ranks.setflags(write=False)
+        return ranks, sum_sq
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairDataset):
@@ -300,10 +325,20 @@ def _parse_score_cents(text: str) -> int:
     signed_integer, fraction = match.groups()
     cents = int(signed_integer + (fraction or "").ljust(2, "0"))
     try:
-        cents / 100.0  # ResultsRow.score
+        _cents_to_score(cents)
     except OverflowError:
         raise ValueError(f"score is too large for a float64: {text!r}") from None
     return cents
+
+
+def _cents_to_score(cents: int) -> float:
+    """``cents / 100.0``, the score of a cell.  Where ``float(cents)`` overflows
+    but the score does not (scores above about 1.8e306), the correctly rounded
+    ``cents / 100``.  Raises OverflowError for a score beyond float64."""
+    try:
+        return cents / 100.0
+    except OverflowError:
+        return cents / 100
 
 
 def _format_score_cents(cents: int) -> str:
@@ -347,7 +382,7 @@ class ResultsRow:
 
     @property
     def score(self) -> float:
-        return self.score_cents / 100.0
+        return _cents_to_score(self.score_cents)
 
 
 def _unchecked_row(model: str, method: str, dataset: str, score_cents: int) -> ResultsRow:
@@ -364,7 +399,7 @@ class _MethodColumns(NamedTuple):
     rows: list[int]  # the cells' row numbers in the table
     cells: tuple[tuple[str, str], ...]  # (model, dataset)
     cell_codes: np.ndarray  # one code per (model, dataset) of the table
-    scores: np.ndarray  # read-only float64, score_cents / 100.0
+    scores: np.ndarray  # read-only float64, ResultsRow.score bit for bit
     datasets: np.ndarray  # dataset codes, numbered in this method's first-appearance order
     micro_average: float
 
@@ -375,7 +410,7 @@ class ResultsTable:
 
     A table is kept as columns.  Once, when it is made, it builds each
     method's columns: the method's (model, dataset) cells in file order, a
-    read-only float64 array of their scores (``score_cents / 100.0`` bit for
+    read-only float64 array of their scores (``ResultsRow.score`` bit for
     bit, see ``scores``), dataset codes numbered in the method's own order of
     first appearance, and the micro-average of the scores.  ``compare``
     reads only these.
@@ -438,8 +473,12 @@ class ResultsTable:
             i = int(np.argmax(repeated))
             raise DegenerateInputError(f"duplicate cell {(models[i], methods[i], datasets[i])!r}")
         # fromiter converts each int as float() does, so the division gives
-        # the bits of ResultsRow.score.
-        scores = np.fromiter(cents, np.float64, len(cents)) / 100.0
+        # the bits of ResultsRow.score; it overflows only on a score above
+        # about 1.8e306, and then each score is converted on its own.
+        try:
+            scores = np.fromiter(cents, np.float64, len(cents)) / 100.0
+        except OverflowError:
+            scores = np.fromiter(map(_cents_to_score, cents), np.float64, len(cents))
         columns = {}
         for code, method in enumerate(method_names):
             rows = np.flatnonzero(method_codes == code)

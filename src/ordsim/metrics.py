@@ -276,38 +276,71 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _similarity_rows(
-    kind: MetricKind, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``similarity(kind, a[i], b[i])`` for every row of two (n, d) arrays.
+def _frozen_row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_row_dots`` of two (n, d) arrays as a read-only array, with no
+    warning where a dot overflows."""
+    dots = _row_dots(a, b)
+    dots.setflags(write=False)
+    return dots
 
-    The arrays must hold finite float64 values.  Each value is computed with
-    the dots, sorts and float operations of the scalar metric, in the same
-    order, so it equals the scalar result bit for bit.  The second array
-    marks the rows where the scalar metric may take a branch: ``u.v == 0``,
-    a zero denominator or norm, or a non-finite dot or denominator.  Their
-    values here mean nothing; score them with ``similarity``, which returns
-    or raises exactly what it always does.
-    """
-    d = _row_dots(a, b)
-    if kind is MetricKind.RECOS:
-        sa = np.sort(a, axis=1)
-        sb = np.sort(b, axis=1)
-        neg = d < 0.0
+
+# Rows sorted per pass in ``_sorted_row_dots``.  It caps the two sorted
+# (rows, dim) copies recos makes, whatever the dataset's size.
+_BLOCK_ROWS = 64
+
+
+@np.errstate(all="ignore")
+def _sorted_row_dots(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """recos' sorted dot for every row of two (n, d) arrays whose row dots
+    are ``d``: ``sort_asc(a[i]) . sort(b[i])``, with ``b[i]`` sorted in
+    descending order where ``d[i] < 0``.  Not kept by any caller: it would
+    take as much memory as ``a`` and ``b`` for a value only recos reads."""
+    out = np.empty(d.size)
+    for start in range(0, d.size, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        sa = np.sort(a[rows], axis=1)
+        sb = np.sort(b[rows], axis=1)
+        neg = d[rows] < 0.0
         # A contiguous reversed copy: np.dot copies a reversed view the same way.
         sb[neg] = sb[neg, ::-1]
-        den = np.abs(_row_dots(sa, sb))
-    else:
-        aa = _row_dots(a, a)
-        bb = _row_dots(b, b)
-        if kind is MetricKind.COS:
-            den = np.sqrt(aa) * np.sqrt(bb)
-        elif kind is MetricKind.DECOS:
-            den = 0.5 * (aa + bb)
-        else:
-            den = aa + bb - d
+        out[rows] = _row_dots(sa, sb)
+    return out
+
+
+# Each kind's denominator from the row dot d = u.v, aa = |u|^2, bb = |v|^2
+# and recos' sorted dot sd, with the float operations of the scalar metric in
+# the same order, and whether the quotient d / den is clipped to [-1, 1].
+_ROW_FORMULAS = {
+    MetricKind.RECOS: (lambda d, aa, bb, sd: np.abs(sd), True),
+    MetricKind.COS: (lambda d, aa, bb, sd: np.sqrt(aa) * np.sqrt(bb), True),
+    MetricKind.DECOS: (lambda d, aa, bb, sd: 0.5 * (aa + bb), True),
+    MetricKind.TANIMOTO: (lambda d, aa, bb, sd: aa + bb - d, False),
+}
+
+
+@np.errstate(all="ignore")
+def _similarity_rows(
+    kind: MetricKind,
+    d: np.ndarray,
+    aa: np.ndarray | None = None,
+    bb: np.ndarray | None = None,
+    sd: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``similarity(kind, u_i, v_i)`` for every pair i, from its row dots.
+
+    ``d`` holds each pair's ``_row_dots`` value u.v; recos also needs ``sd``
+    from ``_sorted_row_dots``, and the other kinds ``aa`` = u.u and ``bb`` =
+    v.v.  Each value is computed with the dots and float operations of the
+    scalar metric, in the same order, so it equals the scalar result bit for
+    bit.  The second array marks the rows where the scalar metric may take a
+    branch: ``u.v == 0``, a zero denominator or norm, or a non-finite dot or
+    denominator.  Their values here mean nothing; score them with
+    ``similarity``, which returns or raises exactly what it always does.
+    """
+    denominator, clip = _ROW_FORMULAS[kind]
+    den = denominator(d, aa, bb, sd)
     sims = d / den
-    if kind is not MetricKind.TANIMOTO:
+    if clip:
         sims = np.clip(sims, -1.0, 1.0)
     # A zero dot goes to the scalar path under every kind, not only recos,
     # which branches on it: on one-component vectors np.dot returns the bare

@@ -56,12 +56,21 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
         raise DegenerateInputError(f"length mismatch: {ax.size} vs {ay.size}")
     if ax.size < 2:
         raise DegenerateInputError("spearman_rho requires at least 2 observations")
-    rx = average_ranks(ax)
-    ry = average_ranks(ay)
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    ssx = float(np.dot(dx, dx))
-    ssy = float(np.dot(dy, dy))
+    return _rank_correlation(_centered_ranks(ax), _centered_ranks(ay))
+
+
+def _centered_ranks(x: SequenceLike) -> tuple[np.ndarray, float]:
+    """``average_ranks(x)`` minus their mean, and the sum of their squares."""
+    r = average_ranks(x)
+    dr = r - r.mean()
+    return dr, float(np.dot(dr, dr))
+
+
+def _rank_correlation(
+    x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]
+) -> float:
+    """Spearman's rho from the ``_centered_ranks`` of both sequences."""
+    (dx, ssx), (dy, ssy) = x, y
     if ssx == 0.0 or ssy == 0.0:
         raise DegenerateInputError("spearman_rho is undefined for a constant sequence")
     rho = float(np.dot(dx, dy)) / float(np.sqrt(ssx * ssy))

@@ -270,6 +270,23 @@ class TestCompare:
         assert proc.stderr == f"error: {path}:2: score is too large for a float64: {score!r}\n"
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("score_b", ["1.00", "-150" + "0" * 306], ids=["finite-diffs", "inf-diff"])
+    def test_scores_above_1e306_compare(self, fresh_python, tmp_path, score_b):
+        # 7.5e307 is a finite float64 score; a - b overflows only in the second case.
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f"model,method,dataset,score\nm,a,d1,75{'0' * 306}\nm,b,d1,{score_b}\n"
+            "m,a,d2,2.00\nm,b,d2,1.00\nm,a,d3,3.00\nm,b,d3,1.50\n"
+        )
+        proc = fresh_python("-m", "ordsim", "compare", "--results", str(path), "--a", "a", "--b", "b")
+        assert proc.stderr == ""
+        if score_b == "1.00":
+            assert proc.returncode == 0
+            assert "micro-average a 25" in proc.stdout
+        else:
+            assert proc.returncode == 1
+            assert "differences must be finite" in proc.stdout
+
     def test_csv_output(self, capsys, table2):
         code, out, _ = run_cli(
             capsys, "compare", "--results", table2, "--a", "recos", "--b", "cos",

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordsim.harness
+import ordsim.metrics
+import ordsim.ranks
 import ordsim.stats
 from ordsim import (
     ComparisonReport,
@@ -134,28 +138,36 @@ def _per_pair(ds, kind):
 
 
 def _evaluated(ds, kind):
-    """``evaluate``'s report, with the scores it handed to ``spearman_rho``."""
+    """``evaluate``'s report, with the scores it ranked."""
     seen = []
-    real = ordsim.harness.spearman_rho
+    real = ordsim.harness._centered_ranks
 
-    def spy(x, y):
+    def spy(x):
         seen.append(np.array(x, dtype=np.float64))
-        return real(x, y)
+        return real(x)
 
-    with mock.patch.object(ordsim.harness, "spearman_rho", spy):
+    with mock.patch.object(ordsim.harness, "_centered_ranks", spy):
         report = _outcome(lambda: evaluate(ds, kind))
     return (seen[0] if seen else None), report
 
 
 def _assert_parity(ds):
-    for kind in MetricKind:
-        want_sims, want = _per_pair(ds, kind)
-        got_sims, got = _evaluated(ds, kind)
-        assert got == want, kind
-        if want_sims is None:
-            assert got_sims is None, kind
-        else:
-            assert got_sims.tobytes() == want_sims.tobytes(), kind
+    """Every kind's report and scores equal the per-pair loop's, whatever the
+    dataset has computed and kept: on two fresh datasets with ds's columns,
+    the four kinds run in two orders each, and every kind twice in a row."""
+    want = {kind: _per_pair(ds, kind) for kind in MetricKind}
+    kinds = list(MetricKind)
+    for first in (kinds, kinds[::-1]):
+        fresh = PairDataset._from_columns(ds.name, ds.gold, ds.U, ds.V)
+        for kind in first + first[::-1]:
+            want_sims, want_report = want[kind]
+            for _ in range(2):
+                got_sims, got = _evaluated(fresh, kind)
+                assert got == want_report, kind
+                if want_sims is None:
+                    assert got_sims is None, kind
+                else:
+                    assert got_sims.tobytes() == want_sims.tobytes(), kind
 
 
 def _columns_dataset(gold, U, V):
@@ -226,6 +238,18 @@ class TestBlockParity:
             evaluate(ds, "cos")
         _assert_parity(ds)
 
+    def test_zero_row_errors_come_before_constant_gold(self):
+        gold, U, V = _seeded_columns(29, 100, 4)
+        gold[:] = 2.5
+        U[70] = 0.0
+        ds = _columns_dataset(gold, U, V)
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError, match="cosine is undefined for a zero vector"):
+                evaluate(ds, "cos")
+        with pytest.raises(DegenerateInputError, match="undefined for a constant sequence"):
+            evaluate(ds, "recos")
+        _assert_parity(ds)
+
     def test_overflowing_pair_keeps_scalar_value(self):
         # u.v overflows to inf; the per-pair metrics answer -1.0 for recos.
         gold, U, V = _seeded_columns(17, 66, 2)
@@ -233,6 +257,62 @@ class TestBlockParity:
         ds = _columns_dataset(gold, U, V)
         assert recos(U[65], V[65]) == -1.0
         _assert_parity(ds)
+
+    def test_overflowing_dataset_warns_from_neither_io_nor_harness(self):
+        gold, U, V = _seeded_columns(31, 130, 3)
+        U[100] = V[100] = [1e200, 2e200, -1e200]
+        ds = _columns_dataset(gold, U, V)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for kind in MetricKind:
+                _outcome(lambda: evaluate(ds, kind))  # tanimoto's score is NaN here
+        sources = {Path(w.filename).name for w in caught}
+        assert not sources & {"io.py", "harness.py"}, sources
+
+    def test_each_row_dot_pass_runs_once_per_dataset(self, monkeypatch):
+        gold, U, V = _seeded_columns(37, 150, 20)
+        ds = _columns_dataset(gold, U, V)
+        full, block_rows = [], []
+        real_dots = ordsim.metrics._row_dots
+
+        def counted(a, b):
+            if a.shape[0] == ds.n:
+                full.append((a, b))
+            else:
+                block_rows.append(a.shape[0])
+            return real_dots(a, b)
+
+        ranked = []
+        real_ranks = ordsim.ranks.average_ranks
+
+        def counted_ranks(x):
+            ranked.append(x)
+            return real_ranks(x)
+
+        monkeypatch.setattr(ordsim.metrics, "_row_dots", counted)
+        monkeypatch.setattr(ordsim.ranks, "average_ranks", counted_ranks)
+        for _ in range(2):
+            for kind in MetricKind:
+                evaluate(ds, kind)
+        # One pass each for u.v, u.u and v.v; recos sorts in blocks of at
+        # most 64 rows, every row once per call.
+        assert [(a is ds.U, b is ds.V, a is b) for a, b in full] == [
+            (True, True, False), (True, False, True), (False, True, True)
+        ]
+        assert max(block_rows) <= 64 and sum(block_rows) == 2 * ds.n
+        assert sum(x is ds.gold for x in ranked) == 1 and len(ranked) == 9
+
+    def test_kept_values_are_read_only_and_not_part_of_the_value(self):
+        ds = _columns_dataset(*_seeded_columns(41, 80, 5))
+        twin = PairDataset._from_columns(ds.name, ds.gold.copy(), ds.U.copy(), ds.V.copy())
+        for kind in MetricKind:
+            evaluate(ds, kind)
+        kept = [ds._dots, *ds._squared_norms, ds._gold_ranks[0]]
+        assert not any(arr.flags.writeable for arr in kept)
+        assert "_dots" not in vars(twin)
+        assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
+        evaluate(twin, "cos")
+        assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
 
     def test_clean_rows_never_call_similarity(self):
         ds = _columns_dataset(*_seeded_columns(19, 150, 50))

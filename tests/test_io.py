@@ -3,6 +3,7 @@
 import gzip
 import itertools
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -592,9 +593,10 @@ class TestScoreCents:
     def test_round_trip(self, cents):
         assert _parse_score_cents(_format_score_cents(cents)) == cents
 
+    # The ids name the score; a score rounds to inf from 2^1024 - 2^970 up.
     @pytest.mark.parametrize(
         "cents",
-        [2**1024, -(2**1024), 2**1024 - 2**970, 10**400],
+        [100 * 2**1024, -100 * 2**1024, 100 * (2**1024 - 2**970), 10**400],
         ids=["2^1024", "-2^1024", "halfway-to-2^1024", "10^400"],
     )
     def test_reject_scores_beyond_float64(self, cents):
@@ -604,11 +606,25 @@ class TestScoreCents:
         assert str(err.value) == f"score is too large for a float64: {text!r}"
 
     @pytest.mark.parametrize(
-        "cents", [2**1024 - 2**970 - 1, -(2**1024 - 2**970 - 1)], ids=["max", "-max"]
+        "cents",
+        [100 * (2**1024 - 2**970) - 1, -100 * (2**1024 - 2**970) + 1],
+        ids=["max", "-max"],
     )
     def test_accept_the_largest_scores(self, cents):
-        # The largest cents that round to a finite float64 rather than to inf.
+        # The largest cents whose score rounds to a finite float64 rather than to inf.
         assert _parse_score_cents(_format_score_cents(cents)) == cents
+        largest = sys.float_info.max
+        assert ResultsRow("m", "a", "d", cents).score == (largest if cents > 0 else -largest)
+
+    def test_scores_whose_cents_overflow_a_float_load(self, tmp_path):
+        # float(cents) overflows from a score of about 1.8e306 on, but the
+        # score itself is a finite float64.
+        big = "75" + "0" * 306
+        path = tmp_path / "r.csv"
+        path.write_text(f"model,method,dataset,score\nm,a,d,{big}\nm,a,e,-{big}.50\nm,a,f,1.25\n")
+        table = load_results(path)
+        assert [row.score for row in table.rows] == [7.5e307, -7.5e307, 1.25]
+        assert table.scores("a")[1].tolist() == [7.5e307, -7.5e307, 1.25]
 
     def test_load_rejects_an_oversized_score(self, tmp_path):
         score = "1" + "0" * 400
@@ -640,7 +656,7 @@ class TestResultsTable:
         with pytest.raises(DegenerateInputError):
             ResultsRow("m", "cos", name, 100)
 
-    @pytest.mark.parametrize("cents", [10**400, -(2**1024)], ids=["10^400", "-2^1024"])
+    @pytest.mark.parametrize("cents", [10**400, -100 * 2**1024], ids=["10^400", "-2^1024"])
     def test_row_rejects_an_oversized_score(self, cents):
         with pytest.raises(DegenerateInputError) as err:
             ResultsRow("m", "cos", "STS12", cents)
