@@ -4,115 +4,32 @@ Public surface: the vector type and four metrics (``metrics``), the bound
 chain and its brute-force oracle (``bounds``), fractional ranking and
 Spearman correlation (``ranks``), paired-comparison statistics (``stats``),
 dataset IO with bundled fixtures (``io``), the evaluation harness
-(``harness``), the property self-test (``selftest``) and the CLI (``cli``).
+(``harness``), the property self-test (``selftest``), the error types
+(``errors``) and the CLI (``cli``).
+
+Each module's ``__all__`` is its only export list: the package re-exports
+exactly those names, and its own ``__all__`` is their concatenation.
 """
 
-from .bounds import BoundChain, bound_chain, brute_force_rearrangement, rearrangement_bound
-from .errors import (
-    BoundViolationError,
-    CoverageMismatchError,
-    DatasetFormatError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    InvalidVectorError,
-)
-from .harness import ComparisonReport, EvalReport, compare, evaluate
-from .io import (
-    PairDataset,
-    PairRecord,
-    ResultsRow,
-    ResultsTable,
-    fixture_path,
-    format_vector,
-    load_experts,
-    load_pairs,
-    load_results,
-    parse_vector,
-    save_pairs,
-    save_results,
-)
-from .metrics import (
-    DenseVector,
-    MetricKind,
-    cosine,
-    decos,
-    decos_from_tanimoto,
-    dot,
-    is_oppositely_ordered,
-    is_similarly_ordered,
-    norm,
-    recos,
-    similarity,
-    tanimoto,
-)
-from .ranks import average_ranks, spearman_rho
-from .selftest import SelftestReport, run_selftest
-from .stats import (
-    DescriptiveStats,
-    PairedDiffs,
-    TestResult,
-    benjamini_hochberg,
-    cohens_d_pooled,
-    descriptive_stats,
-    leave_one_dataset_out,
-    paired_t_test,
-    sign_test,
-    wilcoxon_signed_rank,
-)
+from . import bounds, errors, harness, io, metrics, ranks, selftest, stats
+from .bounds import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .io import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .ranks import *  # noqa: F403
+from .selftest import *  # noqa: F403
+from .stats import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundChain",
-    "BoundViolationError",
-    "ComparisonReport",
-    "CoverageMismatchError",
-    "DatasetFormatError",
-    "DegenerateInputError",
-    "DenseVector",
-    "DescriptiveStats",
-    "DimensionMismatchError",
-    "EvalReport",
-    "InvalidVectorError",
-    "MetricKind",
-    "PairDataset",
-    "PairRecord",
-    "PairedDiffs",
-    "ResultsRow",
-    "ResultsTable",
-    "SelftestReport",
-    "TestResult",
-    "average_ranks",
-    "benjamini_hochberg",
-    "bound_chain",
-    "brute_force_rearrangement",
-    "cohens_d_pooled",
-    "compare",
-    "cosine",
-    "decos",
-    "decos_from_tanimoto",
-    "descriptive_stats",
-    "dot",
-    "evaluate",
-    "fixture_path",
-    "format_vector",
-    "is_oppositely_ordered",
-    "is_similarly_ordered",
-    "leave_one_dataset_out",
-    "load_experts",
-    "load_pairs",
-    "load_results",
-    "norm",
-    "paired_t_test",
-    "parse_vector",
-    "rearrangement_bound",
-    "recos",
-    "run_selftest",
-    "save_pairs",
-    "save_results",
-    "sign_test",
-    "similarity",
-    "spearman_rho",
-    "tanimoto",
-    "wilcoxon_signed_rank",
+    *bounds.__all__,
+    *errors.__all__,
+    *harness.__all__,
+    *io.__all__,
+    *metrics.__all__,
+    *ranks.__all__,
+    *selftest.__all__,
+    *stats.__all__,
 ]

@@ -19,10 +19,10 @@ from typing import Sequence
 
 from .bounds import bound_chain
 from .errors import (
-    _TYPED_ERRORS,
     DegenerateInputError,
     DimensionMismatchError,
     InvalidVectorError,
+    OrdsimError,
 )
 from .harness import ComparisonReport, compare, evaluate
 from .io import _check_results_field, load_pairs, load_results, parse_vector
@@ -325,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (*_TYPED_ERRORS, ArithmeticError) as exc:
+    except (OrdsimError, ArithmeticError) as exc:
         # An ArithmeticError is float arithmetic the library does not guard
         # yet, such as a norm product that underflows to zero.
         print(f"error: {exc}", file=sys.stderr)

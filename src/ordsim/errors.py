@@ -1,21 +1,36 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so callers that do not care about the
-distinction can catch one base class.
+Every error ordsim raises for bad input or an undefined result derives
+from ``OrdsimError``, itself a ValueError, so callers that do not care
+about the distinction can catch one base class.
 """
 
 from __future__ import annotations
 
+__all__ = [
+    "OrdsimError",
+    "InvalidVectorError",
+    "DimensionMismatchError",
+    "DegenerateInputError",
+    "BoundViolationError",
+    "DatasetFormatError",
+    "CoverageMismatchError",
+]
 
-class InvalidVectorError(ValueError):
+
+class OrdsimError(ValueError):
+    """Base of every typed ordsim error."""
+
+
+class InvalidVectorError(OrdsimError):
     """A vector literal or array is malformed (empty, non-1d, or non-finite)."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(OrdsimError):
     """Two vectors that must share a dimension do not."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(OrdsimError):
     """Input is structurally valid but the operation is undefined on it.
 
     Examples: cosine of a zero vector, rank correlation of a constant
@@ -23,11 +38,11 @@ class DegenerateInputError(ValueError):
     """
 
 
-class BoundViolationError(ValueError):
+class BoundViolationError(OrdsimError):
     """A bound chain was constructed with values that break the ordering."""
 
 
-class DatasetFormatError(ValueError):
+class DatasetFormatError(OrdsimError):
     """A dataset file does not conform to its documented CSV schema.
 
     Carries the 1-based line number of the offending record when one exists.
@@ -38,16 +53,6 @@ class DatasetFormatError(ValueError):
         self.line = line
 
 
-class CoverageMismatchError(ValueError):
+class CoverageMismatchError(OrdsimError):
     """Two methods under comparison do not cover the same (model, dataset) cells."""
 
-
-# Every typed error above, for callers that report any of them the same way.
-_TYPED_ERRORS = (
-    InvalidVectorError,
-    DimensionMismatchError,
-    DegenerateInputError,
-    BoundViolationError,
-    DatasetFormatError,
-    CoverageMismatchError,
-)

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CoverageMismatchError
+from .errors import CoverageMismatchError, InvalidVectorError
 from .io import PairDataset, ResultsTable
 from .metrics import MetricKind, _similarity_rows, _sorted_row_dots, similarity
 # evaluate ranks through the private pair; spearman_rho stays importable
@@ -52,7 +52,8 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
     per-pair metric may take a branch (``u.v == 0``, a zero denominator or
     norm, or a non-finite dot or denominator) is scored by ``similarity``
     itself, so it gets the same value or raises the same error as a
-    per-pair loop would, before any error about gold.
+    per-pair loop would, before any error about gold.  A score that is not
+    finite cannot be ranked: InvalidVectorError names its row and value.
 
     Deterministic: same dataset and metric always give the same report.
     """
@@ -64,7 +65,16 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
         sims, scalar = _similarity_rows(kind, d, *dataset._squared_norms)
     for i in np.flatnonzero(scalar):
         sims[i] = similarity(kind, dataset.U[i], dataset.V[i])
-    rho = _rank_correlation(_centered_ranks(sims), dataset._gold_ranks)
+    try:
+        ranks = _centered_ranks(sims)
+    except InvalidVectorError:
+        # The ranker rejects a non-finite score; name the pair that made it.
+        i = int(np.argmin(np.isfinite(sims)))
+        raise InvalidVectorError(
+            f"{kind.value} score of row {i} of dataset {dataset.name!r} "
+            f"is not finite: {float(sims[i])!r}"
+        ) from None
+    rho = _rank_correlation(ranks, dataset._gold_ranks)
     return EvalReport(
         dataset=dataset.name,
         metric=kind,

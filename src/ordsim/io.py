@@ -415,15 +415,17 @@ class ResultsTable:
     first appearance, and the micro-average of the scores.  ``compare``
     reads only these.
 
-    ``rows`` is the table's value: ``==``, ``hash`` and ``repr`` read it and
-    nothing else.  A table that ``load_results`` made builds its rows on
-    first access and keeps them.
+    ``rows`` is the table's value, kept as a tuple whatever sequence made
+    it: ``==``, ``hash`` and ``repr`` read it and nothing else.  A table
+    that ``load_results`` made builds its rows on first access and keeps
+    them.
     """
 
     rows: tuple[ResultsRow, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        rows = self.rows
+        rows = tuple(self.rows)
+        object.__setattr__(self, "rows", rows)
         self._set_columns(
             [row.model for row in rows],
             [row.method for row in rows],

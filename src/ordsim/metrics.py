@@ -33,7 +33,6 @@ __all__ = [
     "DenseVector",
     "MetricKind",
     "VectorLike",
-    "ZERO_DENOMINATOR_GUARD",
     "dot",
     "norm",
     "recos",
@@ -46,10 +45,13 @@ __all__ = [
     "is_oppositely_ordered",
 ]
 
-# Substituted for a sorted-product denominator that is exactly zero.  That
-# can only happen when the numerator u.v is also zero, so the quotient is 0
-# either way; the guard just avoids a 0/0.
-ZERO_DENOMINATOR_GUARD = 1e-6
+# Substituted for a sorted-product denominator that is exactly zero while
+# u.v is not.  In exact arithmetic |u.v| <= the sorted product, but the two
+# sums round apart: in recos([1e16, -1e16, 1.0], [1.0, 1.0, 1.0]) u.v is 1.0
+# and the sorted product cancels to 0.0, so this guard decides the value.
+# That value can be wrong: scaled to u = [1e-4, -1e-4, 1e-20], recos gives
+# 0.738 where the true value is 1.
+_ZERO_DENOMINATOR_GUARD = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +208,8 @@ def recos(u: VectorLike, v: VectorLike) -> float:
     if d == 0.0:
         return 0.0
     den = _rearrangement(a, b, d)
-    if den == 0.0:  # unreachable when d != 0; kept as a division guard
-        den = ZERO_DENOMINATOR_GUARD
+    if den == 0.0:  # cancellation in the sorted product; see the guard
+        den = _ZERO_DENOMINATOR_GUARD
     return _clip_unit(d / den)
 
 

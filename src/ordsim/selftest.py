@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_chain, brute_force_rearrangement, rearrangement_bound
-from .errors import _TYPED_ERRORS, BoundViolationError
+from .errors import BoundViolationError, OrdsimError
 from .metrics import cosine, decos, decos_from_tanimoto, recos, tanimoto
 
 __all__ = ["PropertyResult", "SelftestReport", "run_selftest"]
@@ -208,7 +208,7 @@ def run_selftest(seed: int = 42, trials: int = 1000) -> SelftestReport:
             d = dims[i % len(dims)]
             try:
                 msg, u, v = trial(rng, i, d)
-            except _TYPED_ERRORS as exc:
+            except OrdsimError as exc:
                 msg, u = f"{type(exc).__name__}: {exc}", None
             if msg is None:
                 continue

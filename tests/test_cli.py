@@ -217,6 +217,18 @@ class TestBench:
         assert code == 1
         assert "error:" in err
 
+    def test_non_finite_score_is_data_error(self, capsys, tmp_path):
+        rng = np.random.default_rng(191)
+        U = rng.standard_normal((10, 3))
+        V = rng.standard_normal((10, 3))
+        U[4] = V[4] = [1e200, 2e200, -1e200]
+        path = tmp_path / "wide.csv"
+        save_pairs(PairDataset._from_columns("wide", np.arange(10.0), U, V), path)
+        code, out, err = run_cli(capsys, "bench", "--pairs", str(path), "--metric", "tanimoto")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tanimoto score of row 4 of dataset 'wide' is not finite: nan\n"
+
 
 class TestCompare:
     def test_published_table_summary(self, capsys, table2):

@@ -21,6 +21,7 @@ from ordsim import (
     DegenerateInputError,
     DenseVector,
     EvalReport,
+    InvalidVectorError,
     MetricKind,
     PairDataset,
     PairedDiffs,
@@ -114,6 +115,17 @@ class TestEvaluate:
         with pytest.raises(DegenerateInputError):
             evaluate(ds, "cos")
 
+    def test_non_finite_score_names_its_row(self):
+        # tanimoto's aa + bb - d is inf - inf on row 4, so its score is NaN.
+        rng = np.random.default_rng(181)
+        U = rng.standard_normal((10, 3))
+        V = rng.standard_normal((10, 3))
+        U[4] = V[4] = [1e200, 2e200, -1e200]
+        ds = PairDataset._from_columns("wide", np.arange(10.0), U, V)
+        with pytest.raises(InvalidVectorError) as err:
+            evaluate(ds, "tanimoto")
+        assert str(err.value) == "tanimoto score of row 4 of dataset 'wide' is not finite: nan"
+
 
 def _outcome(run):
     """What ``run()`` returns, or the type and message of what it raises."""
@@ -130,6 +142,13 @@ def _per_pair(ds, kind):
     def run():
         for u, v in zip(ds.U, ds.V):
             sims.append(similarity(kind, u, v))
+        # evaluate names the first pair whose score cannot be ranked.
+        bad = [i for i, s in enumerate(sims) if not math.isfinite(s)]
+        if bad:
+            raise InvalidVectorError(
+                f"{MetricKind(kind).value} score of row {bad[0]} of dataset "
+                f"{ds.name!r} is not finite: {sims[bad[0]]!r}"
+            )
         rho = spearman_rho(sims, ds.gold)
         return EvalReport(ds.name, MetricKind(kind), 100.0 * rho, ds.n)
 

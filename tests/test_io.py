@@ -669,6 +669,13 @@ class TestResultsTable:
         with pytest.raises(DegenerateInputError, match="duplicate"):
             ResultsTable((row, row))
 
+    def test_rows_given_as_a_list_are_kept_as_a_tuple(self):
+        rows = [ResultsRow("m1", "cos", "D1", 5028), ResultsRow("m2", "cos", "D1", -31)]
+        from_list, from_tuple = ResultsTable(rows), ResultsTable(tuple(rows))
+        assert from_list.rows == tuple(rows)
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+
     def test_round_trip(self, tmp_path):
         table = ResultsTable(
             (

@@ -200,6 +200,12 @@ class TestRecos:
                 v = -v  # exercise the negative-dot branch
             assert recos(u, v) == pytest.approx(reference(u, v), abs=1e-12)
 
+    def test_cancelled_denominator_stays_in_range(self):
+        # u.v is 1.0 but the sorted product can cancel to 0.0: then the
+        # zero-denominator guard decides the value, which must still be in range.
+        r = recos([1e16, -1e16, 1.0], [1.0, 1.0, 1.0])
+        assert -1.0 <= r <= 1.0
+
     @given(vector_pairs())
     @settings(max_examples=200)
     def test_symmetry(self, pair):
