@@ -43,7 +43,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
-from .metrics import DenseVector, _frozen_row_dots
+from .metrics import DenseVector, _frozen_row_dots, _sorted_row_dots
 from .ranks import _centered_ranks
 from .stats import _encode, _micro_average
 
@@ -125,11 +125,13 @@ class PairDataset:
     stacks ``PairRecord``s, which are validated already; ``load_pairs``
     fills the columns straight from the file.
 
-    ``evaluate`` reads three values computed from the columns on first use
-    and then kept, 4n floats in all: the row dots u.v, the squared norms
-    |u|^2 and |v|^2, and the centered ranks of ``gold``.  The columns are
-    read-only, so these never go stale; ``==``, ``hash`` and ``repr`` ignore
-    them.
+    ``evaluate`` reads four values computed from the columns on first use
+    by a kind that needs them and then kept, 5n floats in all: the row dots
+    u.v, the squared norms |u|^2 and |v|^2, recos' sorted dots and the
+    centered ranks of ``gold``.  ``==``, ``hash`` and ``repr`` ignore them.
+    They never go stale because the columns cannot change: each is a view
+    of an array made read-only, so its writes cannot be enabled again.
+    Writing through a column's ``.base`` is unsupported.
     """
 
     name: str
@@ -164,8 +166,7 @@ class PairDataset:
         return dataset
 
     def _set_columns(self, name: str, gold: np.ndarray, U: np.ndarray, V: np.ndarray) -> None:
-        for column in (gold, U, V):
-            column.setflags(write=False)
+        gold, U, V = map(_frozen_view, (gold, U, V))
         fields = {"name": name, "dim": U.shape[1], "gold": gold, "U": U, "V": V}
         for attr, value in fields.items():
             object.__setattr__(self, attr, value)
@@ -183,6 +184,13 @@ class PairDataset:
     def _squared_norms(self) -> tuple[np.ndarray, np.ndarray]:
         """u.u and v.v of every pair, read-only; recos needs neither."""
         return _frozen_row_dots(self.U, self.U), _frozen_row_dots(self.V, self.V)
+
+    @cached_property
+    def _sorted_dots(self) -> np.ndarray:
+        """recos' sorted dot of every pair, read-only; no other kind needs it."""
+        sorted_dots = _sorted_row_dots(self.U, self.V, self._dots)
+        sorted_dots.setflags(write=False)
+        return sorted_dots
 
     @cached_property
     def _gold_ranks(self) -> tuple[np.ndarray, float]:
@@ -203,6 +211,20 @@ class PairDataset:
 
     def __hash__(self) -> int:
         return hash((self.name, self.dim, tuple(self.gold.tolist())))
+
+
+def _frozen_view(column: np.ndarray) -> np.ndarray:
+    """A read-only view of ``column`` whose writes cannot be enabled again.
+
+    The array that owns the data is made read-only too: numpy lets a view
+    become writable only while an array it is a view of is writable.
+    """
+    owner = column
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    owner.setflags(write=False)
+    column.setflags(write=False)
+    return column.view()
 
 
 def _pair_header(dim: int) -> str:

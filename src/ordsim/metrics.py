@@ -140,7 +140,9 @@ def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray, float]:
     # Checked arrays of equal size and their dot d = a.b, which every pair
     # function needs.  A finite d certifies both operands: an inf or NaN
     # component makes its product, and so the sum, inf or NaN.  If any step
-    # of the fast path fails or d is not finite, the full checks run in order.
+    # of the fast path fails or d is not finite, the full checks run in order;
+    # if they pass, the fast path's d is the dot of the same arrays.
+    d = None
     try:
         a, b = _operand(u), _operand(v)
         if a.ndim == b.ndim == 1 and a.size == b.size > 0:
@@ -152,7 +154,7 @@ def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray, float]:
     a, b = _vector(u), _vector(v)
     if a.size != b.size:
         raise DimensionMismatchError(f"dimension mismatch: {a.size} vs {b.size}")
-    return a, b, float(a.dot(b))
+    return a, b, float(a.dot(b)) if d is None else d
 
 
 def _clip_unit(x: float) -> float:
@@ -295,8 +297,9 @@ _BLOCK_ROWS = 64
 def _sorted_row_dots(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
     """recos' sorted dot for every row of two (n, d) arrays whose row dots
     are ``d``: ``sort_asc(a[i]) . sort(b[i])``, with ``b[i]`` sorted in
-    descending order where ``d[i] < 0``.  Not kept by any caller: it would
-    take as much memory as ``a`` and ``b`` for a value only recos reads."""
+    descending order where ``d[i] < 0``.  The sorted copies are made one
+    block of rows at a time and never kept, since together they take as
+    much memory as ``a`` and ``b``; ``PairDataset`` keeps the n results."""
     out = np.empty(d.size)
     for start in range(0, d.size, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)

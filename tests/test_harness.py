@@ -314,11 +314,11 @@ class TestBlockParity:
             for kind in MetricKind:
                 evaluate(ds, kind)
         # One pass each for u.v, u.u and v.v; recos sorts in blocks of at
-        # most 64 rows, every row once per call.
+        # most 64 rows, every row once per dataset.
         assert [(a is ds.U, b is ds.V, a is b) for a, b in full] == [
             (True, True, False), (True, False, True), (False, True, True)
         ]
-        assert max(block_rows) <= 64 and sum(block_rows) == 2 * ds.n
+        assert max(block_rows) <= 64 and sum(block_rows) == ds.n
         assert sum(x is ds.gold for x in ranked) == 1 and len(ranked) == 9
 
     def test_kept_values_are_read_only_and_not_part_of_the_value(self):
@@ -326,12 +326,21 @@ class TestBlockParity:
         twin = PairDataset._from_columns(ds.name, ds.gold.copy(), ds.U.copy(), ds.V.copy())
         for kind in MetricKind:
             evaluate(ds, kind)
-        kept = [ds._dots, *ds._squared_norms, ds._gold_ranks[0]]
+        kept = [ds._dots, *ds._squared_norms, ds._sorted_dots, ds._gold_ranks[0]]
         assert not any(arr.flags.writeable for arr in kept)
         assert "_dots" not in vars(twin)
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
         evaluate(twin, "cos")
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_each_kind_keeps_only_what_it_reads(self, kind):
+        # recos needs no norms and the other kinds no sort, so a fresh
+        # dataset scored once by one kind does no work for another.
+        ds = _columns_dataset(*_seeded_columns(43, 70, 5))
+        evaluate(ds, kind)
+        unread = "_squared_norms" if kind is MetricKind.RECOS else "_sorted_dots"
+        assert unread not in vars(ds)
 
     def test_clean_rows_never_call_similarity(self):
         ds = _columns_dataset(*_seeded_columns(19, 150, 50))

@@ -157,6 +157,22 @@ class TestColumns:
         self._assert_columns_of(ds, records)
         assert _records_of(ds) == records
 
+    @pytest.mark.parametrize("source", ["records", "file"])
+    def test_columns_cannot_be_made_writable(self, source, tmp_path):
+        # The values a dataset keeps are computed from its columns, so a
+        # column that could be written again would leave them stale.
+        records = self._records()
+        ds = PairDataset("synth", 3, records)
+        if source == "file":
+            save_pairs(ds, tmp_path / "pairs.csv")
+            ds = load_pairs(tmp_path / "pairs.csv", name="synth")
+        for column in (ds.gold, ds.U, ds.V):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                column.setflags(write=True)
+        self._assert_columns_of(ds, records)
+        same = PairDataset("synth", 3, records)
+        assert ds == same and hash(ds) == hash(same)
+
 
 class TestPairsRoundTrip:
     def test_save_load_exact(self, tmp_path):

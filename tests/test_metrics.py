@@ -1,7 +1,9 @@
 """Metric kernels: golden values, algebraic properties, ordinal predicates."""
 
 import dataclasses
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -573,6 +575,22 @@ class TestInputForms:
             checked.clear()
             f(huge, huge)  # a finite pair whose dot overflows
             assert len(checked) == 2, f
+
+    def test_an_overflowing_dot_is_taken_once(self):
+        # The full checks pass on this pair, and the fast path's dot stands:
+        # the dot is not taken again, so numpy warns about it once.
+        lines, first = inspect.getsourcelines(ordsim.metrics._pair)
+        in_pair = range(first, first + len(lines))
+        huge = np.array([1e200, 2e200])
+        for f in PAIR_FUNCS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                outcome(f, huge, huge)
+            from_pair = [
+                w for w in caught
+                if w.filename == ordsim.metrics.__file__ and w.lineno in in_pair
+            ]
+            assert len(from_pair) == 1, f
 
 
 FINITE_MESSAGE = "vector components must be finite"
