@@ -217,11 +217,15 @@ def _frozen_view(column: np.ndarray) -> np.ndarray:
     """A read-only view of ``column`` whose writes cannot be enabled again.
 
     The array that owns the data is made read-only too: numpy lets a view
-    become writable only while an array it is a view of is writable.
+    become writable only while an array it is a view of is writable.  A
+    column over memory that no array owns (``np.frombuffer`` of a
+    ``bytearray``, say) is copied first, since that memory cannot be frozen.
     """
     owner = column
     while isinstance(owner.base, np.ndarray):
         owner = owner.base
+    if owner.base is not None:
+        column = owner = column.copy()
     owner.setflags(write=False)
     column.setflags(write=False)
     return column.view()

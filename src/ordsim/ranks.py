@@ -27,20 +27,29 @@ def _as_array(x: SequenceLike, name: str) -> np.ndarray:
 def average_ranks(x: SequenceLike) -> np.ndarray:
     """1-based ranks with ties assigned the average of their positions.
 
-    The ranks of n values always sum to n(n+1)/2.
+    The ranks of n values always sum to n(n+1)/2.  The sort need not be
+    stable: every member of a group of equal values (``0.0`` and ``-0.0``
+    included) gets the group's average rank, so the order of tied values
+    within the sort changes no rank.  Without ties the ranks are the sorted
+    positions 1..n; the group averages are built only when ties exist.
     """
     arr = _as_array(x, "x")
     n = arr.size
-    order = np.argsort(arr, kind="stable")
+    order = np.argsort(arr)
     sorted_vals = arr[order]
-    boundaries = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
-    starts = np.flatnonzero(boundaries)
-    counts = np.diff(np.append(starts, n))
-    # Group occupying 1-based positions start+1 .. start+count averages to
-    # start + (count + 1) / 2.
-    group_rank = starts + (counts + 1) / 2.0
+    ties = sorted_vals[1:] == sorted_vals[:-1]
+    if ties.any():
+        boundaries = np.concatenate(([True], ~ties))
+        starts = np.flatnonzero(boundaries)
+        counts = np.diff(np.append(starts, n))
+        # Group occupying 1-based positions start+1 .. start+count averages to
+        # start + (count + 1) / 2.
+        group_rank = starts + (counts + 1) / 2.0
+        positions = group_rank[np.cumsum(boundaries) - 1]
+    else:
+        positions = np.arange(1.0, n + 1.0)
     ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = group_rank[np.cumsum(boundaries) - 1]
+    ranks[order] = positions
     return ranks
 
 
@@ -60,9 +69,12 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
 
 
 def _centered_ranks(x: SequenceLike) -> tuple[np.ndarray, float]:
-    """``average_ranks(x)`` minus their mean, and the sum of their squares."""
+    """``average_ranks(x)`` minus their mean, and the sum of their squares.
+
+    The mean of any n average ranks is exactly (n + 1) / 2.
+    """
     r = average_ranks(x)
-    dr = r - r.mean()
+    dr = r - (r.size + 1) / 2.0
     return dr, float(np.dot(dr, dr))
 
 

@@ -72,6 +72,26 @@ def _rank_then_pearson(sims, golds):
     return num / math.sqrt(da * db)
 
 
+def _stable_sort_rho(x, y):
+    """Reference spearman_rho: average ranks from a stable sort with tie
+    groups built on every call, centered by their mean."""
+
+    def centered(xs):
+        order = np.argsort(xs, kind="stable")
+        sorted_vals = xs[order]
+        boundaries = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
+        starts = np.flatnonzero(boundaries)
+        counts = np.diff(np.append(starts, xs.size))
+        ranks = np.empty(xs.size)
+        ranks[order] = (starts + (counts + 1) / 2.0)[np.cumsum(boundaries) - 1]
+        dr = ranks - ranks.mean()
+        return dr, float(np.dot(dr, dr))
+
+    (dx, ssx), (dy, ssy) = centered(x), centered(y)
+    rho = float(np.dot(dx, dy)) / float(np.sqrt(ssx * ssy))
+    return min(1.0, max(-1.0, rho))
+
+
 class TestEvaluate:
     def test_perfect_agreement(self):
         rng = np.random.default_rng(163)
@@ -114,6 +134,24 @@ class TestEvaluate:
         ds = _dataset_from_sims([1.0, 2.0, 3.0], pairs)
         with pytest.raises(DegenerateInputError):
             evaluate(ds, "cos")
+
+    def test_reports_match_the_stable_sort_ranker(self):
+        # 500 pairs at d=768 with 0-10 gold in steps of 0.1 (so gold ties),
+        # built as the eval-d768 benchmark workload builds its dataset.
+        rng = np.random.default_rng(768)
+        n, d = 500, 768
+        U = rng.standard_normal((n, d))
+        sign = np.where(rng.random((n, 1)) < 0.25, -1.0, 1.0)
+        V = sign * U + rng.uniform(0.2, 3.0, (n, 1)) * rng.standard_normal((n, d))
+        cos = np.einsum("ij,ij->i", U, V) / (
+            np.linalg.norm(U, axis=1) * np.linalg.norm(V, axis=1)
+        )
+        gold = np.round(5.0 + 5.0 * np.clip(cos + rng.normal(0.0, 0.1, n), -1.0, 1.0), 1)
+        ds = PairDataset._from_columns("eval", gold, U, V)
+        for kind in MetricKind:
+            sims = np.array([similarity(kind, u, v) for u, v in zip(U, V)])
+            want = 100.0 * _stable_sort_rho(sims, gold)
+            assert evaluate(ds, kind).rho_x100.hex() == want.hex()
 
     def test_non_finite_score_names_its_row(self):
         # tanimoto's aa + bb - d is inf - inf on row 4, so its score is NaN.

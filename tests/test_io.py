@@ -173,6 +173,33 @@ class TestColumns:
         same = PairDataset("synth", 3, records)
         assert ds == same and hash(ds) == hash(same)
 
+    def test_columns_over_memory_numpy_does_not_own_are_copied(self):
+        # A bytearray's memory cannot be frozen through numpy, so a view of
+        # it could be made writable again; the dataset keeps a copy instead.
+        buffers = [bytearray(np.arange(k, dtype=np.float64).tobytes()) for k in (2, 6, 6)]
+        gold, U, V = (np.frombuffer(b, np.float64) for b in buffers)
+        ds = PairDataset._from_columns("buffered", gold, U.reshape(2, 3), V.reshape(2, 3))
+        for column, buffer in zip((ds.gold, ds.U, ds.V), buffers):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                column.setflags(write=True)
+            assert not np.shares_memory(column, np.frombuffer(buffer, np.float64))
+        before = ds._dots.copy()
+        buffers[1][:8] = np.float64(100.0).tobytes()
+        assert ds.U[0, 0] == 0.0 and np.array_equal(ds._dots, before)
+
+    @pytest.mark.parametrize("source", ["records", "file"])
+    def test_columns_are_frozen_without_a_copy(self, source, tmp_path):
+        # Both constructors build columns over arrays that own their memory,
+        # which _frozen_view freezes in place.
+        ds = PairDataset("synth", 3, self._records())
+        if source == "file":
+            save_pairs(ds, tmp_path / "pairs.csv")
+            ds = load_pairs(tmp_path / "pairs.csv")
+        for column in (ds.gold, ds.U, ds.V):
+            owner = column
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            assert owner.base is None and owner.flags.owndata
 
 class TestPairsRoundTrip:
     def test_save_load_exact(self, tmp_path):

@@ -1,6 +1,7 @@
 """Ranking and Spearman correlation against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordsim import DegenerateInputError, InvalidVectorError, average_ranks, spearman_rho
+from ordsim.ranks import _centered_ranks
 
 
 def _ranks_quadratic(xs):
@@ -19,6 +21,28 @@ def _ranks_quadratic(xs):
         equal = sum(1 for x in xs if x == xi)
         out.append(less + (equal + 1) / 2)
     return out
+
+
+def _stable_sort_ranks(xs):
+    # Reference ranker: a stable sort, with tie groups built on every call.
+    arr = np.asarray(xs, dtype=np.float64)
+    n = arr.size
+    order = np.argsort(arr, kind="stable")
+    sorted_vals = arr[order]
+    boundaries = np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
+    starts = np.flatnonzero(boundaries)
+    counts = np.diff(np.append(starts, n))
+    group_rank = starts + (counts + 1) / 2.0
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = group_rank[np.cumsum(boundaries) - 1]
+    return ranks
+
+
+def _stable_sort_centered_ranks(xs):
+    # Reference ``_centered_ranks``: the ranks above minus their mean.
+    r = _stable_sort_ranks(xs)
+    dr = r - r.mean()
+    return dr, float(np.dot(dr, dr))
 
 
 def _pearson_fsum(a, b):
@@ -39,6 +63,8 @@ def _spearman_oracle(x, y):
 values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+# Every finite float64, subnormals included.
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
 class TestAverageRanks:
@@ -53,6 +79,13 @@ class TestAverageRanks:
 
     def test_single_value(self):
         assert average_ranks([5.0]).tolist() == [1.0]
+
+    def test_extreme_values_raise_no_warning(self):
+        xs = [5e-324, 0.0, -0.0, 1.7e308, -1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert average_ranks(xs).tolist() == [4.0, 2.5, 2.5, 5.0, 1.0]
+            assert _centered_ranks(xs)[1] == 9.5
 
     @pytest.mark.parametrize("bad", [[], [float("nan")], [1.0, float("inf")]])
     def test_rejects_malformed(self, bad):
@@ -70,9 +103,8 @@ class TestAverageRanks:
     @given(st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=30))
     @settings(max_examples=300)
     def test_matches_quadratic_oracle(self, xs):
-        assert average_ranks(xs).tolist() == pytest.approx(
-            _ranks_quadratic(xs), abs=1e-12
-        )
+        # Average ranks are half-integers, so they match exactly.
+        assert average_ranks(xs).tolist() == _ranks_quadratic(xs)
 
     def test_matches_scipy_rankdata(self):
         rng = np.random.default_rng(73)
@@ -80,7 +112,52 @@ class TestAverageRanks:
             n = int(rng.integers(1, 60))
             xs = np.round(rng.standard_normal(n), 1)
             expected = scipy.stats.rankdata(xs, method="average")
-            assert average_ranks(xs).tolist() == pytest.approx(expected.tolist(), abs=0)
+            assert average_ranks(xs).tobytes() == expected.tobytes()
+
+
+class TestMatchesStableSortRanker:
+    """Bit for bit the ranks of the stable-sort ranker, on every input."""
+
+    def _assert_same(self, xs):
+        assert average_ranks(xs).tobytes() == _stable_sort_ranks(xs).tobytes()
+        dr, sum_sq = _centered_ranks(xs)
+        ref_dr, ref_sum_sq = _stable_sort_centered_ranks(xs)
+        assert dr.tobytes() == ref_dr.tobytes()
+        assert sum_sq.hex() == ref_sum_sq.hex()
+
+    @given(st.lists(finite, min_size=1, max_size=600, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_tie_free(self, xs):
+        self._assert_same(xs)
+
+    @given(
+        st.lists(finite, min_size=1, max_size=4).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=600)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_heavy_ties(self, xs):
+        self._assert_same(xs)
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]), max_size=60
+        ).flatmap(lambda xs: st.permutations(xs + [0.0, -0.0]))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_signed_zeros_tie(self, xs):
+        ranks = average_ranks(xs)
+        zeros = [i for i, x in enumerate(xs) if x == 0.0]
+        assert len(set(ranks[zeros].tolist())) == 1
+        self._assert_same(xs)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 17, 500, 5000])
+    def test_seeded_sizes(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        self._assert_same(x)
+        self._assert_same(np.round(x, 1))
+        self._assert_same(np.full(n, 0.25))
 
 
 class TestSpearman:
