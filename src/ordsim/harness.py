@@ -114,7 +114,9 @@ def compare(
 
     The comparison reads the columns the table built once per method: cell
     codes, the score array, dataset codes and the micro-average.  The
-    tests run in a's cell order; b's scores are reordered to it if needed.
+    tests run in a's cell order; b's scores are reordered to it if needed,
+    and the leave-one-dataset-out test reads the blocks the table keeps for
+    a's dataset codes.
     """
     col_a = results._method_columns(a)
     col_b = results._method_columns(b)

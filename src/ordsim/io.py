@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
 from .metrics import DenseVector, _frozen_row_dots, _sorted_row_dots
 from .ranks import _centered_ranks
-from .stats import _encode, _micro_average
+from .stats import _encode, _LodoIndex, _micro_average
 
 __all__ = [
     "PairRecord",
@@ -426,7 +426,7 @@ class _MethodColumns(NamedTuple):
     cells: tuple[tuple[str, str], ...]  # (model, dataset)
     cell_codes: np.ndarray  # one code per (model, dataset) of the table
     scores: np.ndarray  # read-only float64, ResultsRow.score bit for bit
-    datasets: np.ndarray  # dataset codes, numbered in this method's first-appearance order
+    datasets: _LodoIndex  # dataset codes, numbered in this method's first-appearance order
     micro_average: float
 
 
@@ -439,7 +439,9 @@ class ResultsTable:
     read-only float64 array of their scores (``ResultsRow.score`` bit for
     bit, see ``scores``), dataset codes numbered in the method's own order of
     first appearance, and the micro-average of the scores.  ``compare``
-    reads only these.
+    reads only these.  A method's first leave-one-dataset-out test builds
+    its blocks over the dataset codes, and the table keeps them, read-only,
+    while they hold at most ``stats._LODO_BLOCK_CELLS`` entries.
 
     ``rows`` is the table's value, kept as a tuple whatever sequence made
     it: ``==``, ``hash`` and ``repr`` read it and nothing else.  A table
@@ -520,7 +522,7 @@ class ResultsTable:
                 ),
                 cell_codes=cell_codes[rows],
                 scores=method_scores,
-                datasets=_encode(dataset_codes[rows].tolist())[1],
+                datasets=_LodoIndex(dataset_codes[rows].tolist()),
                 micro_average=_micro_average(method_scores),
             )
         object.__setattr__(self, "_names", (model_names, method_names, dataset_names))

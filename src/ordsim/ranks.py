@@ -14,7 +14,10 @@ SequenceLike = Union[Sequence[float], np.ndarray]
 
 
 def _as_array(x: SequenceLike, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidVectorError(f"{name} must be numeric: {exc}") from None
     if arr.ndim != 1:
         raise InvalidVectorError(f"{name} must be 1-d, got shape {arr.shape}")
     if arr.size == 0:

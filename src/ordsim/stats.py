@@ -15,7 +15,10 @@ Conventions shared by every test in this module:
   beta function, accurate to ~1e-10 absolute for df <= 1000 (tested against
   40-digit mpmath).
 - Quartiles interpolate linearly between order statistics (the default
-  linear/"type 7" convention; see the file-format notes in the README).
+  linear/"type 7" convention; see the file-format notes in the README),
+  with numpy's own arithmetic for it, on the sorted differences.
+- A ``PairedDiffs`` sorts its differences once; the quartiles, the extremes,
+  the win/tie/loss counts and both rank tests read that one sorted copy.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .ranks import average_ranks
+
+# No function here calls average_ranks; it stays importable here because
+# perfbench/tracing.py wraps it at ordsim.stats.average_ranks.
+from .ranks import average_ranks  # noqa: F401
 
 __all__ = [
     "PairedDiffs",
@@ -45,7 +51,8 @@ __all__ = [
 
 _ALTERNATIVES = ("greater", "two-sided")
 
-# Mask entries per block of leave_one_dataset_out: about 1 MB of booleans.
+# Index entries (8 MB of intp) per block of leave_one_dataset_out, and in
+# all for the blocks a _LodoIndex keeps.
 _LODO_BLOCK_CELLS = 1 << 20
 
 
@@ -57,12 +64,17 @@ class PairedDiffs:
     finite numbers and stores them as a tuple of floats, and the labels as
     a tuple of (model, dataset) pairs of str.  It also keeps one read-only
     float64 copy of the differences, which every test in this module reads,
-    computes their mean and sd once, for all of them, and numbers the
-    labels' datasets in order of first appearance.  None of these is a
-    field, so they take no part in ``==``, ``hash`` or ``repr``.
+    and numbers the labels' datasets in order of first appearance, in an
+    index that keeps the leave-one-dataset-out blocks once built (see
+    ``_LodoIndex``).  On first use it computes their mean and sd, for all
+    the tests, and a read-only sorted copy of them with the bounds of its
+    zeros, which ``descriptive_stats``, ``sign_test`` and
+    ``wilcoxon_signed_rank`` share.  None of these is a field, so they take
+    no part in ``==``, ``hash`` or ``repr``.
 
     ``compare`` builds its diffs from a results table's columns instead,
-    with the table's dataset codes, and makes the diffs tuple on first use.
+    with the dataset index the table keeps for the method, and makes the
+    diffs tuple on first use.
     """
 
     diffs: tuple[float, ...]
@@ -80,23 +92,23 @@ class PairedDiffs:
             raise DegenerateInputError(f"{values.size} diffs but {len(labels)} labels")
         if values.size == 0:
             raise DegenerateInputError("need at least one paired difference")
-        self._set_values(values, labels, _encode([ds for _, ds in labels])[1])
+        self._set_values(values, labels, _LodoIndex([ds for _, ds in labels]))
         object.__setattr__(self, "diffs", tuple(values.tolist()))
 
     @classmethod
     def _from_columns(
-        cls, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: np.ndarray
+        cls, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: _LodoIndex
     ) -> PairedDiffs:
         # For a non-empty float64 array that the caller hands over, labels
-        # that are already a tuple of (model, dataset) pairs of str, and the
-        # labels' dataset codes as ``_encode`` numbers them.  The diffs tuple
-        # is made on first access.
+        # that are already a tuple of (model, dataset) pairs of str, and a
+        # _LodoIndex of the labels' datasets.  The diffs tuple is made on
+        # first access.
         diffs = cls.__new__(cls)
         diffs._set_values(values, labels, datasets)
         return diffs
 
     def _set_values(
-        self, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: np.ndarray
+        self, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: _LodoIndex
     ) -> None:
         if not np.isfinite(values).all():
             raise DegenerateInputError("differences must be finite")
@@ -119,6 +131,16 @@ class PairedDiffs:
         """(mean, sd, scale): the mean and sample sd of the differences
         divided by ``scale``, which is 1.0 unless the squares overflow."""
         return _mean_sd_scale(self._values)
+
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, int, int]:
+        """(ascending, neg, pos): ``np.sort`` of the differences, read-only,
+        whose zeros (of either sign) are ``ascending[neg:pos]``."""
+        ascending = np.sort(self._values)
+        neg = int(ascending.searchsorted(0.0))
+        pos = int(ascending.searchsorted(0.0, "right"))
+        ascending.setflags(write=False)
+        return ascending, neg, pos
 
     @classmethod
     def from_values(
@@ -261,16 +283,22 @@ def _check_alternative(alternative: str) -> str:
 
 
 def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
-    """Summary statistics of the differences; ties are exact zeros."""
-    arr = d._values
-    n = arr.size
+    """Summary statistics of the differences; ties are exact zeros.
+
+    The quartiles and the median equal ``np.quantile``'s (its default linear
+    method) bit for bit, except for the sign of a zero where the differences
+    hold both -0.0 and 0.0: the quartiles, min and max read ``np.sort``'s
+    order of the zeros, np.quantile its partition's.
+    """
+    ascending, neg, pos = d._sorted
+    n = ascending.size
     mean, sd, scale = d._moments
     mean *= scale
     sd *= scale
-    q1, med, q3 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
-    wins = int(np.count_nonzero(arr > 0.0))
-    ties = int(np.count_nonzero(arr == 0.0))
-    losses = n - wins - ties
+    q1, med, q3 = (_linear_quantile(ascending, q) for q in (0.25, 0.5, 0.75))
+    wins = n - pos
+    ties = pos - neg
+    losses = neg
     decided = wins + losses
     return DescriptiveStats(
         n=n,
@@ -281,13 +309,32 @@ def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
         q1=q1,
         q3=q3,
         iqr=q3 - q1,
-        min=float(arr.min()),
-        max=float(arr.max()),
+        min=float(ascending[0]),
+        max=float(ascending[-1]),
         wins=wins,
         ties=ties,
         losses=losses,
         win_rate_excl_ties=wins / decided if decided else 0.0,
     )
+
+
+def _linear_quantile(ascending: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` from the values in ascending order, bit for
+    bit: numpy's linear method (the virtual index (n - 1) * q), the clamp of
+    its ``_get_indexes`` and both branches of its ``_lerp``.  Python floats
+    round as float64 does and overflow to inf without a warning."""
+    n = ascending.size
+    index = (n - 1) * q
+    if index >= n - 1:
+        # numpy reads the last value on both sides, with weight index + 1.
+        below = above = float(ascending[-1])
+        t = index + 1.0
+    else:
+        i = int(index)
+        below, above = float(ascending[i]), float(ascending[i + 1])
+        t = index - i
+    diff = above - below
+    return above - diff * (1 - t) if t >= 0.5 else below + diff * t
 
 
 def _norm_sf(z: float) -> float:
@@ -316,19 +363,24 @@ def wilcoxon_signed_rank(
     the effect size is r = |z| / sqrt(n_used).
     """
     _check_alternative(alternative)
-    diffs = d._values
-    nonzero = diffs[diffs != 0.0]
-    n = nonzero.size
+    ascending, neg, pos = d._sorted
+    positives = ascending[pos:]
+    magnitudes = np.sort(np.concatenate((-ascending[:neg], positives)))
+    n = magnitudes.size
     if n == 0:
         raise DegenerateInputError("all differences are zero")
-    ranks = average_ranks(np.abs(nonzero))
-    v_stat = float(ranks[nonzero > 0.0].sum())
+    # The magnitudes equal to x fill the 1-based positions below + 1 ..
+    # at_or_below, so x's average rank is (below + at_or_below + 1) / 2.
+    # V is a sum of half-integers, exact in integers.
+    below = magnitudes.searchsorted(positives)
+    at_or_below = magnitudes.searchsorted(positives, "right")
+    v_stat = (int(np.add.reduce(below)) + int(np.add.reduce(at_or_below)) + positives.size) / 2
     mu = n * (n + 1) / 4.0
-    # Each group of tied magnitudes shares one average rank, a multiple of
-    # 1/2 that rises with the magnitude, so counting the doubled ranks gives
-    # the group sizes in ascending order of magnitude, as np.unique would.
-    tie_counts = np.bincount((2.0 * ranks).astype(np.intp))
-    tie_counts = tie_counts[tie_counts > 0]
+    # The sizes of the runs of equal magnitudes, in ascending order of
+    # magnitude, as np.unique would count them.
+    tie_counts = np.diff(
+        np.flatnonzero(np.concatenate(([True], magnitudes[1:] != magnitudes[:-1], [True])))
+    )
     tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
     sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
     if alternative == "greater":
@@ -363,9 +415,9 @@ def sign_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     the success rate among nonzero differences.
     """
     _check_alternative(alternative)
-    diffs = d._values
-    k = int(np.count_nonzero(diffs > 0.0))
-    n = k + int(np.count_nonzero(diffs < 0.0))
+    _, neg, pos = d._sorted
+    k = d.n - pos
+    n = k + neg
     if n == 0:
         raise DegenerateInputError("all differences are zero")
     # By the symmetry C(n, i) = C(n, n-i), the upper tail from k is the head
@@ -422,8 +474,11 @@ def _t_test(
 
 def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
     """Between-groups Cohen's d with the pooled standard deviation."""
-    xa = np.asarray(a, dtype=np.float64)
-    xb = np.asarray(b, dtype=np.float64)
+    try:
+        xa = np.asarray(a, dtype=np.float64)
+        xb = np.asarray(b, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DegenerateInputError(f"samples must be numeric: {exc}") from None
     if xa.ndim != 1 or xb.ndim != 1 or xa.size < 2 or xb.size < 2:
         raise DegenerateInputError("cohens_d_pooled requires two samples of size >= 2")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
@@ -448,7 +503,10 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     adjusted_i = min over j with p_j >= p_i of (m / rank_j) * p_j, capped at 1.
     Adjustment preserves the ordering of the raw p-values.
     """
-    p = np.asarray(p_values, dtype=np.float64)
+    try:
+        p = np.asarray(p_values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DegenerateInputError(f"p-values must be numeric: {exc}") from None
     if p.ndim != 1 or p.size == 0:
         raise DegenerateInputError("need a non-empty 1-d sequence of p-values")
     if not np.all((p >= 0.0) & (p <= 1.0)):
@@ -471,29 +529,71 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     df = (number of datasets) - 1.
     """
     _check_alternative(alternative)
-    codes = d._datasets
-    counts = np.bincount(codes)
-    if counts.size < 2:
+    index = d._datasets
+    if index.n_datasets < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
     # The t statistic is the same at any scale of the differences.
-    exclusion_means, _ = _rescaled(lambda arr: _exclusion_means(arr, codes, counts), d._values)
-    return _t_test(_mean_sd_scale(exclusion_means), counts.size, alternative, "lodo-t")
+    exclusion_means, _ = _rescaled(lambda arr: _exclusion_means(arr, index), d._values)
+    return _t_test(_mean_sd_scale(exclusion_means), index.n_datasets, alternative, "lodo-t")
 
 
-def _exclusion_means(arr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _exclusion_means(arr: np.ndarray, index: _LodoIndex) -> np.ndarray:
     """For each dataset code, the mean of the values of the other datasets."""
-    exclusion_means = np.empty(counts.size)
-    # Datasets with the same cell count keep the same number of cells, so each
-    # block of them is one (rows, n - count) matrix of kept cells, summed row
-    # by row.  A row's add.reduce adds in the order and grouping a 1-d
-    # add.reduce of the same cells does, so every mean is bit-identical to it.
-    # Blocks hold at most _LODO_BLOCK_CELLS mask entries, whatever n is.
-    step = max(1, _LODO_BLOCK_CELLS // arr.size)
+    exclusion_means = np.empty(index.n_datasets)
+    for rows, kept_index in index:
+        exclusion_means[rows] = np.add.reduce(arr[kept_index], axis=1) / kept_index.shape[1]
+    return exclusion_means
+
+
+def _lodo_blocks(codes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """leave_one_dataset_out's (rows, kept_index) blocks over dataset codes,
+    built one at a time.
+
+    Datasets with the same cell count keep the same number of cells, so each
+    block's ``rows`` are datasets of one cell count, and row i of its
+    ``kept_index`` lists, in order, the positions of the cells not in
+    dataset rows[i].  A row's add.reduce of those cells adds in the order
+    and grouping a 1-d add.reduce of the same cells does, so every mean is
+    bit-identical to it.  Blocks hold at most _LODO_BLOCK_CELLS entries,
+    whatever n is (one row each if n is more).
+    """
+    counts = np.bincount(codes)
+    positions = np.arange(codes.size)
+    step = max(1, _LODO_BLOCK_CELLS // codes.size)
     for count in sorted(set(counts.tolist())):
         group = np.flatnonzero(counts == count)
         for start in range(0, group.size, step):
             rows = group[start : start + step]
             keep = codes != rows[:, None]
-            kept = np.broadcast_to(arr, keep.shape)[keep].reshape(rows.size, -1)
-            exclusion_means[rows] = np.add.reduce(kept, axis=1) / kept.shape[1]
-    return exclusion_means
+            yield rows, np.broadcast_to(positions, keep.shape)[keep].reshape(rows.size, -1)
+
+
+class _LodoIndex:
+    """A column of dataset labels as codes, numbered in order of first
+    appearance, and leave_one_dataset_out's blocks over them: iterating the
+    index yields the (rows, kept_index) pairs.
+
+    The first pass keeps the blocks, read-only, when they hold at most
+    _LODO_BLOCK_CELLS entries in all (codes.size * (n_datasets - 1)), so a
+    later test on the same codes reuses them: each ``compare`` with the same
+    method as ``a`` on one results table.  Over that, every pass builds the
+    blocks one at a time, as ``_lodo_blocks`` yields them, and keeps none.
+    """
+
+    __slots__ = ("codes", "n_datasets", "_kept")
+
+    def __init__(self, labels: Sequence[Hashable]) -> None:
+        names, self.codes = _encode(labels)
+        self.n_datasets = len(names)
+        self._kept: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        if self._kept is None:
+            blocks = _lodo_blocks(self.codes)
+            if self.codes.size * (self.n_datasets - 1) > _LODO_BLOCK_CELLS:
+                return blocks
+            self._kept = tuple(blocks)
+            for rows, kept_index in self._kept:
+                rows.setflags(write=False)
+                kept_index.setflags(write=False)
+        return iter(self._kept)

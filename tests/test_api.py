@@ -63,6 +63,16 @@ def test_star_import():
     assert set(namespace) - {"__builtins__"} == set(ordsim.__all__)
 
 
+@pytest.mark.parametrize(
+    "module, name, defined_in",
+    [("stats", "average_ranks", "ranks"), ("harness", "spearman_rho", "ranks")],
+)
+def test_tracer_hook_points_stay_importable(module, name, defined_in):
+    # perfbench/tracing.py wraps these module attributes even where the module
+    # does not call them; its Tracer raises AttributeError if one is gone.
+    assert getattr(_module(module), name) is getattr(_module(defined_in), name)
+
+
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_error_is_a_public_ordsim_error(cls):
     assert issubclass(cls, OrdsimError)

@@ -875,7 +875,7 @@ def _results_outcome(load, path):
         return type(exc), str(exc), exc.line
     columns = [
         (column.rows, column.cells, column.cell_codes.tolist(), column.scores.tobytes(),
-         column.datasets.tolist(), column.micro_average.hex())
+         column.datasets.codes.tolist(), column.micro_average.hex())
         for column in map(table._method_columns, table.methods())
     ]
     names = (table.models(), table.methods(), table.datasets())

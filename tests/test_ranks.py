@@ -92,6 +92,11 @@ class TestAverageRanks:
         with pytest.raises(InvalidVectorError):
             average_ranks(bad)
 
+    @pytest.mark.parametrize("bad", [["a"], [1.0, "x"], [[1.0], [2.0, 3.0]], [object()]])
+    def test_non_numeric_input_is_a_typed_error(self, bad):
+        with pytest.raises(InvalidVectorError, match="^x must be numeric: "):
+            average_ranks(bad)
+
     @given(st.lists(values, min_size=1, max_size=50))
     @settings(max_examples=300)
     def test_sum_invariant_and_range(self, xs):
@@ -178,6 +183,12 @@ class TestSpearman:
             spearman_rho([1], [1])
         with pytest.raises(DegenerateInputError):
             spearman_rho([1, 2], [1, 2, 3])
+
+    def test_non_numeric_input_is_a_typed_error(self):
+        with pytest.raises(InvalidVectorError, match="^x must be numeric: "):
+            spearman_rho(["a", "b"], [1, 2])
+        with pytest.raises(InvalidVectorError, match="^y must be numeric: "):
+            spearman_rho([1, 2], [None, [3]])
 
     def test_matches_independent_oracle_with_ties(self):
         rng = np.random.default_rng(79)

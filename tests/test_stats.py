@@ -25,7 +25,8 @@ from ordsim import (
     wilcoxon_signed_rank,
 )
 from ordsim import TestResult as StatsTestResult
-from ordsim.stats import _student_t_sf
+from ordsim.ranks import average_ranks
+from ordsim.stats import DescriptiveStats, _binomial_head_sum, _norm_sf, _student_t_sf
 
 
 def diffs(*values, datasets=None):
@@ -258,6 +259,212 @@ class TestDescriptiveStats:
             assert s.q3 == float(np.quantile(xs, 0.75))
 
 
+def _bits(value):
+    """A result's fields with every float as its hex, so -0.0 differs from 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    return value
+
+
+def _descriptive_stats_by_quantile(d):
+    """descriptive_stats as written before the shared sort: np.quantile, the
+    array's min and max, and the counts by comparison."""
+    arr = d._values
+    n = arr.size
+    mean, sd, scale = d._moments
+    mean *= scale
+    sd *= scale
+    with np.errstate(over="ignore", invalid="ignore"):  # b - a can overflow
+        q1, med, q3 = (float(q) for q in np.quantile(arr, (0.25, 0.5, 0.75)))
+    wins = int(np.count_nonzero(arr > 0.0))
+    ties = int(np.count_nonzero(arr == 0.0))
+    losses = n - wins - ties
+    decided = wins + losses
+    return DescriptiveStats(
+        n=n, mean=mean, sd=sd, se=sd / math.sqrt(n), median=med, q1=q1, q3=q3,
+        iqr=q3 - q1, min=float(arr.min()), max=float(arr.max()), wins=wins, ties=ties,
+        losses=losses, win_rate_excl_ties=wins / decided if decided else 0.0,
+    )
+
+
+def _numpy_linear_quantile(ascending, q):
+    """numpy's linear quantile of values already in ascending order, in
+    float64 scalars: the virtual index (n - 1) * q, its clamp to the last
+    value with weight index + 1, and the two branches of its interpolation."""
+    n = ascending.size
+    index = np.float64(n - 1) * q
+    i = int(np.floor(index))
+    if index >= n - 1:
+        below, above, t = ascending[-1], ascending[-1], index + 1
+    else:
+        below, above, t = ascending[i], ascending[i + 1], index - i
+    diff = above - below
+    return float(above - diff * (1 - t) if t >= 0.5 else below + diff * t)
+
+
+def _sign_test_by_counts(d, alternative):
+    """sign_test as written before the shared sort: k and n by comparison."""
+    diffs = d._values
+    k = int(np.count_nonzero(diffs > 0.0))
+    n = k + int(np.count_nonzero(diffs < 0.0))
+    if n == 0:
+        raise DegenerateInputError("all differences are zero")
+    total = 2**n
+    if alternative == "greater":
+        p = _binomial_head_sum(n, n - k) / total
+    else:
+        p = min(1.0, 2.0 * (_binomial_head_sum(n, min(k, n - k)) / total))
+    return StatsTestResult(float(k), p, k / n, n, "sign")
+
+
+def _wilcoxon_by_average_ranks(d, alternative):
+    """wilcoxon_signed_rank as written before the shared sort: V from
+    average_ranks, the tie counts from a bincount of the doubled ranks."""
+    diffs = d._values
+    nonzero = diffs[diffs != 0.0]
+    n = nonzero.size
+    if n == 0:
+        raise DegenerateInputError("all differences are zero")
+    ranks = average_ranks(np.abs(nonzero))
+    v_stat = float(ranks[nonzero > 0.0].sum())
+    mu = n * (n + 1) / 4.0
+    tie_counts = np.bincount((2.0 * ranks).astype(np.intp))
+    tie_counts = tie_counts[tie_counts > 0]
+    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
+    sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
+    if alternative == "greater":
+        z = (v_stat - mu - 0.5) / sigma
+        p = _norm_sf(z)
+    else:
+        shift = 0.5 * float(np.sign(v_stat - mu))
+        z = (v_stat - mu - shift) / sigma
+        p = min(1.0, 2.0 * _norm_sf(abs(z)))
+    return StatsTestResult(v_stat, p, abs(z) / math.sqrt(n), n, "wilcoxon")
+
+
+def _outcome_bits(test, *args):
+    try:
+        return _bits(test(*args))
+    except DegenerateInputError as exc:
+        return repr(exc)
+
+
+_DIFF_KINDS = {
+    # kind: (a strategy for one value, a numpy draw of m more of that kind)
+    "cents": (
+        st.integers(-100_000, 100_000).map(lambda c: c / 100.0),
+        lambda rng, pool, m: rng.integers(-100_000, 100_001, m) / 100.0,
+    ),
+    "few": (
+        st.just(0.0) | st.integers(-300, 300).map(lambda c: c / 100.0) | st.floats(-1e308, 1e308),
+        lambda rng, pool, m: rng.choice(pool, m),
+    ),
+    "wide": (
+        st.floats(-1e308, 1e308),
+        lambda rng, pool, m: rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-300, 309, m),
+    ),
+    "tiny": (
+        st.floats(-1e-300, 1e-300) | st.floats(-5e-324, 5e-324),
+        lambda rng, pool, m: rng.integers(-(2**20), 2**20, m) * 5e-324,
+    ),
+}
+
+
+@st.composite
+def _diff_lists(draw):
+    """Differences with no -0.0, n from 1 to 600: cents; at most 4 distinct
+    values, so heavy ties and all-zero lists; magnitudes up to 1e308; and
+    subnormals.  Past the first values Hypothesis draws, numpy draws the
+    rest of the same kind, which keeps long lists quick to make."""
+    n = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(sorted(_DIFF_KINDS)))
+    value, more = _DIFF_KINDS[kind]
+    pool = draw(st.lists(value, min_size=1, max_size=4 if kind == "few" else min(n, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.concatenate((pool, more(rng, pool, max(0, n - len(pool)))))[:n]
+    # x + 0.0 turns -0.0 into 0.0 and leaves every other value as it is.
+    return (values + 0.0).tolist()
+
+
+class TestSharedSortMatchesReferenceCode:
+    """descriptive_stats, sign_test and wilcoxon_signed_rank read one sorted
+    copy of the differences; each equals its earlier code bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_diff_lists(), st.sampled_from(["greater", "two-sided"]))
+    def test_bit_identical(self, values, alternative):
+        d = PairedDiffs.from_values(values)
+        assert _bits(descriptive_stats(d)) == _bits(_descriptive_stats_by_quantile(d))
+        for test, reference in (
+            (sign_test, _sign_test_by_counts),
+            (wilcoxon_signed_rank, _wilcoxon_by_average_ranks),
+        ):
+            want = _outcome_bits(reference, d, alternative)
+            assert _outcome_bits(test, d, alternative) == want
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0], [0.0] * 7, [2.5], [-1e308] * 3, [1e308, -1e308], [1.7e308, -1.7e308, 0.0],
+         [5e-324, -5e-324, 0.0, 5e-324]],
+    )
+    def test_edge_cases(self, values):
+        d = PairedDiffs.from_values(values)
+        assert _bits(descriptive_stats(d)) == _bits(_descriptive_stats_by_quantile(d))
+        for alternative in ("greater", "two-sided"):
+            for test, reference in (
+                (sign_test, _sign_test_by_counts),
+                (wilcoxon_signed_rank, _wilcoxon_by_average_ranks),
+            ):
+                want = _outcome_bits(reference, d, alternative)
+                assert _outcome_bits(test, d, alternative) == want
+
+    def test_single_negative_zero_matches_numpy(self):
+        # n = 1 takes the clamped branch of numpy's interpolation, b - diff * (1 - t).
+        s = descriptive_stats(diffs(-0.0))
+        want = [float(q).hex() for q in np.quantile([-0.0], (0.25, 0.5, 0.75))]
+        assert [s.q1.hex(), s.median.hex(), s.q3.hex()] == want == ["-0x0.0p+0"] * 3
+        assert s.min.hex() == s.max.hex() == "-0x0.0p+0"
+        assert (s.wins, s.ties, s.losses) == (0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0, 0.0, -0.0],
+         [-0.0, 1.0, -0.0, -1.0, 0.0, -0.0], [0.0, -0.0, 2.0, -0.0, 0.0, 0.0, -3.0]],
+    )
+    def test_mixed_zero_signs_follow_np_sort(self, values):
+        # Where the diffs hold both -0.0 and 0.0, the quartiles are numpy's
+        # linear interpolation between the values in np.sort's order, and
+        # min and max are its ends; np.quantile's zero sign follows its
+        # partition order instead, so it can differ from these in the sign.
+        for order in set(itertools.permutations(range(len(values)))):
+            shuffled = [values[i] for i in order]
+            ascending = np.sort(shuffled)
+            d = PairedDiffs.from_values(shuffled)
+            s = descriptive_stats(d)
+            want = [_numpy_linear_quantile(ascending, q).hex() for q in (0.25, 0.5, 0.75)]
+            assert [s.q1.hex(), s.median.hex(), s.q3.hex()] == want
+            assert [s.min.hex(), s.max.hex()] == [ascending[0].hex(), ascending[-1].hex()]
+            assert (s.wins, s.ties, s.losses) == (
+                sum(v > 0 for v in values), sum(v == 0 for v in values), sum(v < 0 for v in values)
+            )
+            by_quantile = _descriptive_stats_by_quantile(d)
+            assert (s.q1, s.median, s.q3, s.min, s.max) == (
+                by_quantile.q1, by_quantile.median, by_quantile.q3, by_quantile.min,
+                by_quantile.max,
+            )
+
+    def test_sorted_copy_is_read_only_and_outside_the_value(self):
+        d = diffs(3.0, 0.0, -1.0, 0.0)
+        ascending, neg, pos = d._sorted
+        assert ascending.tolist() == [-1.0, 0.0, 0.0, 3.0] and (neg, pos) == (1, 3)
+        assert not ascending.flags.writeable
+        assert d._sorted[0] is ascending
+        assert d == diffs(3.0, 0.0, -1.0, 0.0) and hash(d) == hash(diffs(3.0, 0.0, -1.0, 0.0))
+        assert repr(d) == repr(diffs(3.0, 0.0, -1.0, 0.0))
+
+
 class TestResultType:
     def test_p_value_domain_enforced(self):
         with pytest.raises(DegenerateInputError):
@@ -470,6 +677,19 @@ class TestCohensD:
         with pytest.raises(DegenerateInputError):
             cohens_d_pooled([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (["a", "b"], [1.0, 2.0]),
+            ([1.0, 2.0], ["a", "b"]),
+            ([[1.0], [2.0, 3.0]], [1.0, 2.0]),
+            ([1.0, 2.0], [object(), 1.0]),
+        ],
+    )
+    def test_non_numeric_samples_are_a_typed_error(self, a, b):
+        with pytest.raises(DegenerateInputError, match="^samples must be numeric: "):
+            cohens_d_pooled(a, b)
+
     def test_shift_and_scale_behavior(self):
         rng = np.random.default_rng(137)
         a = rng.standard_normal(20)
@@ -496,6 +716,11 @@ class TestBenjaminiHochberg:
             benjamini_hochberg([0.5, 1.2])
         with pytest.raises(DegenerateInputError):
             benjamini_hochberg([-0.1])
+
+    @pytest.mark.parametrize("ps", [["x"], [0.1, "0.x"], [[0.1], [0.2, 0.3]], [None, []]])
+    def test_non_numeric_p_values_are_a_typed_error(self, ps):
+        with pytest.raises(DegenerateInputError, match="^p-values must be numeric: "):
+            benjamini_hochberg(ps)
 
     def test_matches_scipy(self):
         rng = np.random.default_rng(139)
