@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import CoverageMismatchError, InvalidVectorError
 from .io import PairDataset, ResultsTable
-from .metrics import MetricKind, _similarity_rows, similarity
+from .metrics import MetricKind, similarity
 # evaluate ranks through the private pair; spearman_rho stays importable
 # here because perfbench/tracing.py wraps it at ordsim.harness.spearman_rho.
 from .ranks import _centered_ranks, _rank_correlation, spearman_rho  # noqa: F401
@@ -44,27 +44,23 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
 
     Every score equals ``similarity(kind, u, v)`` of its pair bit for bit,
     and the report equals ``spearman_rho`` of those scores and gold.  The
-    dataset computes its row dots u.v, squared norms |u|^2 and |v|^2,
-    recos' sorted dots and gold's centered ranks once, on first use by a
-    kind that needs them, 5n floats kept with it (its columns cannot be
-    written, so they cannot go stale); each call reads them and scores all
-    pairs in one vectorized pass, which makes no pass over the vectors once
-    the values its kind needs are kept.  A row where the
-    per-pair metric may take a branch (``u.v == 0``, a zero denominator or
-    norm, or a non-finite dot or denominator) is scored by ``similarity``
-    itself, so it gets the same value or raises the same error as a
-    per-pair loop would, before any error about gold.  A score that is not
-    finite cannot be ranked: InvalidVectorError names its row and value.
+    dataset computes the row values its kind reads (row dots u.v, squared
+    norms |u|^2 and |v|^2, recos' sorted dots) and gold's centered ranks
+    once, on first use by a kind that needs them, 5n floats kept with it
+    (its columns cannot be written, so they cannot go stale); each call
+    reads them and scores all pairs in one vectorized pass, which makes no
+    pass over the vectors once the values its kind needs are kept.  A
+    branch row, where ``u.v == 0`` or the quotient is not finite, is scored
+    by ``similarity`` itself, so it gets the same value or raises the same
+    error as a per-pair loop would, before any error about gold.  A score
+    that is not finite cannot be ranked: InvalidVectorError names its row
+    and value.
 
     Deterministic: same dataset and metric always give the same report.
     """
     kind = MetricKind(metric)
-    d = dataset._dots
-    if kind is MetricKind.RECOS:
-        sims, scalar = _similarity_rows(kind, d, sd=dataset._sorted_dots)
-    else:
-        sims, scalar = _similarity_rows(kind, d, *dataset._squared_norms)
-    for i in np.flatnonzero(scalar):
+    sims, branch = dataset._rows.similarities(kind)
+    for i in np.flatnonzero(branch):
         sims[i] = similarity(kind, dataset.U[i], dataset.V[i])
     try:
         ranks = _centered_ranks(sims)

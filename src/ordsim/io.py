@@ -43,7 +43,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
-from .metrics import DenseVector, _frozen_row_dots, _sorted_row_dots
+from .metrics import DenseVector, _RowValues
 from .ranks import _centered_ranks
 from .stats import _encode, _LodoIndex, _micro_average
 
@@ -125,9 +125,9 @@ class PairDataset:
     stacks ``PairRecord``s, which are validated already; ``load_pairs``
     fills the columns straight from the file.
 
-    ``evaluate`` reads four values computed from the columns on first use
-    by a kind that needs them and then kept, 5n floats in all: the row dots
-    u.v, the squared norms |u|^2 and |v|^2, recos' sorted dots and the
+    ``evaluate`` reads values computed from the columns on first use by a
+    kind that needs them and then kept, 5n floats in all: the row values
+    in ``_rows`` (u.v, |u|^2 and |v|^2, recos' sorted dot) and the
     centered ranks of ``gold``.  ``==``, ``hash`` and ``repr`` ignore them.
     They never go stale because the columns cannot change: each is a view
     of an array made read-only, so its writes cannot be enabled again.
@@ -176,21 +176,9 @@ class PairDataset:
         return int(self.gold.size)
 
     @cached_property
-    def _dots(self) -> np.ndarray:
-        """u.v of every pair, read-only."""
-        return _frozen_row_dots(self.U, self.V)
-
-    @cached_property
-    def _squared_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """u.u and v.v of every pair, read-only; recos needs neither."""
-        return _frozen_row_dots(self.U, self.U), _frozen_row_dots(self.V, self.V)
-
-    @cached_property
-    def _sorted_dots(self) -> np.ndarray:
-        """recos' sorted dot of every pair, read-only; no other kind needs it."""
-        sorted_dots = _sorted_row_dots(self.U, self.V, self._dots)
-        sorted_dots.setflags(write=False)
-        return sorted_dots
+    def _rows(self) -> _RowValues:
+        """The row values ``evaluate`` reads, each computed on first use."""
+        return _RowValues(self.U, self.V)
 
     @cached_property
     def _gold_ranks(self) -> tuple[np.ndarray, float]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -279,80 +280,83 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-@np.errstate(all="ignore")
-def _frozen_row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``_row_dots`` of two (n, d) arrays as a read-only array, with no
-    warning where a dot overflows."""
-    dots = _row_dots(a, b)
-    dots.setflags(write=False)
-    return dots
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
-# Rows sorted per pass in ``_sorted_row_dots``.  It caps the two sorted
-# (rows, dim) copies recos makes, whatever the dataset's size.
+# Rows sorted per pass in ``_RowValues.sorted_dots``.  It caps the two
+# sorted (rows, dim) copies recos makes, whatever the dataset's size.
 _BLOCK_ROWS = 64
 
 
-@np.errstate(all="ignore")
-def _sorted_row_dots(a: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """recos' sorted dot for every row of two (n, d) arrays whose row dots
-    are ``d``: ``sort_asc(a[i]) . sort(b[i])``, with ``b[i]`` sorted in
-    descending order where ``d[i] < 0``.  The sorted copies are made one
-    block of rows at a time and never kept, since together they take as
-    much memory as ``a`` and ``b``; ``PairDataset`` keeps the n results."""
-    out = np.empty(d.size)
-    for start in range(0, d.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        sa = np.sort(a[rows], axis=1)
-        sb = np.sort(b[rows], axis=1)
-        neg = d[rows] < 0.0
-        # A contiguous reversed copy: np.dot copies a reversed view the same way.
-        sb[neg] = sb[neg, ::-1]
-        out[rows] = _row_dots(sa, sb)
-    return out
+class _RowValues:
+    """u.v, the pair (|u|^2, |v|^2) and recos' sorted dot of each row pair
+    u_i, v_i of two (n, d) arrays that must never change.  Each is computed
+    by ``_row_dots``, as the scalar metric's dot, on first use by a kind
+    whose formula reads it, and kept read-only; overflow does not warn."""
+
+    def __init__(self, U: np.ndarray, V: np.ndarray) -> None:
+        self._U, self._V = U, V
+
+    @cached_property
+    @np.errstate(all="ignore")
+    def dots(self) -> np.ndarray:
+        return _frozen(_row_dots(self._U, self._V))
+
+    @cached_property
+    @np.errstate(all="ignore")
+    def squared_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        return _frozen(_row_dots(self._U, self._U)), _frozen(_row_dots(self._V, self._V))
+
+    @cached_property
+    @np.errstate(all="ignore")
+    def sorted_dots(self) -> np.ndarray:
+        """``sort_asc(u) . sort(v)`` per row, ``v`` descending where u.v < 0.
+        The sorted copies are made one block of rows at a time and never
+        kept, since together they take as much memory as the arrays."""
+        d = self.dots
+        out = np.empty(d.size)
+        for start in range(0, d.size, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            sa = np.sort(self._U[rows], axis=1)
+            sb = np.sort(self._V[rows], axis=1)
+            neg = d[rows] < 0.0
+            # A contiguous reversed copy: np.dot copies a reversed view the same way.
+            sb[neg] = sb[neg, ::-1]
+            out[rows] = _row_dots(sa, sb)
+        return _frozen(out)
+
+    @np.errstate(all="ignore")
+    def similarities(self, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
+        """``similarity(kind, u_i, v_i)`` for every row i, bit for bit, with
+        the scalar metric's float operations in its order; and the branch
+        rows, where u.v == 0 or the unclipped quotient is not finite, whose
+        values mean nothing: score them with ``similarity``.  No other row
+        takes a scalar branch: a zero, inf or NaN denominator over a nonzero
+        u.v makes the quotient inf or NaN, except a finite u.v over inf,
+        whose +/-0.0 is the scalar value.  u.v == 0 is a branch row under
+        every kind because np.dot of one-component vectors is the bare
+        product, whose sign a zero keeps, while the matmul adds it to +0.0.
+        """
+        d = self.dots
+        denominator, clip = _ROW_FORMULAS[kind]
+        sims = d / denominator(self)
+        branch = (d == 0.0) | ~np.isfinite(sims)
+        if clip:
+            np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)
+        return sims, branch
 
 
-# Each kind's denominator from the row dot d = u.v, aa = |u|^2, bb = |v|^2
-# and recos' sorted dot sd, with the float operations of the scalar metric in
-# the same order, and whether the quotient d / den is clipped to [-1, 1].
+# Each kind's denominator, read off a ``_RowValues`` with the float
+# operations of the scalar metric in the same order, and whether the
+# quotient u.v / den is clipped to [-1, 1].
 _ROW_FORMULAS = {
-    MetricKind.RECOS: (lambda d, aa, bb, sd: np.abs(sd), True),
-    MetricKind.COS: (lambda d, aa, bb, sd: np.sqrt(aa) * np.sqrt(bb), True),
-    MetricKind.DECOS: (lambda d, aa, bb, sd: 0.5 * (aa + bb), True),
-    MetricKind.TANIMOTO: (lambda d, aa, bb, sd: aa + bb - d, False),
+    MetricKind.RECOS: (lambda rows: np.abs(rows.sorted_dots), True),
+    MetricKind.COS: (lambda rows: np.multiply(*map(np.sqrt, rows.squared_norms)), True),
+    MetricKind.DECOS: (lambda rows: 0.5 * np.add(*rows.squared_norms), True),
+    MetricKind.TANIMOTO: (lambda rows: np.add(*rows.squared_norms) - rows.dots, False),
 }
-
-
-@np.errstate(all="ignore")
-def _similarity_rows(
-    kind: MetricKind,
-    d: np.ndarray,
-    aa: np.ndarray | None = None,
-    bb: np.ndarray | None = None,
-    sd: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``similarity(kind, u_i, v_i)`` for every pair i, from its row dots.
-
-    ``d`` holds each pair's ``_row_dots`` value u.v; recos also needs ``sd``
-    from ``_sorted_row_dots``, and the other kinds ``aa`` = u.u and ``bb`` =
-    v.v.  Each value is computed with the dots and float operations of the
-    scalar metric, in the same order, so it equals the scalar result bit for
-    bit.  The second array marks the rows where the scalar metric may take a
-    branch: ``u.v == 0``, a zero denominator or norm, or a non-finite dot or
-    denominator.  Their values here mean nothing; score them with
-    ``similarity``, which returns or raises exactly what it always does.
-    """
-    denominator, clip = _ROW_FORMULAS[kind]
-    den = denominator(d, aa, bb, sd)
-    sims = d / den
-    if clip:
-        sims = np.clip(sims, -1.0, 1.0)
-    # A zero dot goes to the scalar path under every kind, not only recos,
-    # which branches on it: on one-component vectors np.dot returns the bare
-    # product, so a zero dot keeps that product's sign, while the matmul here
-    # adds the product to +0.0.
-    scalar = (d == 0.0) | (den == 0.0) | ~(np.isfinite(d) & np.isfinite(den))
-    return sims, scalar
 
 
 def _group_extrema(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

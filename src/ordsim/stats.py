@@ -321,8 +321,8 @@ def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
 def _linear_quantile(ascending: np.ndarray, q: float) -> float:
     """``np.quantile(values, q)`` from the values in ascending order, bit for
     bit: numpy's linear method (the virtual index (n - 1) * q), the clamp of
-    its ``_get_indexes`` and both branches of its ``_lerp``.  Python floats
-    round as float64 does and overflow to inf without a warning."""
+    its ``_get_indexes`` and both branches of its ``_lerp``, except where
+    ``above - below`` overflows and numpy's value is inf or NaN."""
     n = ascending.size
     index = (n - 1) * q
     if index >= n - 1:
@@ -334,6 +334,8 @@ def _linear_quantile(ascending: np.ndarray, q: float) -> float:
         below, above = float(ascending[i]), float(ascending[i + 1])
         t = index - i
     diff = above - below
+    if not math.isfinite(diff):  # finite, within rounding of the exact value
+        return below * (1 - t) + above * t
     return above - diff * (1 - t) if t >= 0.5 else below + diff * t
 
 

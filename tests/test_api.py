@@ -1,12 +1,14 @@
 """The public API: what ``import ordsim`` exports, and the typed-error base."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
 import ordsim
 import ordsim.cli as cli
 import ordsim.errors
+from ordsim import DenseVector, PairDataset, PairRecord
 from ordsim.errors import OrdsimError
 
 MODULES = ("bounds", "errors", "harness", "io", "metrics", "ranks", "selftest", "stats")
@@ -65,12 +67,36 @@ def test_star_import():
 
 @pytest.mark.parametrize(
     "module, name, defined_in",
-    [("stats", "average_ranks", "ranks"), ("harness", "spearman_rho", "ranks")],
+    [
+        ("stats", "average_ranks", "ranks"),
+        ("harness", "spearman_rho", "ranks"),
+        ("harness", "similarity", "metrics"),
+    ],
 )
 def test_tracer_hook_points_stay_importable(module, name, defined_in):
     # perfbench/tracing.py wraps these module attributes even where the module
     # does not call them; its Tracer raises AttributeError if one is gone.
     assert getattr(_module(module), name) is getattr(_module(defined_in), name)
+
+
+def test_benchmark_tracer_counts_branch_rows_as_metric_calls(monkeypatch):
+    # perfbench/tracing.py counts evaluate's similarity calls on branch rows
+    # as calls of the metric, and puts every attribute back when removed.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    vectors = [([1.0, 2.0], [2.0, 1.0]), ([1.0, 0.0], [0.0, 3.0]),  # u.v == 0
+               ([2.0, 1.0], [1.0, 3.0]), ([3.0, -1.0], [1.0, 2.0])]
+    records = [PairRecord(g, DenseVector(u), DenseVector(v)) for g, (u, v) in enumerate(vectors)]
+    dataset = PairDataset("tiny", 2, records)
+    tracer.set_installed(True)
+    try:
+        ordsim.evaluate(dataset, "recos")
+    finally:
+        tracer.set_installed(False)
+    assert tracer.calls["metrics.recos"] == 1
+    assert tracer.calls["harness.evaluate"] == 1
+    for module, attr, original, _ in tracer._patches:
+        assert getattr(module, attr) is original, (module.__name__, attr)
 
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)

@@ -248,15 +248,20 @@ def _datasets(draw):
     d = draw(st.integers(1, 50))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
+    scales = draw(st.sampled_from(["integers", "one", "two"]))
+    if scales == "integers":
         # Small integers: exact zero dots, zero rows, ties and repeats.
         U = rng.integers(-2, 3, (n, d)).astype(np.float64)
         V = rng.integers(-2, 3, (n, d)).astype(np.float64)
     else:
         # Most exponents near 1; the rest reach overflow and subnormals.
-        k = draw(st.one_of(st.integers(-60, 60), st.integers(-1100, 1000)))
-        U = np.ldexp(rng.standard_normal((n, d)), k)
-        V = np.ldexp(rng.standard_normal((n, d)), k)
+        # Two exponents can overflow one norm and underflow the other while
+        # u.v stays finite.
+        exponents = st.one_of(st.integers(-60, 60), st.integers(-1100, 1000))
+        ku = draw(exponents)
+        kv = ku if scales == "one" else draw(exponents)
+        U = np.ldexp(rng.standard_normal((n, d)), ku)
+        V = np.ldexp(rng.standard_normal((n, d)), kv)
     gold = rng.integers(0, 6, n).astype(np.float64)
     return _columns_dataset(gold, U, V)
 
@@ -316,6 +321,25 @@ class TestBlockParity:
         assert recos(U[65], V[65]) == -1.0
         _assert_parity(ds)
 
+    def test_split_scale_rows_stay_in_the_row_path(self):
+        # |u|^2 overflows and |v|^2 underflows to 0 while u.v stays finite:
+        # decos and tanimoto divide by inf, which gives the scalar +/-0.0,
+        # and cos by inf * 0 = NaN, a branch row.
+        gold, U, V = _seeded_columns(47, 90, 6)
+        U[40:50] *= 2.0**600
+        V[40:50] *= 2.0**-600
+        ds = _columns_dataset(gold, U, V)
+        _assert_parity(ds)
+        calls = {}
+        for kind in MetricKind:
+            spy = mock.Mock(wraps=similarity)
+            with mock.patch.object(ordsim.harness, "similarity", spy):
+                evaluate(ds, kind)
+            calls[kind] = spy.call_count
+        assert calls == {
+            MetricKind.RECOS: 0, MetricKind.COS: 10, MetricKind.DECOS: 0, MetricKind.TANIMOTO: 0
+        }
+
     def test_overflowing_dataset_warns_from_neither_io_nor_harness(self):
         gold, U, V = _seeded_columns(31, 130, 3)
         U[100] = V[100] = [1e200, 2e200, -1e200]
@@ -365,9 +389,10 @@ class TestBlockParity:
         twin = PairDataset._from_columns(ds.name, ds.gold.copy(), ds.U.copy(), ds.V.copy())
         for kind in MetricKind:
             evaluate(ds, kind)
-        kept = [ds._dots, *ds._squared_norms, ds._sorted_dots, ds._gold_ranks[0]]
+        rows = ds._rows
+        kept = [rows.dots, *rows.squared_norms, rows.sorted_dots, ds._gold_ranks[0]]
         assert not any(arr.flags.writeable for arr in kept)
-        assert "_dots" not in vars(twin)
+        assert "_rows" not in vars(twin) and "_gold_ranks" not in vars(twin)
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
         evaluate(twin, "cos")
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
@@ -378,8 +403,11 @@ class TestBlockParity:
         # dataset scored once by one kind does no work for another.
         ds = _columns_dataset(*_seeded_columns(43, 70, 5))
         evaluate(ds, kind)
-        unread = "_squared_norms" if kind is MetricKind.RECOS else "_sorted_dots"
-        assert unread not in vars(ds)
+        kept = set(vars(ds._rows))
+        if kind is MetricKind.RECOS:
+            assert kept >= {"dots", "sorted_dots"} and "squared_norms" not in kept
+        else:
+            assert kept >= {"dots", "squared_norms"} and "sorted_dots" not in kept
 
     def test_clean_rows_never_call_similarity(self):
         ds = _columns_dataset(*_seeded_columns(19, 150, 50))

@@ -183,9 +183,9 @@ class TestColumns:
             with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
                 column.setflags(write=True)
             assert not np.shares_memory(column, np.frombuffer(buffer, np.float64))
-        before = ds._dots.copy()
+        before = ds._rows.dots.copy()
         buffers[1][:8] = np.float64(100.0).tobytes()
-        assert ds.U[0, 0] == 0.0 and np.array_equal(ds._dots, before)
+        assert ds.U[0, 0] == 0.0 and np.array_equal(ds._rows.dots, before)
 
     @pytest.mark.parametrize("source", ["records", "file"])
     def test_columns_are_frozen_without_a_copy(self, source, tmp_path):

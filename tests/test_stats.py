@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -396,7 +397,19 @@ class TestSharedSortMatchesReferenceCode:
     @given(_diff_lists(), st.sampled_from(["greater", "two-sided"]))
     def test_bit_identical(self, values, alternative):
         d = PairedDiffs.from_values(values)
-        assert _bits(descriptive_stats(d)) == _bits(_descriptive_stats_by_quantile(d))
+        got, want = descriptive_stats(d), _descriptive_stats_by_quantile(d)
+        # Where numpy's interpolation overflows, np.quantile's quartile is inf
+        # or NaN and descriptive_stats' is finite; every other field matches.
+        overflowed = {
+            name for name in ("q1", "median", "q3") if not math.isfinite(getattr(want, name))
+        }
+        if overflowed:
+            overflowed.add("iqr")
+            assert all(math.isfinite(getattr(got, name)) for name in overflowed - {"iqr"})
+            assert _bits(got.iqr) == _bits(got.q3 - got.q1)
+        for field in dataclasses.fields(got):
+            if field.name not in overflowed:
+                assert _bits(getattr(got, field.name)) == _bits(getattr(want, field.name))
         for test, reference in (
             (sign_test, _sign_test_by_counts),
             (wilcoxon_signed_rank, _wilcoxon_by_average_ranks),
@@ -406,7 +419,7 @@ class TestSharedSortMatchesReferenceCode:
 
     @pytest.mark.parametrize(
         "values",
-        [[0.0], [0.0] * 7, [2.5], [-1e308] * 3, [1e308, -1e308], [1.7e308, -1.7e308, 0.0],
+        [[0.0], [0.0] * 7, [2.5], [-1e308] * 3, [1e308, -5e307], [1.7e308, -1.7e308, 0.0],
          [5e-324, -5e-324, 0.0, 5e-324]],
     )
     def test_edge_cases(self, values):
@@ -419,6 +432,29 @@ class TestSharedSortMatchesReferenceCode:
             ):
                 want = _outcome_bits(reference, d, alternative)
                 assert _outcome_bits(test, d, alternative) == want
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, -1e308], [-1.7e308, 1.7e308, 1.6e308],
+         [-1.7e308, -1.6e308, 1.5e308, 1.6e308, 1.7e308],
+         [1.7976931348623157e308, -1.7976931348623157e308] * 3],
+    )
+    def test_quartiles_stay_finite_where_numpy_overflows(self, values):
+        # In each list numpy's above - below overflows for some quartile,
+        # which np.quantile gives as inf, or NaN where the weight t is 0; the
+        # exact interpolation is finite.
+        s = descriptive_stats(PairedDiffs.from_values(values))
+        ascending = sorted(values)
+        for q, got in zip((0.25, 0.5, 0.75), (s.q1, s.median, s.q3)):
+            index = (len(values) - 1) * Fraction(q)
+            i = int(index)
+            t = index - i
+            below, above = Fraction(ascending[i]), Fraction(ascending[i + 1])
+            exact = below * (1 - t) + above * t
+            assert math.isfinite(got)
+            # Two roundings of the products and one of their sum.
+            assert abs(Fraction(got) - exact) <= 3 * 2**-53 * (abs(below) * (1 - t) + abs(above) * t)
+        assert s.iqr == s.q3 - s.q1
 
     def test_single_negative_zero_matches_numpy(self):
         # n = 1 takes the clamped branch of numpy's interpolation, b - diff * (1 - t).
