@@ -10,13 +10,18 @@ similarity score for the pair; all values are decimal literals.
 ``gold``, ``U`` and ``V``, the dataset's one representation; its
 constructor stacks ``PairRecord`` objects into the same columns.  When
 every data row holds nothing but ASCII digits, ``.``, ``e``, ``E``, ``+``,
-``-`` and commas, as the rows ``save_pairs`` writes do, numpy's C reader
-(``np.loadtxt``) parses the rows in one call.  Any other file, and any
-file that reader rejects or reads as a table of the wrong shape or with a
-value that is not finite, is parsed line by line with ``float()``.  The
-values and the errors are the same either way: over those characters both
-accept the same literals and give them the same bits, and every error is
-raised by the per-line parse.
+``-`` and commas, as the rows ``save_pairs`` writes do, numpy parses the
+rows in one call.  Where ``long double`` is x87 extended precision (x86-64
+Linux and macOS), ``np.fromstring`` reads them with libc's correctly
+rounded ``strtold`` and the result is rounded to float64; the few fields
+whose two roundings can differ from one (a double-rounding midpoint, or a
+value below the smallest normal double) are read again with ``float()``.
+Elsewhere ``np.loadtxt`` reads them.  Any other file, and any file the
+reader rejects, warns about or reads as a table of the wrong shape or with
+a value that is not finite, is parsed line by line with ``float()``.  The
+values and the errors are the same either way: over those characters the
+readers accept the same literals as ``float()`` and give them the same
+bits, and every error is raised by the per-line parse.
 
 Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
@@ -34,10 +39,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby, repeat
 from pathlib import Path
-from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -271,33 +278,87 @@ def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
 
 
 # The characters of a plain numeric row.  On decimal literals made of them,
-# numpy's C reader and float() accept the same ones and give them the same
-# bits; tests/test_io.py checks every literal of up to 3 characters.  The
-# literals where the two differ (surrounding whitespace, "_", "inf", "nan",
-# non-ASCII digits) all need other characters.
+# both plain readers (strtold with the midpoint re-read, and np.loadtxt)
+# accept the same ones as float() and give them the same bits;
+# tests/test_io.py checks every literal of up to 3 characters under each.
+# The literals where they differ (surrounding whitespace, "_", "inf", "nan",
+# hexadecimal, non-ASCII digits) all need other characters.
 _PLAIN_ROW_CHARS = b"0123456789.eE+-,"
+
+# x87 extended precision stored little-endian in 16 bytes, the long double
+# of x86-64 Linux and macOS.  There ``np.fromstring`` reads long doubles
+# with libc's strtold, and ``_strtold_table`` knows their bit layout: a
+# 64-bit significand with an explicit integer bit, then the sign and a
+# 15-bit exponent biased by 16383.
+_X87_LONG_DOUBLE = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and sys.byteorder == "little"
+)
+# The biased x87 exponent of the smallest normal double, 2**-1022.
+_X87_MIN_NORMAL_EXPONENT = 16383 - 1022
 
 
 def _plain_table(rows: list[str], width: int) -> np.ndarray | None:
-    """The rows of a pair file, parsed by numpy's C reader, if they are plain.
+    """The rows of a pair file, parsed by numpy in one call, if they are plain.
 
-    Only rows made of ``_PLAIN_ROW_CHARS`` are parsed here, and only a finite
-    table of at least 2 rows and ``width`` columns is returned.  Anything
-    else gives None, so that ``_table_by_line`` parses the rows and raises
-    its usual error.  The rows are the lines that ``_table_by_line`` would
-    read, so both split the file into the same rows.
+    Only at least 2 rows of ``width`` fields each, made of
+    ``_PLAIN_ROW_CHARS``, are parsed here, and only a finite table is
+    returned.  Anything else, and any warning while parsing, gives None, so
+    that ``_table_by_line`` parses the rows and raises its usual error.  The
+    rows are the lines that ``_table_by_line`` would read, so both split the
+    file into the same rows.
     """
     if len(rows) < 2:
         return None  # and loadtxt would warn about a file without rows
     text = ",".join(rows)
     if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_ROW_CHARS):
         return None
+    if set(map(str.count, rows, repeat(","))) != {width - 1}:
+        return None
     try:
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if _X87_LONG_DOUBLE:
+                table = _strtold_table(text, rows, width)
+            else:
+                table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
         return None
     if table.shape != (len(rows), width) or not np.isfinite(table).all():
         return None
+    return table
+
+
+def _strtold_table(text: str, rows: list[str], width: int) -> np.ndarray:
+    """The plain rows, joined into ``text``, read as x87 long doubles and
+    rounded to float64, with the same bits as ``float()`` of each field.
+
+    Rounded first to 64 significand bits and then to 53, a value can differ
+    from its one rounding to 53 bits only where the first rounding lands
+    exactly on a midpoint between two doubles (the 11 bits the second drops
+    are 0x400), or below the smallest normal double, where the second drops
+    more bits.  Those fields are read again with ``float()``.  A trailing
+    comma on the last row, which ``np.fromstring`` accepts, leaves the table
+    one value short, and that flat table is returned for the caller to reject.
+    """
+    wide = np.fromstring(text, dtype=np.longdouble, sep=",")
+    table = wide.astype(np.float64)
+    if table.size != len(rows) * width:
+        return table
+    words = wide.view(np.uint64)
+    significand, exponent = words[0::2], words[1::2] & 0x7FFF
+    twice = ((significand & 0x7FF) == 0x400) | (
+        (exponent < _X87_MIN_NORMAL_EXPONENT) & (significand != 0)
+    )
+    table = table.reshape(len(rows), width)
+    for r, fields in groupby(np.flatnonzero(twice).tolist(), lambda k: k // width):
+        row = rows[r]
+        commas = np.flatnonzero(np.frombuffer(row.encode("ascii"), np.uint8) == ord(","))
+        edges = [-1, *commas.tolist(), len(row)]
+        for k in fields:
+            j = k % width
+            table[r, j] = float(row[edges[j] + 1 : edges[j + 1]])
     return table
 
 

@@ -289,6 +289,9 @@ def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
     method) bit for bit, except for the sign of a zero where the differences
     hold both -0.0 and 0.0: the quartiles, min and max read ``np.sort``'s
     order of the zeros, np.quantile its partition's.
+
+    Raises DegenerateInputError where the quartiles are finite but the
+    interquartile range q3 - q1 overflows float64.
     """
     ascending, neg, pos = d._sorted
     n = ascending.size
@@ -296,6 +299,11 @@ def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
     mean *= scale
     sd *= scale
     q1, med, q3 = (_linear_quantile(ascending, q) for q in (0.25, 0.5, 0.75))
+    iqr = q3 - q1
+    if not math.isfinite(iqr):
+        raise DegenerateInputError(
+            f"interquartile range overflows float64: q3 - q1 = {q3!r} - {q1!r}"
+        )
     wins = n - pos
     ties = pos - neg
     losses = neg
@@ -308,7 +316,7 @@ def descriptive_stats(d: PairedDiffs) -> DescriptiveStats:
         median=med,
         q1=q1,
         q3=q3,
-        iqr=q3 - q1,
+        iqr=iqr,
         min=float(ascending[0]),
         max=float(ascending[-1]),
         wins=wins,

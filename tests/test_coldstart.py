@@ -1,6 +1,6 @@
 """Cold start: everything but the paired t-test runs without importing scipy.
 
-That includes ``ordsim bench`` on a plain pair file, which numpy's reader parses.
+That includes ``ordsim bench`` on a plain pair file, which numpy parses in one call.
 
 pytest's own process has scipy loaded already, so the check runs in a fresh
 interpreter.
@@ -17,12 +17,15 @@ import json, sys
 
 import numpy
 
-# Count the pair files that numpy's reader parses.
-loadtxt_calls = []
-def counting_loadtxt(*args, _loadtxt=numpy.loadtxt, **kwargs):
-    loadtxt_calls.append(1)
-    return _loadtxt(*args, **kwargs)
-numpy.loadtxt = counting_loadtxt
+# Count the pair files that each of numpy's readers parses.
+reader_calls = []
+def counting(name, parse):
+    def counted(*args, **kwargs):
+        reader_calls.append(name)
+        return parse(*args, **kwargs)
+    return counted
+for name in ("fromstring", "loadtxt"):
+    setattr(numpy, name, counting(name, getattr(numpy, name)))
 
 import ordsim
 from ordsim import MetricKind, PairedDiffs, bound_chain, evaluate, load_pairs, paired_t_test, run_selftest
@@ -46,7 +49,7 @@ before = scipy_modules()
 p_value = paired_t_test(PairedDiffs.from_values([1.0, 3.0])).p_value
 print(json.dumps({
     "codes": codes, "before": before, "after": scipy_modules(), "p": p_value,
-    "loadtxt_calls": len(loadtxt_calls),
+    "reader_calls": reader_calls, "x87": ordsim.io._X87_LONG_DOUBLE,
 }))
 """
 
@@ -66,7 +69,8 @@ def test_scipy_is_imported_only_by_the_t_test(fresh_python, tmp_path):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0, 0]
     assert probe["before"] == []
-    # load_pairs and bench both took numpy's reader: the file is plain.
-    assert probe["loadtxt_calls"] == 2
+    # load_pairs and bench both took the fast reader: the file is plain.
+    reader = "fromstring" if probe["x87"] else "loadtxt"
+    assert probe["reader_calls"] == [reader] * 2
     assert "scipy.special" in probe["after"]
     assert probe["p"] == 0.14758361765043326

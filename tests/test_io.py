@@ -1,10 +1,14 @@
 """Dataset IO: round-trips, error reporting with line numbers, fixture integrity."""
 
+import decimal
 import gzip
 import itertools
+import math
+import platform
 import re
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -484,16 +488,60 @@ def _short_pair_file(rows, newline="\n"):
     return newline.join(["gold,u_0,v_0", *rows]) + newline
 
 
-class TestNumpyReaderMatchesFloat:
-    """Plain files are parsed by numpy's C reader; every file must load to the
-    same columns, or fail with the same error, as the per-line reference."""
+def _midpoint_literals(x):
+    """Exact decimals of the midpoints between the double ``x`` and its two
+    neighbours, and of the decimals 1e-30 of an ulp to either side of each:
+    where a reader rounds twice, these are the literals it can round wrong."""
+    literals = []
+    for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+        if not math.isfinite(y):
+            continue
+        half_gap = (Fraction(y) - Fraction(x)) / 2
+        midpoint = Fraction(x) + half_gap
+        for offset in (0, Fraction(1, 10**30), -Fraction(1, 10**30)):
+            literals.append(_exact_decimal(midpoint + offset * abs(half_gap)))
+    return literals
 
+
+def _exact_decimal(q):
+    """A decimal literal of the rational ``q`` whose denominator is
+    2**a * 5**b, digit for digit."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        return format(decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator), "e")
+
+
+def _same_columns_or_error_test():
+    # One Hypothesis test per class: Hypothesis fails a test function that
+    # two classes run (its differing_executors health check).
     @given(_pair_file_texts())
     @settings(max_examples=400, deadline=None)
     def test_same_columns_or_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _load_outcome(load_pairs, path) == _load_outcome(_reference_load_pairs, path)
+
+    return test_same_columns_or_error
+
+
+class TestNumpyReaderMatchesFloat:
+    """Plain files are parsed by numpy in one call; every file must load to
+    the same columns, or fail with the same error, as the per-line reference.
+
+    This class tests the reader this platform picks (strtold on x86-64);
+    ``TestLoadtxtReaderMatchesFloat`` runs the same tests on np.loadtxt.
+    """
+
+    loadtxt_only = False
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _plain_reader(self, request):
+        with pytest.MonkeyPatch.context() as mp:
+            if request.cls.loadtxt_only:
+                mp.setattr(ordsim.io, "_X87_LONG_DOUBLE", False)
+            yield
+
+    test_same_columns_or_error = _same_columns_or_error_test()
 
     @pytest.mark.parametrize(
         "text",
@@ -557,7 +605,7 @@ class TestNumpyReaderMatchesFloat:
                     mismatches.append(token)
         assert mismatches == []
 
-    def test_long_literals_round_as_float_does(self):
+    def test_long_literals_round_as_float_does(self, tmp_path):
         # 17 to 40 significant digits, values from the subnormal range up
         # to 1e300: the digits past the 17th decide the rounding.
         rng = np.random.default_rng(2718)
@@ -567,20 +615,58 @@ class TestNumpyReaderMatchesFloat:
             point = int(rng.integers(0, len(digits) + 1))
             sign = str(rng.choice(["", "-", "+"]))
             tokens.append(f"{sign}{digits[:point]}.{digits[point:]}e{rng.integers(-345, 261)}")
+        # Exactly at and 1e-30 ulp beside double midpoints, where rounding
+        # first to 64 bits and then to 53 can differ from float(): around 1
+        # and 1.5, the smallest normal double and the largest subnormal, the
+        # two smallest subnormals, and below the largest double.
+        for x in (1.0, 1.5, 2.2250738585072014e-308, 2.225073858507201e-308, 5e-324, 1e-323,
+                  1.7976931348623157e308):
+            tokens += _midpoint_literals(x)
         table = _plain_table([f"{token},1,1" for token in tokens], 3)
         assert table is not None
         assert table[:, 0].tobytes() == np.array([float(t) for t in tokens]).tobytes()
+        # 2**1024 - 2**970 lies halfway between the largest double and
+        # 2**1024: float() rounds it, and anything above it, to inf, so such
+        # a file falls back to the per-line parse and its error.  Just below
+        # it the gold is the largest double, whichever parse reads it.
+        overflow = Fraction(2**1024 - 2**970)
+        path = tmp_path / "pairs.csv"
+        for q in (overflow, overflow * (1 + Fraction(1, 10**30)), overflow * (1 - Fraction(1, 10**30))):
+            rows = [f"{_exact_decimal(q)},1,1", "1,1,1"]
+            path.write_text(_short_pair_file(rows))
+            outcome = _load_outcome(load_pairs, path)
+            assert outcome == _load_outcome(_reference_load_pairs, path)
+            if q < overflow:
+                assert load_pairs(path).gold[0] == sys.float_info.max
+            else:
+                assert _plain_table(rows, 3) is None
+                assert outcome[:2] == (DatasetFormatError, f"{path}:2: gold score must be finite")
 
     def test_saved_files_take_numpys_reader(self, tmp_path, monkeypatch):
         path = tmp_path / "pairs.csv"
         ds = _random_dataset(np.random.default_rng(163), n=8, dim=5)
         save_pairs(ds, path)
+        reader = "fromstring" if ordsim.io._X87_LONG_DOUBLE else "loadtxt"
+        if platform.machine() == "x86_64" and not self.loadtxt_only:
+            assert reader == "fromstring"  # x86-64's long double is x87's
 
         def per_line(*args):
             raise AssertionError("a plain file went to the per-line loop")
 
+        calls = []
+
+        def counting(name, parse):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return parse(*args, **kwargs)
+
+            return counted
+
         monkeypatch.setattr(ordsim.io, "_table_by_line", per_line)
+        for name in ("fromstring", "loadtxt"):
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
         assert load_pairs(path, name=ds.name) == ds
+        assert calls == [reader]
 
     def test_parses_the_text_it_read(self, tmp_path, monkeypatch):
         # The file is read once: a writer that replaces it right after the
@@ -597,6 +683,35 @@ class TestNumpyReaderMatchesFloat:
         monkeypatch.setattr(Path, "read_text", read_then_replace)
         ds = load_pairs(path)
         assert ds.gold.tolist() == [1.0, 4.0] and ds.V.tolist() == [[3.0], [6.0]]
+
+
+class TestLoadtxtReaderMatchesFloat(TestNumpyReaderMatchesFloat):
+    """The same tests on np.loadtxt, the plain reader where long double is
+    not x87's, reached by setting the platform constant."""
+
+    loadtxt_only = True
+    test_same_columns_or_error = _same_columns_or_error_test()
+
+
+@pytest.mark.skipif(not ordsim.io._X87_LONG_DOUBLE, reason="long double is not x87's")
+def test_zeros_and_subnormals_reread_only_subnormals(tmp_path, monkeypatch):
+    # Zeros are exact in both roundings; only the subnormals, whose second
+    # rounding drops more than 11 bits, are read again with float().
+    subnormals = ["5e-324", "-1e-323", "2.2250738585072009e-308", "4.9406564584124654e-324",
+                  "1e-310", "-3.3e-320"]
+    rows = ["0,-0.0,5e-324,0,-0.0", "-0.0,0,-1e-323,-0.0,0", "2.2250738585072009e-308,0,0,-0.0,0",
+            "0,4.9406564584124654e-324,1e-310,-3.3e-320,0", "-0.0,-0.0,0,0,-0.0"]
+    path = tmp_path / "pairs.csv"
+    path.write_text(_pair_header(2) + "\n" + "\n".join(rows) + "\n")
+    rereads = []
+
+    def counting_float(text):
+        rereads.append(text)
+        return float(text)
+
+    monkeypatch.setattr(ordsim.io, "float", counting_float, raising=False)
+    assert _load_outcome(load_pairs, path) == _load_outcome(_reference_load_pairs, path)
+    assert sorted(rereads) == sorted(subnormals)
 
 
 class TestScoreCents:

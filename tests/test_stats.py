@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -27,7 +28,13 @@ from ordsim import (
 )
 from ordsim import TestResult as StatsTestResult
 from ordsim.ranks import average_ranks
-from ordsim.stats import DescriptiveStats, _binomial_head_sum, _norm_sf, _student_t_sf
+from ordsim.stats import (
+    DescriptiveStats,
+    _binomial_head_sum,
+    _linear_quantile,
+    _norm_sf,
+    _student_t_sf,
+)
 
 
 def diffs(*values, datasets=None):
@@ -442,10 +449,13 @@ class TestSharedSortMatchesReferenceCode:
     def test_quartiles_stay_finite_where_numpy_overflows(self, values):
         # In each list numpy's above - below overflows for some quartile,
         # which np.quantile gives as inf, or NaN where the weight t is 0; the
-        # exact interpolation is finite.
-        s = descriptive_stats(PairedDiffs.from_values(values))
+        # exact interpolation is finite.  In the last list q3 - q1 itself
+        # exceeds float64, so descriptive_stats raises, and the quartiles are
+        # checked on _linear_quantile, which it calls.
         ascending = sorted(values)
-        for q, got in zip((0.25, 0.5, 0.75), (s.q1, s.median, s.q3)):
+        quartiles, exact_quartiles = [], []
+        for q in (0.25, 0.5, 0.75):
+            got = _linear_quantile(np.array(ascending), q)
             index = (len(values) - 1) * Fraction(q)
             i = int(index)
             t = index - i
@@ -454,7 +464,16 @@ class TestSharedSortMatchesReferenceCode:
             assert math.isfinite(got)
             # Two roundings of the products and one of their sum.
             assert abs(Fraction(got) - exact) <= 3 * 2**-53 * (abs(below) * (1 - t) + abs(above) * t)
-        assert s.iqr == s.q3 - s.q1
+            quartiles.append(got)
+            exact_quartiles.append(exact)
+        d = PairedDiffs.from_values(values)
+        if exact_quartiles[2] - exact_quartiles[0] > Fraction(sys.float_info.max):
+            with pytest.raises(DegenerateInputError, match="interquartile range overflows float64"):
+                descriptive_stats(d)
+        else:
+            s = descriptive_stats(d)
+            assert [s.q1, s.median, s.q3] == quartiles
+            assert s.iqr == s.q3 - s.q1
 
     def test_single_negative_zero_matches_numpy(self):
         # n = 1 takes the clamped branch of numpy's interpolation, b - diff * (1 - t).
