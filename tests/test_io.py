@@ -4,9 +4,12 @@ import decimal
 import gzip
 import itertools
 import math
+import os
 import platform
 import re
 import sys
+import threading
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -511,6 +514,31 @@ def _exact_decimal(q):
         return format(decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator), "e")
 
 
+# Small pair files at the edges of the plain readers' checks.
+_EDGE_CASE_FILES = [
+    _short_pair_file(["-0.0,0.0,-0", "1,-0.0,2"]),
+    _short_pair_file(["5e-324,2.2250738585072014e-308,-4e-320", "1e-310,0,1"]),
+    _short_pair_file(["1e999,1,2", "1,2,3"]),
+    _short_pair_file(["1,2,3", "-1e999,1,2"]),
+    _short_pair_file(["1,2,3", "4,5,6"], "\r\n"),
+    _short_pair_file(["1,2,3", "4,5,6"], "\r"),
+    "gold,u_0,v_0\n\n1,2,3\r\n\r\n\n4,5,6\n\n",
+    "\n \n\r\ngold,u_0,v_0\n1,2,3\n4,5,6\n",
+    "gold,u_0,v_0\n\n\n",
+    "gold,u_0,v_0\n\r\n",
+    _short_pair_file(["1,2,3\x0c4,5,6"]),
+    _short_pair_file(["1,2,3\x1c4,5,6", "7,8,9"]),
+    _short_pair_file(["1,2,3\u20284,5,6"]),
+    _short_pair_file(["1,2\x0c,3", "4,5,6"]),
+    _short_pair_file(["1,,3", "4,5,6"]),
+    _short_pair_file(["1,2,3,", "4,5,6,"]),
+    _short_pair_file(["1,2,3", "4,5,6,"]),
+    _short_pair_file(["1,2", "4,5"]),
+    _short_pair_file(["1,2,3"]),
+    _short_pair_file(["1e5,1E-5,+.5", "1.,-0e0,00"]),
+]
+
+
 def _same_columns_or_error_test():
     # One Hypothesis test per class: Hypothesis fails a test function that
     # two classes run (its differing_executors health check).
@@ -543,31 +571,7 @@ class TestNumpyReaderMatchesFloat:
 
     test_same_columns_or_error = _same_columns_or_error_test()
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            _short_pair_file(["-0.0,0.0,-0", "1,-0.0,2"]),
-            _short_pair_file(["5e-324,2.2250738585072014e-308,-4e-320", "1e-310,0,1"]),
-            _short_pair_file(["1e999,1,2", "1,2,3"]),
-            _short_pair_file(["1,2,3", "-1e999,1,2"]),
-            _short_pair_file(["1,2,3", "4,5,6"], "\r\n"),
-            _short_pair_file(["1,2,3", "4,5,6"], "\r"),
-            "gold,u_0,v_0\n\n1,2,3\r\n\r\n\n4,5,6\n\n",
-            "\n \n\r\ngold,u_0,v_0\n1,2,3\n4,5,6\n",
-            "gold,u_0,v_0\n\n\n",
-            "gold,u_0,v_0\n\r\n",
-            _short_pair_file(["1,2,3\x0c4,5,6"]),
-            _short_pair_file(["1,2,3\x1c4,5,6", "7,8,9"]),
-            _short_pair_file(["1,2,3\u20284,5,6"]),
-            _short_pair_file(["1,2\x0c,3", "4,5,6"]),
-            _short_pair_file(["1,,3", "4,5,6"]),
-            _short_pair_file(["1,2,3,", "4,5,6,"]),
-            _short_pair_file(["1,2,3", "4,5,6,"]),
-            _short_pair_file(["1,2", "4,5"]),
-            _short_pair_file(["1,2,3"]),
-            _short_pair_file(["1e5,1E-5,+.5", "1.,-0e0,00"]),
-        ],
-    )
+    @pytest.mark.parametrize("text", _EDGE_CASE_FILES)
     def test_edge_case_files(self, tmp_path, text):
         path = tmp_path / "pairs.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -712,6 +716,185 @@ def test_zeros_and_subnormals_reread_only_subnormals(tmp_path, monkeypatch):
     monkeypatch.setattr(ordsim.io, "float", counting_float, raising=False)
     assert _load_outcome(load_pairs, path) == _load_outcome(_reference_load_pairs, path)
     assert sorted(rereads) == sorted(subnormals)
+
+
+def _outcomes_in_parts(path, cpu_counts):
+    """The load outcome of ``path`` with each CPU count, and the number of
+    parts each load parsed."""
+    plain_part = ordsim.io._plain_part
+    part_sizes = []
+
+    def counted(rows, width):
+        part_sizes.append(len(rows))
+        return plain_part(rows, width)
+
+    outcomes, parts = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ordsim.io, "_plain_part", counted)
+        for count in cpu_counts:
+            mp.setattr(os, "sched_getaffinity", lambda pid, k=count: set(range(k)), raising=False)
+            part_sizes.clear()
+            outcomes.append(_load_outcome(load_pairs, path))
+            parts.append(len(part_sizes))
+    return outcomes, parts
+
+
+_MIDPOINT_ROW = f"{_midpoint_literals(1.0)[0]},{_midpoint_literals(1.5)[3]},-1"
+
+
+@pytest.mark.skipif(not ordsim.io._X87_LONG_DOUBLE, reason="only the strtold reader splits a file")
+class TestPartsMatchOnePart:
+    """The strtold reader splits a large file into one part per available
+    CPU.  Here the size threshold is lowered so that small files split: in
+    any number of parts a file must load to the same bits, or fail with the
+    same error and line, as in one part and as the per-line reference."""
+
+    # Six rows: two parts take rows 0-2 and 3-5, three parts 0-1, 2-3, 4-5.
+    _ROWS = ["0.5,-1,2e-3", "1.5,-2,4e-3", "2.5,-3,6e-3", "3.5,-4,8e-3", "4.5,-5,1e-2",
+             "5.5,-6,1.2e-2"]
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _small_parts(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ordsim.io, "_PART_MIN_CHARS", 1)
+            yield
+
+    @given(_pair_file_texts(), st.integers(2, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_same_columns_or_error(self, tmp_path_factory, text, cpus):
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes, _ = _outcomes_in_parts(path, [1, cpus])
+        assert outcomes == [_load_outcome(_reference_load_pairs, path)] * 2
+
+    @pytest.mark.parametrize("text", _EDGE_CASE_FILES)
+    def test_edge_case_files(self, tmp_path, text):
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes, _ = _outcomes_in_parts(path, [1, 2, 3])
+        assert outcomes == [_load_outcome(_reference_load_pairs, path)] * 3
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1,1.2.3,3", "1,e,3", "1,x,3", "1,2,", "1,2,3,", "1,2", "1,2,3,4", _MIDPOINT_ROW,
+         "1,5e-324,-1e-310", "1e999,1,2", "1,2,-1e999"],
+    )
+    @pytest.mark.parametrize("at", [0, 2, 3, 5])
+    def test_a_row_in_any_part(self, tmp_path, row, at):
+        # Row 0 starts the first part, row 5 ends the last; row 2 ends the
+        # first of two parts and row 3 the middle one of three.
+        rows = list(self._ROWS)
+        rows[at] = row
+        path = tmp_path / "pairs.csv"
+        path.write_text(_short_pair_file(rows))
+        outcomes, parts = _outcomes_in_parts(path, [1, 2, 3])
+        assert outcomes == [_load_outcome(_reference_load_pairs, path)] * 3
+        assert parts == [1, 2, 3]
+
+    def test_more_cpus_than_rows(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text(_short_pair_file(self._ROWS[:3]))
+        outcomes, parts = _outcomes_in_parts(path, [1, 3, 8])
+        assert outcomes == [_load_outcome(_reference_load_pairs, path)] * 3
+        assert outcomes[0][0] == "pairs"
+        assert parts == [1, 3, 3]
+
+    def test_an_error_in_a_part_is_raised_once_every_thread_has_ended(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "pairs.csv"
+        path.write_text(_short_pair_file(self._ROWS))
+        strtold_table = ordsim.io._strtold_table
+
+        def second_part_fails(text, rows, width):
+            if rows[0] == self._ROWS[3]:
+                raise MemoryError("the second part")
+            time.sleep(0.05)  # the first part still runs when the second fails
+            return strtold_table(text, rows, width)
+
+        monkeypatch.setattr(ordsim.io, "_strtold_table", second_part_fails)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="the second part"):
+            load_pairs(path)
+        assert threading.active_count() == before
+
+    def test_a_warning_in_a_part_sends_the_file_to_the_per_line_parse(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "pairs.csv"
+        path.write_text(_short_pair_file(self._ROWS))
+        strtold_table = ordsim.io._strtold_table
+        table_by_line = ordsim.io._table_by_line
+        per_line = []
+
+        def second_part_warns(text, rows, width):
+            if rows[0] == self._ROWS[3]:
+                warnings.warn("from the second part", DeprecationWarning)
+            return strtold_table(text, rows, width)
+
+        def counted_per_line(*args):
+            per_line.append(args)
+            return table_by_line(*args)
+
+        monkeypatch.setattr(ordsim.io, "_strtold_table", second_part_warns)
+        monkeypatch.setattr(ordsim.io, "_table_by_line", counted_per_line)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = load_pairs(path)
+        assert caught == [] and len(per_line) == 1
+        assert ds == _reference_load_pairs(path)
+        assert threading.active_count() == before
+
+
+def _file_above_the_part_threshold(path):
+    """Write a saved pair file whose rows join to more than twice
+    ``_PART_MIN_CHARS``, so that two CPUs split it into two parts."""
+    rows = 2 * ordsim.io._PART_MIN_CHARS // 1000 + 2
+    save_pairs(_random_dataset(np.random.default_rng(29), n=rows, dim=30), path)
+    _, _, lines = ordsim.io._read_lines(path)
+    assert len(",".join(line for _, line in lines)) > 2 * ordsim.io._PART_MIN_CHARS
+
+
+@pytest.mark.parametrize(
+    "x87, cpus, calls",
+    [(True, 1, ["fromstring"]), (True, 2, ["fromstring"] * 2), (False, 2, ["loadtxt"])],
+)
+def test_reader_calls_on_a_file_above_the_part_threshold(
+    tmp_path, monkeypatch, x87, cpus, calls
+):
+    # One part per CPU for strtold; np.loadtxt holds the GIL and takes the
+    # whole file in one call whatever the CPU count.
+    if x87 and not ordsim.io._X87_LONG_DOUBLE:
+        pytest.skip("long double is not x87's")
+    path = tmp_path / "pairs.csv"
+    _file_above_the_part_threshold(path)
+    want = _reference_load_pairs(path)
+    made = []
+
+    def counting(name, parse):
+        def counted(*args, **kwargs):
+            made.append(name)
+            return parse(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(ordsim.io, "_X87_LONG_DOUBLE", x87)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for name in ("fromstring", "loadtxt"):
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    assert _load_outcome(load_pairs, path) == _load_outcome(lambda p: want, path)
+    assert made == calls
+
+
+def test_available_cpus_without_affinity_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert ordsim.io._available_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ordsim.io._available_cpus() == 1
 
 
 class TestScoreCents:
