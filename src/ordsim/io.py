@@ -6,26 +6,16 @@ must not contain commas), LF or CRLF line endings, blank lines ignored:
 Pair datasets -- header ``gold,u_0,...,u_{d-1},v_0,...,v_{d-1}`` for some
 dimension d >= 1, one scored vector pair per row.  ``gold`` is the reference
 similarity score for the pair; all values are decimal literals.
-``load_pairs`` parses the rows straight into a ``PairDataset``'s columns,
-``gold``, ``U`` and ``V``, the dataset's one representation; its
-constructor stacks ``PairRecord`` objects into the same columns.  When
-every data row holds nothing but ASCII digits, ``.``, ``e``, ``E``, ``+``,
-``-`` and commas, as the rows ``save_pairs`` writes do, numpy parses the
-rows.  Where ``long double`` is x87 extended precision (x86-64 Linux and
-macOS), ``np.fromstring`` reads them with libc's correctly rounded
-``strtold`` and the result is rounded to float64; the few fields whose two
-roundings can differ from one (a double-rounding midpoint, or a value below
-the smallest normal double) are read again with ``float()``.  A large file
-is cut at row boundaries into one part per CPU the process may run on, and
-each part is checked and read in its own thread, since ``np.fromstring``
-releases the GIL; a small file, or a process pinned to one CPU, takes one
-call.  Elsewhere ``np.loadtxt`` reads all the rows in one call.  Any other
-file is parsed line by line with ``float()``, and so is a file of which
-the reader rejects or warns about any part, or reads a part as a table of
-the wrong shape or with a value that is not finite.  The values and the
-errors are the same either way: over those characters the readers accept
-the same literals as ``float()`` and give them the same bits, and every
-error is raised by the per-line parse.
+``load_pairs`` reads the file's bytes once and parses the rows straight
+into a ``PairDataset``'s columns, ``gold``, ``U`` and ``V``, the dataset's
+one representation.  When the header is exact and every data row holds
+nothing but ASCII digits, ``.``, ``e``, ``E``, ``+``, ``-`` and commas, as
+the rows ``save_pairs`` writes do, numpy parses the rows from the bytes
+(``_plain_table``).  Any other file, and one of which numpy's reader
+rejects or warns about any part, is decoded and parsed line by line with
+``float()``.  The values and the errors are the same either way: over those
+characters the readers accept the same literals as ``float()`` and give
+them the same bits, and every error is raised by the per-line parse.
 
 Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
@@ -243,59 +233,67 @@ def _bad_line(path: Path, lineno: int, message: object) -> DatasetFormatError:
     return DatasetFormatError(f"{path}:{lineno}: {message}", line=lineno)
 
 
-def _read_lines(path: Path) -> tuple[int, str, list[tuple[int, str]]]:
-    """A CSV file's header line number and text, and its rows after the header
-    as (line number, text), blank lines dropped.  An empty file is an error."""
+def _read_bytes(path: Path) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read: {exc}") from exc
+
+
+def _read_lines(path: Path, data: bytes) -> tuple[int, str, list[tuple[int, str]]]:
+    """The header line number and text of a CSV file's bytes ``data``, and its
+    later rows as (line number, text), blank lines dropped; none is an error."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = exc.object[: exc.start].count(b"\n") + 1
         raise _bad_line(path, lineno, f"not valid UTF-8: {exc.reason}") from exc
     # isspace() is True for the lines strip() empties, without copying them.
-    lines = [
-        (i, line)
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line and not line.isspace()
-    ]
+    numbered = enumerate(text.splitlines(), start=1)
+    lines = [(i, line) for i, line in numbered if line and not line.isspace()]
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")
     header_no, header = lines[0]
     return header_no, header, lines[1:]
 
 
+# Lines of spaces and tabs, then a line that starts ``gold,`` and its end.
+_PAIR_HEAD_RE = re.compile(rb"[ \t\r\n]*(?<![ \t])(gold,[^\r\n]*)(?:\r\n?|\n)")
+
+
 def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
     """Load a pair dataset, validating the header and every row."""
     path = Path(path)
-    header_no, header, rows = _read_lines(path)
-    columns = header.split(",")
-    if len(columns) < 3 or len(columns) % 2 == 0:
-        raise _bad_line(path, header_no, "header must be gold,u_0..u_d-1,v_0..v_d-1")
-    dim = (len(columns) - 1) // 2
-    if header != _pair_header(dim):
-        raise _bad_line(path, header_no, f"malformed header for dimension {dim}")
-    table = _plain_table([line for _, line in rows], 1 + 2 * dim)
+    data = _read_bytes(path)
+    head = _PAIR_HEAD_RE.match(data)
+    dim = head[1].count(b",") // 2 if head else 0
+    plain = head is not None and head[1] == _pair_header(dim).encode("ascii")
+    table = _plain_table(data, head.end(), 1 + 2 * dim) if plain else None
     if table is None:
+        header_no, header, rows = _read_lines(path, data)
+        columns = header.split(",")
+        if len(columns) < 3 or len(columns) % 2 == 0:
+            raise _bad_line(path, header_no, "header must be gold,u_0..u_d-1,v_0..v_d-1")
+        dim = (len(columns) - 1) // 2
+        if header != _pair_header(dim):
+            raise _bad_line(path, header_no, f"malformed header for dimension {dim}")
         table = _table_by_line(path, rows, dim)
     return PairDataset._from_columns(
         name or path.stem, table[:, 0], table[:, 1 : 1 + dim], table[:, 1 + dim :]
     )
 
 
-# The characters of a plain numeric row.  On decimal literals made of them,
-# both plain readers (strtold with the midpoint re-read, and np.loadtxt)
-# accept the same ones as float() and give them the same bits;
-# tests/test_io.py checks every literal of up to 3 characters under each.
-# The literals where they differ (surrounding whitespace, "_", "inf", "nan",
-# hexadecimal, non-ASCII digits) all need other characters.
-_PLAIN_ROW_CHARS = b"0123456789.eE+-,"
+# The characters of a plain literal.  On literals made of them, both plain
+# readers (strtold with the midpoint re-read, and np.loadtxt) accept the same
+# ones as float(), with the same bits; tests/test_io.py checks every literal
+# of up to 3 characters.  Where they differ (whitespace, "_", "inf", "nan",
+# hexadecimal, non-ASCII digits), a literal needs other characters.
+_PLAIN_LITERAL_CHARS = b"0123456789.eE+-"
 
 # x87 extended precision stored little-endian in 16 bytes, the long double
-# of x86-64 Linux and macOS.  There ``np.fromstring`` reads long doubles
-# with libc's strtold, and ``_strtold_table`` knows their bit layout: a
-# 64-bit significand with an explicit integer bit, then the sign and a
-# 15-bit exponent biased by 16383.
+# of x86-64 Linux and macOS, which ``np.fromstring`` reads with libc's
+# strtold.  Its layout: a 64-bit significand with an explicit integer bit,
+# then the sign and a 15-bit exponent biased by 16383.
 _X87_LONG_DOUBLE = (
     np.finfo(np.longdouble).nmant == 63
     and np.dtype(np.longdouble).itemsize == 16
@@ -305,57 +303,42 @@ _X87_LONG_DOUBLE = (
 _X87_MIN_NORMAL_EXPONENT = 16383 - 1022
 
 
-# The fewest characters of joined rows worth a thread of their own: the
-# strtold reader splits a file into at most one part per this many.  Two
-# threads cost about 0.2 ms to start and join.  On a 2-core x86-64 VM, two
-# parts of a 53 kB file took 1.26 times as long as one call, of a 107 kB
-# file 0.95 times and of a 214 kB file 0.85 times.
+# The fewest bytes of rows worth a thread of their own.  On a 2-core x86-64
+# VM, two parts of a 53 kB file took 1.26 times as long as one call, of a
+# 107 kB file 0.95 times and of a 214 kB file 0.85 times.
 _PART_MIN_CHARS = 2**16
 
 
-def _plain_table(rows: list[str], width: int) -> np.ndarray | None:
-    """The rows of a pair file, parsed by numpy, if they are plain.
-
-    Only at least 2 rows of ``width`` fields each, made of
-    ``_PLAIN_ROW_CHARS``, are parsed here, and only a finite table is
-    returned.  Anything else, and any warning while parsing, gives None, so
-    that ``_table_by_line`` parses the rows and raises its usual error.  The
-    rows are the lines that ``_table_by_line`` would read, so both split the
-    file into the same rows.
-
-    The strtold reader splits the rows into contiguous parts, one per CPU
-    the process may run on (``os.sched_getaffinity``) but at most one per
-    ``_PART_MIN_CHARS`` of joined text, and checks and parses each part in
-    its own thread: ``np.fromstring`` releases the GIL.  A file of one part,
-    and every file for ``np.loadtxt``, which holds the GIL, is parsed in one
-    call in the calling thread.  The parts' tables are joined in row order;
-    if any part gives None, so does the file.
+def _plain_table(data: bytes, start: int, width: int) -> np.ndarray | None:
+    """The rows of a pair file's bytes ``data`` from byte ``start`` on,
+    parsed by numpy, if they are plain: at least 2 rows of ``width`` fields
+    of ``_PLAIN_LITERAL_CHARS``, and a finite table.  Anything else, and any
+    warning, gives None, and ``_table_by_line`` raises the error.  The
+    strtold reader cuts the rows at line feeds into parts of about equal
+    size, one per CPU the process may run on but at most one per
+    ``_PART_MIN_CHARS`` bytes, each parsed in its own thread.
     """
-    if len(rows) < 2:
-        return None  # and loadtxt would warn about a file without rows
-    parts = _row_parts(rows) if _X87_LONG_DOUBLE else [rows]
+    if data.find(b"\r", start) >= 0:  # CR and CRLF line ends, as splitlines() sees them
+        data, start = data[start:].replace(b"\r\n", b"\n").replace(b"\r", b"\n"), 0
+    end = len(data)
+    while end > start and data[end - 1] == ord("\n"):  # blank lines at the end
+        end -= 1
+    count = min(_available_cpus(), (end - start) // _PART_MIN_CHARS) if _X87_LONG_DOUBLE else 1
+    edges = [start - 1]  # the line feed before each part
+    for k in range(1, count):
+        cut = data.find(b"\n", start + (end - start) * k // count, end)
+        if cut > edges[-1]:
+            edges.append(cut)
+    parts = [data[lo + 1 : hi] for lo, hi in zip(edges, [*edges[1:], end])]
     # The filter is global to the process, so it is set here, around every
     # worker's whole lifetime, and a warning in any worker raises there.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if len(parts) == 1:
-            return _plain_part(rows, width)
-        tables = _parts_in_threads(parts, width)
-    if any(table is None for table in tables):
-        return None
-    return np.concatenate(tables)
-
-
-def _row_parts(rows: list[str]) -> list[list[str]]:
-    """``rows`` cut into contiguous parts of about equal row counts, one per
-    available CPU, each part of at least one row and, but for rounding, at
-    least ``_PART_MIN_CHARS`` characters when joined."""
-    chars = sum(map(len, rows)) + len(rows) - 1
-    if chars < 2 * _PART_MIN_CHARS:
-        return [rows]
-    count = min(_available_cpus(), chars // _PART_MIN_CHARS, len(rows))
-    edges = [len(rows) * k // count for k in range(count + 1)]
-    return [rows[lo:hi] for lo, hi in zip(edges, edges[1:])]
+        one = len(parts) == 1
+        tables = [_plain_part(parts[0], width)] if one else _parts_in_threads(parts, width)
+    if any(table is None for table in tables) or sum(map(len, tables)) < 2:
+        return None  # and loadtxt would warn about a file without rows
+    return tables[0] if one else np.concatenate(tables)
 
 
 def _available_cpus() -> int:
@@ -366,9 +349,12 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parts_in_threads(parts: list[list[str]], width: int) -> list[np.ndarray | None]:
+def _parts_in_threads(parts: list[bytes], width: int) -> list[np.ndarray | None]:
     """``_plain_part`` of each part, each in its own thread, in part order.
 
+    A part's checks hold the GIL and its parse does not, so every part but
+    the first is parsed first, in a thread started first: its parse runs
+    during the first part's checks, and its checks during that one's parse.
     Every started thread is joined before this returns or raises.  An
     exception that ``_plain_part`` does not turn into None (a MemoryError,
     say) is raised here; where several parts raise, the first part's is.
@@ -377,14 +363,14 @@ def _parts_in_threads(parts: list[list[str]], width: int) -> list[np.ndarray | N
 
     def parse(i: int) -> None:
         try:
-            outcomes[i] = _plain_part(parts[i], width)
+            outcomes[i] = _plain_part(parts[i], width, parse_first=i > 0)
         except BaseException as exc:  # raised again in the calling thread
             outcomes[i] = exc
 
     threads = [threading.Thread(target=parse, args=(i,)) for i in range(len(parts))]
     started = []
     try:
-        for thread in threads:
+        for thread in reversed(threads):
             thread.start()
             started.append(thread)
     finally:
@@ -396,58 +382,72 @@ def _parts_in_threads(parts: list[list[str]], width: int) -> list[np.ndarray | N
     return outcomes
 
 
-def _plain_part(rows: list[str], width: int) -> np.ndarray | None:
-    """The finite ``len(rows)`` by ``width`` table of plain rows, or None.
-
-    Called with warnings turned into errors; a ``ValueError`` or warning
-    from the reader gives None.
-    """
-    text = ",".join(rows)
-    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN_ROW_CHARS):
-        return None
-    if set(map(str.count, rows, repeat(","))) != {width - 1}:
-        return None
+def _plain_part(part: bytes, width: int, parse_first: bool = False) -> np.ndarray | None:
+    """The finite table of ``part``'s rows, ``width`` fields each, or None,
+    parsed before it is checked with ``parse_first``.  Called with warnings
+    turned into errors; the reader's ValueError or warning gives None."""
+    wide = _long_doubles(part) if parse_first else None
+    # Deleting the literals leaves the commas and line feeds, and any byte
+    # that has no place in a plain part; rows of width fields leave this.
+    separators = part.translate(None, _PLAIN_LITERAL_CHARS) + b"\n"
+    rows = len(separators) // width
+    if separators != (b"," * (width - 1) + b"\n") * rows:
+        # Drop blank lines, as ``_read_lines`` does, and check the rest again.
+        plain = b"\n".join(filter(None, part.split(b"\n")))
+        if plain == part:
+            return None
+        return _plain_part(plain, width) if plain else np.empty((0, width))
     try:
         if _X87_LONG_DOUBLE:
-            table = _strtold_table(text, rows, width)
+            wide = wide if parse_first else _long_doubles(part)
+            table = None if wide is None else _strtold_table(part, wide, rows, width)
         else:
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, Warning):
+            lines = part.decode("ascii").split("\n")
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):  # loadtxt's, or a value beyond float64
         return None
-    if table.shape != (len(rows), width) or not np.isfinite(table).all():
+    if table is None or table.shape != (rows, width) or not np.isfinite(table).all():
         return None
     return table
 
 
-def _strtold_table(text: str, rows: list[str], width: int) -> np.ndarray:
-    """The plain rows, joined into ``text``, read as x87 long doubles and
-    rounded to float64, with the same bits as ``float()`` of each field.
+def _long_doubles(part: bytes) -> np.ndarray | None:
+    """``part``'s fields as x87 long doubles, or None where ``np.fromstring``
+    rejects them or warns; it needs ``bytes``, which end in a NUL, to stop."""
+    try:
+        return np.fromstring(part.replace(b"\n", b","), dtype=np.longdouble, sep=",")
+    except (ValueError, Warning):
+        return None
+
+
+def _strtold_table(part: bytes, wide: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """``part``'s fields, read as the long doubles ``wide``, as a float64
+    table of ``rows`` by ``width``, with the bits of ``float()`` of each.
 
     Rounded first to 64 significand bits and then to 53, a value can differ
     from its one rounding to 53 bits only where the first rounding lands
     exactly on a midpoint between two doubles (the 11 bits the second drops
     are 0x400), or below the smallest normal double, where the second drops
-    more bits.  Those fields are read again with ``float()``.  A trailing
-    comma on the last row, which ``np.fromstring`` accepts, leaves the table
-    one value short, and that flat table is returned for the caller to reject.
+    more bits.  Those fields are read again with ``float()``.  A table of
+    the wrong size is returned flat, for the caller to reject.
     """
-    wide = np.fromstring(text, dtype=np.longdouble, sep=",")
     table = wide.astype(np.float64)
-    if table.size != len(rows) * width:
+    if table.size != rows * width:
         return table
     words = wide.view(np.uint64)
     significand, exponent = words[0::2], words[1::2] & 0x7FFF
-    twice = ((significand & 0x7FF) == 0x400) | (
-        (exponent < _X87_MIN_NORMAL_EXPONENT) & (significand != 0)
-    )
-    table = table.reshape(len(rows), width)
+    subnormal = (exponent < _X87_MIN_NORMAL_EXPONENT) & (significand != 0)
+    twice = ((significand & 0x7FF) == 0x400) | subnormal
+    table = table.reshape(rows, width)
+    start, at = 0, 0  # the first byte of row ``at``
     for r, fields in groupby(np.flatnonzero(twice).tolist(), lambda k: k // width):
-        row = rows[r]
-        commas = np.flatnonzero(np.frombuffer(row.encode("ascii"), np.uint8) == ord(","))
-        edges = [-1, *commas.tolist(), len(row)]
-        for k in fields:
-            j = k % width
-            table[r, j] = float(row[edges[j] + 1 : edges[j + 1]])
+        while at < r:
+            start, at = part.index(b"\n", start) + 1, at + 1
+        end = len(part) if r == rows - 1 else part.index(b"\n", start)
+        row = np.frombuffer(part, np.uint8, end - start, start)
+        edges = start + np.concatenate(([-1], np.flatnonzero(row == ord(",")), [end - start]))
+        for j in (k % width for k in fields):
+            table[r, j] = float(part[edges[j] + 1 : edges[j + 1]])
     return table
 
 
@@ -716,7 +716,7 @@ def load_results(path: PathLike) -> ResultsTable:
     bad line.
     """
     path = Path(path)
-    header_no, header, lines = _read_lines(path)
+    header_no, header, lines = _read_lines(path, _read_bytes(path))
     if header != _RESULTS_HEADER:
         raise _bad_line(path, header_no, f"header must be {_RESULTS_HEADER!r}, got {header!r}")
     table = _table_by_column([line for _, line in lines])
@@ -817,7 +817,7 @@ def load_experts(path: PathLike | None = None) -> dict[str, DenseVector]:
     if path is None:
         path = fixture_path("experts.csv")
     path = Path(path)
-    header_no, header, lines = _read_lines(path)
+    header_no, header, lines = _read_lines(path, _read_bytes(path))
     columns = header.split(",")
     dim = len(columns) - 1
     if dim < 1 or columns != ["name"] + [f"c{i}" for i in range(1, dim + 1)]:

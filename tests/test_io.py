@@ -38,7 +38,7 @@ from ordsim import (
     save_pairs,
     save_results,
 )
-from ordsim.io import _format_score_cents, _pair_header, _parse_score_cents, _plain_table
+from ordsim.io import _format_score_cents, _pair_header, _parse_score_cents
 
 component = st.floats(
     min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -491,6 +491,11 @@ def _short_pair_file(rows, newline="\n"):
     return newline.join(["gold,u_0,v_0", *rows]) + newline
 
 
+def _plain_rows_table(rows, width):
+    """``io._plain_table`` of the rows of a file, as text lines."""
+    return ordsim.io._plain_table("\n".join(rows).encode("utf-8"), 0, width)
+
+
 def _midpoint_literals(x):
     """Exact decimals of the midpoints between the double ``x`` and its two
     neighbours, and of the decimals 1e-30 of an ulp to either side of each:
@@ -524,6 +529,8 @@ _EDGE_CASE_FILES = [
     _short_pair_file(["1,2,3", "4,5,6"], "\r"),
     "gold,u_0,v_0\n\n1,2,3\r\n\r\n\n4,5,6\n\n",
     "\n \n\r\ngold,u_0,v_0\n1,2,3\n4,5,6\n",
+    "\n  gold,u_0,v_0\n1,2,3\n4,5,6\n",
+    "gold,u_0,v_0\x0c\n1,2,3\n4,5,6\n",
     "gold,u_0,v_0\n\n\n",
     "gold,u_0,v_0\n\r\n",
     _short_pair_file(["1,2,3\x0c4,5,6"]),
@@ -539,6 +546,34 @@ _EDGE_CASE_FILES = [
 ]
 
 
+# Bytes of pair files that the UTF-8 texts above never hold: invalid UTF-8,
+# NUL, lone CR, line breaks that only str.splitlines() sees, and blanks.
+_odd_bytes = st.sampled_from(
+    [b"\xff", b"\xc3", b"\x00", b"\r", b"\x0c", b"\x1c", b"\xc2\x85", b"\xe2\x80\xa8",
+     b" ", b"\t", b"\xc2\xa0", b"inf", b"0x1"]
+)
+_line_ends = st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b"\r\n\r\n", b"\n \n"])
+
+
+@st.composite
+def _pair_file_bytes(draw):
+    """Pair files as raw bytes: plain rows with odd bytes and line ends."""
+    dim = draw(st.integers(1, 2))
+    # One field in 16 is odd: more would leave few files that load.
+    plain, odd = _repr_literals.map(str.encode), st.one_of(_odd_bytes, st.binary(max_size=2))
+    field = st.sampled_from([plain] * 15 + [odd])
+    header = _pair_header(dim).encode()
+    lines = [draw(st.sampled_from([header] * 6 + [header + b"\r", header + b" "]))]
+    for _ in range(draw(st.integers(1, 5))):
+        n_fields = draw(st.sampled_from([1 + 2 * dim] * 8 + [2 * dim]))
+        lines.append(b",".join(draw(draw(field)) for _ in range(n_fields)))
+    ends = [draw(_line_ends) for _ in lines]
+    data = b"".join(line + end for line, end in zip(lines, ends))
+    prefixes = [b""] * 4 + [b"\n", b" \r\n", b"\x0c\n", b"\n\t", b"\xef\xbb\xbf"]
+    prefix = draw(st.sampled_from(prefixes))
+    return prefix + data[: len(data) - draw(st.sampled_from([0] * 4 + [1, 2]))]
+
+
 def _same_columns_or_error_test():
     # One Hypothesis test per class: Hypothesis fails a test function that
     # two classes run (its differing_executors health check).
@@ -550,6 +585,27 @@ def _same_columns_or_error_test():
         assert _load_outcome(load_pairs, path) == _load_outcome(_reference_load_pairs, path)
 
     return test_same_columns_or_error
+
+
+def _raw_bytes_test():
+    @given(_pair_file_bytes(), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_bytes_give_the_reference_outcome(self, tmp_path_factory, data, cpus):
+        # Files split into parts at any size: on every file, the columns or
+        # the typed error and line of the reference, and no thread left.
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        path.write_bytes(data)
+        want = _load_outcome(_reference_load_pairs, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ordsim.io, "_PART_MIN_CHARS", 1)
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            before = threading.active_count()
+            outcome = _load_outcome(load_pairs, path)
+            assert threading.active_count() == before
+        assert outcome == want
+        assert outcome[0] in ("pairs", DatasetFormatError)
+
+    return test_raw_bytes_give_the_reference_outcome
 
 
 class TestNumpyReaderMatchesFloat:
@@ -570,6 +626,7 @@ class TestNumpyReaderMatchesFloat:
             yield
 
     test_same_columns_or_error = _same_columns_or_error_test()
+    test_raw_bytes_give_the_reference_outcome = _raw_bytes_test()
 
     @pytest.mark.parametrize("text", _EDGE_CASE_FILES)
     def test_edge_case_files(self, tmp_path, text):
@@ -603,7 +660,7 @@ class TestNumpyReaderMatchesFloat:
                     want = np.float64(float(token)).tobytes()
                 except ValueError:
                     want = None
-                table = _plain_table([f"{token},0,0", "0,0,0"], 3)
+                table = _plain_rows_table([f"{token},0,0", "0,0,0"], 3)
                 got = None if table is None else table[0, 0].tobytes()
                 if got != want:
                     mismatches.append(token)
@@ -626,7 +683,7 @@ class TestNumpyReaderMatchesFloat:
         for x in (1.0, 1.5, 2.2250738585072014e-308, 2.225073858507201e-308, 5e-324, 1e-323,
                   1.7976931348623157e308):
             tokens += _midpoint_literals(x)
-        table = _plain_table([f"{token},1,1" for token in tokens], 3)
+        table = _plain_rows_table([f"{token},1,1" for token in tokens], 3)
         assert table is not None
         assert table[:, 0].tobytes() == np.array([float(t) for t in tokens]).tobytes()
         # 2**1024 - 2**970 lies halfway between the largest double and
@@ -643,7 +700,7 @@ class TestNumpyReaderMatchesFloat:
             if q < overflow:
                 assert load_pairs(path).gold[0] == sys.float_info.max
             else:
-                assert _plain_table(rows, 3) is None
+                assert _plain_rows_table(rows, 3) is None
                 assert outcome[:2] == (DatasetFormatError, f"{path}:2: gold score must be finite")
 
     def test_saved_files_take_numpys_reader(self, tmp_path, monkeypatch):
@@ -672,21 +729,51 @@ class TestNumpyReaderMatchesFloat:
         assert load_pairs(path, name=ds.name) == ds
         assert calls == [reader]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _short_pair_file(["1,2,3", "4.5,-5e-324,6", "7,8e300,9"], "\r\n"),
+            _short_pair_file(["1,2,3", "4.5,-5e-324,6", "7,8e300,9"], "\r"),
+            "gold,u_0,v_0\n1,2,3\n\n4.5,-5e-324,6\n\n\n7,8e300,9\n\n\n",
+            "gold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9",
+            "\n\r\n \t\ngold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9\n",
+        ],
+        ids=["crlf", "cr", "blank-lines", "no-final-newline", "header-after-blank-lines"],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_common_files_take_numpys_reader(self, tmp_path, monkeypatch, text, cpus):
+        # With parts of any size, so that blank lines and CRs meet a cut.
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(text.encode())
+        want = _load_outcome(_reference_load_pairs, path)
+
+        def per_line(*args):
+            raise AssertionError("a common file went to the per-line loop")
+
+        monkeypatch.setattr(ordsim.io, "_table_by_line", per_line)
+        monkeypatch.setattr(ordsim.io, "_PART_MIN_CHARS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _load_outcome(load_pairs, path) == want
+        assert want[:2] == ("pairs", 1)
+
     def test_parses_the_text_it_read(self, tmp_path, monkeypatch):
         # The file is read once: a writer that replaces it right after the
-        # read does not change what is loaded.
-        path = tmp_path / "pairs.csv"
-        path.write_text(_short_pair_file(["1,2,3", "4,5,6"]))
-        read_text = Path.read_text
+        # read does not change what is loaded, by numpy's reader or, for a
+        # row with a space, by the per-line parse.
+        read_bytes = Path.read_bytes
 
-        def read_then_replace(self, *args, **kwargs):
-            text = read_text(self, *args, **kwargs)
+        def read_then_replace(self):
+            data = read_bytes(self)
             self.write_text(_short_pair_file(["7,8,9", "1,2,x"]))
-            return text
+            return data
 
-        monkeypatch.setattr(Path, "read_text", read_then_replace)
-        ds = load_pairs(path)
-        assert ds.gold.tolist() == [1.0, 4.0] and ds.V.tolist() == [[3.0], [6.0]]
+        monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+        monkeypatch.setattr(Path, "read_text", None)
+        for first_row in ("1,2,3", " 1,2,3"):
+            path = tmp_path / "pairs.csv"
+            path.write_text(_short_pair_file([first_row, "4,5,6"]))
+            ds = load_pairs(path)
+            assert ds.gold.tolist() == [1.0, 4.0] and ds.V.tolist() == [[3.0], [6.0]]
 
 
 class TestLoadtxtReaderMatchesFloat(TestNumpyReaderMatchesFloat):
@@ -695,6 +782,7 @@ class TestLoadtxtReaderMatchesFloat(TestNumpyReaderMatchesFloat):
 
     loadtxt_only = True
     test_same_columns_or_error = _same_columns_or_error_test()
+    test_raw_bytes_give_the_reference_outcome = _raw_bytes_test()
 
 
 @pytest.mark.skipif(not ordsim.io._X87_LONG_DOUBLE, reason="long double is not x87's")
@@ -715,27 +803,27 @@ def test_zeros_and_subnormals_reread_only_subnormals(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ordsim.io, "float", counting_float, raising=False)
     assert _load_outcome(load_pairs, path) == _load_outcome(_reference_load_pairs, path)
-    assert sorted(rereads) == sorted(subnormals)
+    assert sorted(rereads) == sorted(literal.encode() for literal in subnormals)
 
 
 def _outcomes_in_parts(path, cpu_counts):
-    """The load outcome of ``path`` with each CPU count, and the number of
-    parts each load parsed."""
+    """The load outcome of ``path`` with each CPU count, and the parts that
+    each load checked, each as the list of its rows, in sorted order."""
     plain_part = ordsim.io._plain_part
-    part_sizes = []
+    cut = []
 
-    def counted(rows, width):
-        part_sizes.append(len(rows))
-        return plain_part(rows, width)
+    def counted(part, width, parse_first=False):
+        cut.append(part.decode().split("\n"))
+        return plain_part(part, width, parse_first)
 
     outcomes, parts = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ordsim.io, "_plain_part", counted)
         for count in cpu_counts:
             mp.setattr(os, "sched_getaffinity", lambda pid, k=count: set(range(k)), raising=False)
-            part_sizes.clear()
+            cut.clear()
             outcomes.append(_load_outcome(load_pairs, path))
-            parts.append(len(part_sizes))
+            parts.append(sorted(cut))
     return outcomes, parts
 
 
@@ -749,9 +837,16 @@ class TestPartsMatchOnePart:
     any number of parts a file must load to the same bits, or fail with the
     same error and line, as in one part and as the per-line reference."""
 
-    # Six rows: two parts take rows 0-2 and 3-5, three parts 0-1, 2-3, 4-5.
     _ROWS = ["0.5,-1,2e-3", "1.5,-2,4e-3", "2.5,-3,6e-3", "3.5,-4,8e-3", "4.5,-5,1e-2",
              "5.5,-6,1.2e-2"]
+
+    @staticmethod
+    def _equal_length(rows):
+        """The rows, each padded with leading zeros to the longest one's
+        length, so that parts of equal size hold equal row counts: two
+        parts of six rows take rows 0-2 and 3-5, three parts 0-1, 2-3, 4-5."""
+        width = max(map(len, rows))
+        return [row.rjust(width, "0") for row in rows]
 
     @pytest.fixture(autouse=True, scope="class")
     def _small_parts(self):
@@ -785,11 +880,13 @@ class TestPartsMatchOnePart:
         # first of two parts and row 3 the middle one of three.
         rows = list(self._ROWS)
         rows[at] = row
+        rows = self._equal_length(rows)
         path = tmp_path / "pairs.csv"
         path.write_text(_short_pair_file(rows))
         outcomes, parts = _outcomes_in_parts(path, [1, 2, 3])
         assert outcomes == [_load_outcome(_reference_load_pairs, path)] * 3
-        assert parts == [1, 2, 3]
+        cuts = [[rows], [rows[:3], rows[3:]], [rows[:2], rows[2:4], rows[4:]]]
+        assert parts == list(map(sorted, cuts))
 
     def test_more_cpus_than_rows(self, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -797,22 +894,23 @@ class TestPartsMatchOnePart:
         outcomes, parts = _outcomes_in_parts(path, [1, 3, 8])
         assert outcomes == [_load_outcome(_reference_load_pairs, path)] * 3
         assert outcomes[0][0] == "pairs"
-        assert parts == [1, 3, 3]
+        assert parts == [[self._ROWS[:3]], *[sorted([row] for row in self._ROWS[:3])] * 2]
 
     def test_an_error_in_a_part_is_raised_once_every_thread_has_ended(
         self, tmp_path, monkeypatch
     ):
+        rows = self._equal_length(self._ROWS)
         path = tmp_path / "pairs.csv"
-        path.write_text(_short_pair_file(self._ROWS))
-        strtold_table = ordsim.io._strtold_table
+        path.write_text(_short_pair_file(rows))
+        fromstring = np.fromstring
 
-        def second_part_fails(text, rows, width):
-            if rows[0] == self._ROWS[3]:
+        def second_part_fails(text, *args, **kwargs):
+            if text.startswith(rows[3].encode()):
                 raise MemoryError("the second part")
             time.sleep(0.05)  # the first part still runs when the second fails
-            return strtold_table(text, rows, width)
+            return fromstring(text, *args, **kwargs)
 
-        monkeypatch.setattr(ordsim.io, "_strtold_table", second_part_fails)
+        monkeypatch.setattr(np, "fromstring", second_part_fails)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="the second part"):
@@ -822,22 +920,23 @@ class TestPartsMatchOnePart:
     def test_a_warning_in_a_part_sends_the_file_to_the_per_line_parse(
         self, tmp_path, monkeypatch
     ):
+        rows = self._equal_length(self._ROWS)
         path = tmp_path / "pairs.csv"
-        path.write_text(_short_pair_file(self._ROWS))
-        strtold_table = ordsim.io._strtold_table
+        path.write_text(_short_pair_file(rows))
+        fromstring = np.fromstring
         table_by_line = ordsim.io._table_by_line
         per_line = []
 
-        def second_part_warns(text, rows, width):
-            if rows[0] == self._ROWS[3]:
+        def second_part_warns(text, *args, **kwargs):
+            if text.startswith(rows[3].encode()):
                 warnings.warn("from the second part", DeprecationWarning)
-            return strtold_table(text, rows, width)
+            return fromstring(text, *args, **kwargs)
 
         def counted_per_line(*args):
             per_line.append(args)
             return table_by_line(*args)
 
-        monkeypatch.setattr(ordsim.io, "_strtold_table", second_part_warns)
+        monkeypatch.setattr(np, "fromstring", second_part_warns)
         monkeypatch.setattr(ordsim.io, "_table_by_line", counted_per_line)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         before = threading.active_count()
@@ -854,8 +953,8 @@ def _file_above_the_part_threshold(path):
     ``_PART_MIN_CHARS``, so that two CPUs split it into two parts."""
     rows = 2 * ordsim.io._PART_MIN_CHARS // 1000 + 2
     save_pairs(_random_dataset(np.random.default_rng(29), n=rows, dim=30), path)
-    _, _, lines = ordsim.io._read_lines(path)
-    assert len(",".join(line for _, line in lines)) > 2 * ordsim.io._PART_MIN_CHARS
+    _, _, lines = ordsim.io._read_lines(path, path.read_bytes())
+    assert len("\n".join(line for _, line in lines)) > 2 * ordsim.io._PART_MIN_CHARS
 
 
 @pytest.mark.parametrize(
@@ -1182,7 +1281,7 @@ def _results_outcome(load, path):
 
 def _load_results_by_line(path):
     """load_results through the per-line loop alone."""
-    _, _, lines = ordsim.io._read_lines(path)
+    _, _, lines = ordsim.io._read_lines(path, path.read_bytes())
     return ResultsTable._from_columns(*ordsim.io._results_by_line(path, lines))
 
 
