@@ -1,7 +1,7 @@
 """Dataset file formats and bundled fixtures.
 
 Two CSV schemas, both plain comma-separated UTF-8 with no quoting (fields
-must not contain commas), LF or CRLF line endings, blank lines ignored:
+must not contain commas), LF, CRLF or CR line endings, blank lines ignored:
 
 Pair datasets -- header ``gold,u_0,...,u_{d-1},v_0,...,v_{d-1}`` for some
 dimension d >= 1, one scored vector pair per row.  ``gold`` is the reference
@@ -246,7 +246,8 @@ def _read_lines(path: Path, data: bytes) -> tuple[int, str, list[tuple[int, str]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = exc.object[: exc.start].count(b"\n") + 1
+        # "_" stands in for the bad byte; lines are numbered as splitlines() does.
+        lineno = len((exc.object[: exc.start].decode("utf-8") + "_").splitlines())
         raise _bad_line(path, lineno, f"not valid UTF-8: {exc.reason}") from exc
     # isspace() is True for the lines strip() empties, without copying them.
     numbered = enumerate(text.splitlines(), start=1)
@@ -316,7 +317,7 @@ def _plain_table(data: bytes, start: int, width: int) -> np.ndarray | None:
     warning, gives None, and ``_table_by_line`` raises the error.  The
     strtold reader cuts the rows at line feeds into parts of about equal
     size, one per CPU the process may run on but at most one per
-    ``_PART_MIN_CHARS`` bytes, each parsed in its own thread.
+    ``_PART_MIN_CHARS`` bytes (``_read_parts``).
     """
     if data.find(b"\r", start) >= 0:  # CR and CRLF line ends, as splitlines() sees them
         data, start = data[start:].replace(b"\r\n", b"\n").replace(b"\r", b"\n"), 0
@@ -334,11 +335,10 @@ def _plain_table(data: bytes, start: int, width: int) -> np.ndarray | None:
     # worker's whole lifetime, and a warning in any worker raises there.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        one = len(parts) == 1
-        tables = [_plain_part(parts[0], width)] if one else _parts_in_threads(parts, width)
+        tables = _read_parts(parts, width)
     if any(table is None for table in tables) or sum(map(len, tables)) < 2:
         return None  # and loadtxt would warn about a file without rows
-    return tables[0] if one else np.concatenate(tables)
+    return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
 
 def _available_cpus() -> int:
@@ -349,32 +349,33 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parts_in_threads(parts: list[bytes], width: int) -> list[np.ndarray | None]:
-    """``_plain_part`` of each part, each in its own thread, in part order.
-
-    A part's checks hold the GIL and its parse does not, so every part but
-    the first is parsed first, in a thread started first: its parse runs
-    during the first part's checks, and its checks during that one's parse.
-    Every started thread is joined before this returns or raises.  An
-    exception that ``_plain_part`` does not turn into None (a MemoryError,
-    say) is raised here; where several parts raise, the first part's is.
+def _read_parts(parts: list[bytes], width: int) -> list[np.ndarray | None]:
+    """``_plain_part`` of each part, in part order: the first in the calling
+    thread, checked and then parsed, and each other part in a thread of its
+    own, started before that, parsed and then checked.  A part's checks hold
+    the GIL and its parse does not, so one part's checks run during another
+    part's parse.  Every started thread is joined before this returns or
+    raises.  An exception that ``_plain_part`` does not turn into None (a
+    MemoryError, say) is raised here; where several parts raise, the first
+    part's is.
     """
     outcomes: list[np.ndarray | BaseException | None] = [None] * len(parts)
 
     def parse(i: int) -> None:
         try:
-            outcomes[i] = _plain_part(parts[i], width, parse_first=i > 0)
+            outcomes[i] = _plain_part(parts[i], width, parse_first=True)
         except BaseException as exc:  # raised again in the calling thread
             outcomes[i] = exc
 
-    threads = [threading.Thread(target=parse, args=(i,)) for i in range(len(parts))]
-    started = []
+    threads = []
     try:
-        for thread in reversed(threads):
+        for i in range(1, len(parts)):
+            thread = threading.Thread(target=parse, args=(i,))
             thread.start()
-            started.append(thread)
+            threads.append(thread)
+        outcomes[0] = _plain_part(parts[0], width)
     finally:
-        for thread in started:
+        for thread in threads:
             thread.join()
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
@@ -400,13 +401,15 @@ def _plain_part(part: bytes, width: int, parse_first: bool = False) -> np.ndarra
     try:
         if _X87_LONG_DOUBLE:
             wide = wide if parse_first else _long_doubles(part)
-            table = None if wide is None else _strtold_table(part, wide, rows, width)
+            if wide is None or wide.size != rows * width:
+                return None
+            table = _strtold_table(part, wide, rows, width)
         else:
             lines = part.decode("ascii").split("\n")
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except (ValueError, Warning):  # loadtxt's, or a value beyond float64
         return None
-    if table is None or table.shape != (rows, width) or not np.isfinite(table).all():
+    if table.shape != (rows, width) or not np.isfinite(table).all():
         return None
     return table
 
@@ -428,17 +431,13 @@ def _strtold_table(part: bytes, wide: np.ndarray, rows: int, width: int) -> np.n
     from its one rounding to 53 bits only where the first rounding lands
     exactly on a midpoint between two doubles (the 11 bits the second drops
     are 0x400), or below the smallest normal double, where the second drops
-    more bits.  Those fields are read again with ``float()``.  A table of
-    the wrong size is returned flat, for the caller to reject.
+    more bits.  Those fields are read again with ``float()``.
     """
-    table = wide.astype(np.float64)
-    if table.size != rows * width:
-        return table
+    table = wide.astype(np.float64).reshape(rows, width)
     words = wide.view(np.uint64)
     significand, exponent = words[0::2], words[1::2] & 0x7FFF
     subnormal = (exponent < _X87_MIN_NORMAL_EXPONENT) & (significand != 0)
     twice = ((significand & 0x7FF) == 0x400) | subnormal
-    table = table.reshape(rows, width)
     start, at = 0, 0  # the first byte of row ``at``
     for r, fields in groupby(np.flatnonzero(twice).tolist(), lambda k: k // width):
         while at < r:
@@ -798,14 +797,13 @@ def save_results(table: ResultsTable, path: PathLike) -> None:
 
 
 def fixture_path(name: str) -> Path:
-    """Absolute path of a bundled fixture CSV."""
+    """Absolute path of a bundled fixture CSV, given its bare file name."""
     from importlib.resources import files
 
-    resource = files(__package__) / "fixtures" / name
-    path = Path(str(resource))
-    if not path.is_file():
+    fixtures = files(__package__) / "fixtures"
+    if name not in {entry.name for entry in fixtures.iterdir() if entry.is_file()}:
         raise DatasetFormatError(f"no bundled fixture named {name!r}")
-    return path
+    return Path(str(fixtures / name))
 
 
 def load_experts(path: PathLike | None = None) -> dict[str, DenseVector]:

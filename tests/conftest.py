@@ -1,13 +1,15 @@
 """Prints a one-line verdict per acceptance criterion at the end of a run.
 
-Also provides ``fresh_python``, which runs a new interpreter that imports the
-ordsim under test, and ``form_pairs``/``vector_forms``, which give the vector
-functions the same components in every input form they accept.
+Fails any test that leaves running a thread it started.  Also provides
+``fresh_python``, which runs a new interpreter that imports the ordsim under
+test, and ``form_pairs``/``vector_forms``, which give the vector functions
+the same components in every input form they accept.
 """
 
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,16 @@ def pytest_terminal_summary(terminalreporter):
         outcome = _results.get(name, "not run")
         verdict = _VERDICTS.get(outcome, "FAIL")
         terminalreporter.write_line(f"criterion {label}: {verdict}")
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_left_running():
+    """Fail the test if a thread it started is still running once its other
+    fixtures are torn down."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert left == [], f"the test left threads running: {left}"
 
 
 @pytest.fixture

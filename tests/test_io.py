@@ -368,6 +368,26 @@ class TestNonUtf8Input:
         assert str(err.value) == f"{path}:3: not valid UTF-8: invalid start byte"
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "load, header, row",
+        [
+            (load_pairs, b"gold,u_0,v_0", b"1,2,3"),
+            (load_results, b"model,method,dataset,score", b"m,cos,D,1.25"),
+            (load_experts, b"name,c1", b"a,1"),
+        ],
+    )
+    @pytest.mark.parametrize("newline", [b"\r", b"\xe2\x80\xa8"], ids=["cr", "u2028"])
+    def test_bad_byte_after_line_ends_only_splitlines_sees(
+        self, tmp_path, load, header, row, newline
+    ):
+        # The lines are numbered as the rows are, by str.splitlines().
+        path = tmp_path / "bad.csv"
+        path.write_bytes(newline.join([header, row, row[:-1] + b"\xff" + row[-1:]]) + newline)
+        with pytest.raises(DatasetFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}:3: not valid UTF-8: invalid start byte"
+        assert err.value.line == 3
+
     def test_bad_byte_on_first_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"gold\xff,u_0,v_0\n")
@@ -385,7 +405,7 @@ def _reference_load_pairs(path, name=None):
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot read: {exc}") from exc
     except UnicodeDecodeError as exc:
-        lineno = exc.object[: exc.start].count(b"\n") + 1
+        lineno = len((exc.object[: exc.start].decode("utf-8") + "_").splitlines())
         raise DatasetFormatError(
             f"{path}:{lineno}: not valid UTF-8: {exc.reason}", line=lineno
         ) from exc
@@ -896,49 +916,62 @@ class TestPartsMatchOnePart:
         assert outcomes[0][0] == "pairs"
         assert parts == [[self._ROWS[:3]], *[sorted([row] for row in self._ROWS[:3])] * 2]
 
-    def test_an_error_in_a_part_is_raised_once_every_thread_has_ended(
-        self, tmp_path, monkeypatch
-    ):
+    # The calling thread reads the first part and a worker the second; a
+    # part fails while the other part is still being parsed.
+    _FAILING_PARTS = pytest.mark.parametrize(
+        "failing", [[0], [1], [0, 1]], ids=["first", "second", "both"]
+    )
+
+    def _in_two_parts(self, tmp_path, monkeypatch, failing, fail):
+        """Write the six rows, to be read in two parts, and make
+        ``np.fromstring`` call ``fail(part)`` on each part in ``failing``
+        and keep every other part's parse waiting for 50 ms."""
         rows = self._equal_length(self._ROWS)
         path = tmp_path / "pairs.csv"
         path.write_text(_short_pair_file(rows))
         fromstring = np.fromstring
 
-        def second_part_fails(text, *args, **kwargs):
-            if text.startswith(rows[3].encode()):
-                raise MemoryError("the second part")
-            time.sleep(0.05)  # the first part still runs when the second fails
+        def failing_fromstring(text, *args, **kwargs):
+            part = 0 if text.startswith(rows[0].encode()) else 1
+            if part in failing:
+                fail(part)
+            else:
+                time.sleep(0.05)
             return fromstring(text, *args, **kwargs)
 
-        monkeypatch.setattr(np, "fromstring", second_part_fails)
+        monkeypatch.setattr(np, "fromstring", failing_fromstring)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return path
+
+    @_FAILING_PARTS
+    def test_an_error_in_a_part_is_raised_once_every_thread_has_ended(
+        self, tmp_path, monkeypatch, failing
+    ):
+        def fail(part):
+            raise MemoryError(f"part {part}")
+
+        path = self._in_two_parts(tmp_path, monkeypatch, failing, fail)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="the second part"):
+        with pytest.raises(MemoryError, match=f"part {failing[0]}"):
             load_pairs(path)
         assert threading.active_count() == before
 
+    @_FAILING_PARTS
     def test_a_warning_in_a_part_sends_the_file_to_the_per_line_parse(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, failing
     ):
-        rows = self._equal_length(self._ROWS)
-        path = tmp_path / "pairs.csv"
-        path.write_text(_short_pair_file(rows))
-        fromstring = np.fromstring
+        def fail(part):
+            warnings.warn(f"from part {part}", DeprecationWarning)
+
+        path = self._in_two_parts(tmp_path, monkeypatch, failing, fail)
         table_by_line = ordsim.io._table_by_line
         per_line = []
-
-        def second_part_warns(text, *args, **kwargs):
-            if text.startswith(rows[3].encode()):
-                warnings.warn("from the second part", DeprecationWarning)
-            return fromstring(text, *args, **kwargs)
 
         def counted_per_line(*args):
             per_line.append(args)
             return table_by_line(*args)
 
-        monkeypatch.setattr(np, "fromstring", second_part_warns)
         monkeypatch.setattr(ordsim.io, "_table_by_line", counted_per_line)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         before = threading.active_count()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1453,6 +1486,13 @@ class TestBundledFixtures:
     def test_fixture_path_unknown_name(self):
         with pytest.raises(DatasetFormatError):
             fixture_path("missing.csv")
+
+    @pytest.mark.parametrize(
+        "name", ["../io.py", "../fixtures/experts.csv", "./table2.csv", "", ".", ".."]
+    )
+    def test_fixture_path_takes_only_a_bare_fixture_name(self, name):
+        with pytest.raises(DatasetFormatError, match="no bundled fixture named"):
+            fixture_path(name)
 
     def test_score_table_shape(self):
         table = load_results(fixture_path("table2.csv"))
