@@ -24,7 +24,8 @@ cell difference of zero is exactly zero.  A (model, method, dataset) triple
 may appear only once.  ``load_results`` checks the rows a column at a time
 and reads a file that fails any check again line by line, which raises the
 error.  A ``ResultsTable`` is kept as columns, with per-method columns built
-once, which ``compare`` reads; its ``rows`` are built on first access.
+once, which ``compare`` reads; its ``rows`` are built by ``ResultsRow`` on
+first access, and ``save_results`` writes the row columns.
 
 Errors name the file and 1-based line number of the offending record.
 """
@@ -32,6 +33,7 @@ Errors name the file and 1-based line number of the offending record.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import re
 import sys
@@ -319,7 +321,7 @@ def _plain_table(data: bytes, start: int, width: int) -> np.ndarray | None:
     (``_read_parts``).
     """
     if data.find(b"\r", start) >= 0:  # CR and CRLF line ends, as splitlines() sees them
-        data, start = data[start:].replace(b"\r\n", b"\n").replace(b"\r", b"\n"), 0
+        data, start = b"\n".join(filter(None, data[start:].splitlines())), 0
     end = len(data)
     while end > start and data[end - 1] == ord("\n"):  # blank lines at the end
         end -= 1
@@ -511,7 +513,10 @@ def _format_score_cents(cents: int) -> str:
 
 def _check_results_field(fname: str, value: str) -> None:
     """Reject a results-table name that ``load_results`` would not read back:
-    empty, holding a comma, or with surrounding whitespace or a line break."""
+    not a ``str``, empty, holding a comma, or with surrounding whitespace or
+    a line break."""
+    if not isinstance(value, str):
+        raise DegenerateInputError(f"{fname} must be a str, got {value!r}")
     if not value or "," in value:
         raise DegenerateInputError(
             f"{fname} must be non-empty and comma-free, got {value!r}"
@@ -524,7 +529,8 @@ def _check_results_field(fname: str, value: str) -> None:
 
 @dataclass(frozen=True)
 class ResultsRow:
-    """One benchmark cell; the score is held exactly as integer hundredths."""
+    """One benchmark cell; the score is held exactly as integer hundredths,
+    an ``int`` made by ``operator.index``, so a float is rejected."""
 
     model: str
     method: str
@@ -535,6 +541,12 @@ class ResultsRow:
         _check_results_field("model", self.model)
         _check_results_field("method", self.method)
         _check_results_field("dataset", self.dataset)
+        try:
+            object.__setattr__(self, "score_cents", operator.index(self.score_cents))
+        except TypeError:
+            raise DegenerateInputError(
+                f"score_cents must be an integer, got {self.score_cents!r}"
+            ) from None
         try:
             self.score
         except OverflowError:
@@ -547,18 +559,9 @@ class ResultsRow:
         return _cents_to_score(self.score_cents)
 
 
-def _unchecked_row(model: str, method: str, dataset: str, score_cents: int) -> ResultsRow:
-    """A row of fields checked already, set in the order the dataclass
-    ``__init__`` sets them, without rerunning its checks."""
-    row = object.__new__(ResultsRow)
-    vars(row).update(model=model, method=method, dataset=dataset, score_cents=score_cents)
-    return row
-
-
 class _MethodColumns(NamedTuple):
     """One method's cells, in file order, as columns."""
 
-    rows: list[int]  # the cells' row numbers in the table
     cells: tuple[tuple[str, str], ...]  # (model, dataset)
     cell_codes: np.ndarray  # one code per (model, dataset) of the table
     scores: np.ndarray  # read-only float64, ResultsRow.score bit for bit
@@ -581,8 +584,8 @@ class ResultsTable:
 
     ``rows`` is the table's value, kept as a tuple whatever sequence made
     it: ``==``, ``hash`` and ``repr`` read it and nothing else.  A table
-    that ``load_results`` made builds its rows on first access and keeps
-    them.
+    that ``load_results`` made builds its rows with ``ResultsRow`` on first
+    access and keeps them.
     """
 
     rows: tuple[ResultsRow, ...] = field(default_factory=tuple)
@@ -611,7 +614,7 @@ class ResultsTable:
         # rows of a loaded table, before their first use.
         if name != "rows":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = tuple(map(_unchecked_row, *self._row_columns))
+        rows = tuple(map(ResultsRow, *self._row_columns))
         object.__setattr__(self, "rows", rows)
         return rows
 
@@ -652,7 +655,6 @@ class ResultsTable:
             method_scores = scores[rows]
             method_scores.setflags(write=False)
             columns[method] = _MethodColumns(
-                rows=row_list,
                 cells=tuple(
                     zip(map(models.__getitem__, row_list), map(datasets.__getitem__, row_list))
                 ),
@@ -679,10 +681,7 @@ class ResultsTable:
 
         The mapping is a new dict on every call, empty for an unknown method.
         """
-        column = self._columns.get(method)
-        if column is None:
-            return {}
-        return dict(zip(column.cells, map(self.rows.__getitem__, column.rows)))
+        return {(row.model, row.dataset): row for row in self.rows if row.method == method}
 
     def scores(self, method: str) -> tuple[tuple[tuple[str, str], ...], np.ndarray]:
         """One method's score column: its (model, dataset) cells in file order
@@ -785,14 +784,12 @@ def _results_by_line(
 
 
 def save_results(table: ResultsTable, path: PathLike) -> None:
-    """Write a results table; scores are rendered with 2 fraction digits."""
-    path = Path(path)
-    rows = [_RESULTS_HEADER]
-    for row in table.rows:
-        rows.append(
-            f"{row.model},{row.method},{row.dataset},{_format_score_cents(row.score_cents)}"
-        )
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    """Write a results table from its row columns, in row order; scores are
+    rendered with 2 fraction digits."""
+    lines = [_RESULTS_HEADER]
+    for model, method, dataset, cents in zip(*table._row_columns):
+        lines.append(f"{model},{method},{dataset},{_format_score_cents(cents)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def fixture_path(name: str) -> Path:

@@ -121,12 +121,22 @@ def _vector(value: VectorLike) -> np.ndarray:
 
 
 class MetricKind(str, Enum):
-    """Names of the four similarity metrics, as accepted by the CLI."""
+    """Names of the four similarity metrics, as accepted by the CLI.
+
+    ``MetricKind(value)`` of any other value raises DegenerateInputError.
+    """
 
     RECOS = "recos"
     COS = "cos"
     DECOS = "decos"
     TANIMOTO = "tanimoto"
+
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        # Enum calls this only once a value matched no member, and raises
+        # the ValueError it raises.
+        names = ", ".join(kind.value for kind in cls)
+        raise DegenerateInputError(f"unknown metric kind {value!r}; expected one of {names}")
 
 
 def _operand(value: VectorLike) -> np.ndarray:
@@ -254,7 +264,10 @@ def tanimoto(u: VectorLike, v: VectorLike) -> float:
 
 def decos_from_tanimoto(t: float) -> float:
     """Map a Tanimoto value in [0, 1] to the equivalent decos value, 2t/(1+t)."""
-    t = float(t)
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise DegenerateInputError(f"tanimoto value is not a number: {t!r}") from None
     if not (0.0 <= t <= 1.0):
         raise DegenerateInputError(f"tanimoto value outside [0, 1]: {t!r}")
     return 2.0 * t / (1.0 + t)

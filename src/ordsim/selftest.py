@@ -199,6 +199,8 @@ def run_selftest(seed: int = 42, trials: int = 1000) -> SelftestReport:
     """Run every property for ``trials`` iterations; deterministic in ``seed``."""
     if trials < 1:
         raise DegenerateInputError("trials must be >= 1")
+    if seed < 0:
+        raise DegenerateInputError(f"seed must be >= 0, got {seed!r}")
     results = []
     for index, (name, dims, trial) in enumerate(_PROPERTIES):
         rng = np.random.default_rng([seed, index])

@@ -136,6 +136,14 @@ class TestEvaluate:
         with pytest.raises(DegenerateInputError):
             evaluate(ds, "cos")
 
+    def test_unknown_kind_is_a_typed_error(self):
+        ds = _dataset_from_sims([1.0, 2.0], [([1.0, 2.0], [2.0, 1.0])] * 2)
+        with pytest.raises(DegenerateInputError) as err:
+            evaluate(ds, "euclid")
+        assert str(err.value) == (
+            "unknown metric kind 'euclid'; expected one of recos, cos, decos, tanimoto"
+        )
+
     def test_reports_match_the_stable_sort_ranker(self):
         # 500 pairs at d=768 with 0-10 gold in steps of 0.1 (so gold ties),
         # built as the eval-d768 benchmark workload builds its dataset.

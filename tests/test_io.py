@@ -775,8 +775,10 @@ class TestNumpyReaderMatchesFloat:
             "gold,u_0,v_0\n1,2,3\n\n4.5,-5e-324,6\n\n\n7,8e300,9\n\n\n",
             "gold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9",
             "\n\r\n \t\ngold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9\n",
+            "gold,u_0,v_0\r\n\r1,2,3\r\r\n4.5,-5e-324,6\n\r\n\r7,8e300,9\r\n\r",
         ],
-        ids=["crlf", "cr", "blank-lines", "no-final-newline", "header-after-blank-lines"],
+        ids=["crlf", "cr", "blank-lines", "no-final-newline", "header-after-blank-lines",
+             "mixed-line-ends"],
     )
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_common_files_take_numpys_reader(self, tmp_path, monkeypatch, text, cpus):
@@ -1272,6 +1274,29 @@ class TestResultsTable:
             "score_cents is too large: score_cents / 100.0 overflows a float64"
         )
 
+    @pytest.mark.parametrize("fname", ["model", "method", "dataset"])
+    @pytest.mark.parametrize("value", [1, None, b"m"], ids=["int", "None", "bytes"])
+    def test_row_rejects_a_name_that_is_not_a_str(self, fname, value):
+        fields = {"model": "m", "method": "cos", "dataset": "D", fname: value}
+        with pytest.raises(DegenerateInputError) as err:
+            ResultsRow(**fields, score_cents=100)
+        assert str(err.value) == f"{fname} must be a str, got {value!r}"
+
+    @pytest.mark.parametrize("cents", [1.5, 100.0, "100", None, Fraction(100)])
+    def test_row_rejects_a_score_that_is_not_an_integer(self, cents):
+        with pytest.raises(DegenerateInputError) as err:
+            ResultsRow("m", "cos", "D", cents)
+        assert str(err.value) == f"score_cents must be an integer, got {cents!r}"
+
+    @pytest.mark.parametrize("cents", [np.int64(-150), np.uint8(150), True])
+    def test_row_keeps_an_integer_score_as_an_int(self, cents, tmp_path):
+        row = ResultsRow("m", "cos", "D", cents)
+        assert type(row.score_cents) is int and row.score_cents == int(cents)
+        assert repr(row) == f"ResultsRow(model='m', method='cos', dataset='D', score_cents={int(cents)})"
+        path = tmp_path / "r.csv"
+        save_results(ResultsTable([row]), path)
+        assert load_results(path).rows == (row,)
+
     def test_duplicate_triple_rejected_at_type_level(self):
         row = ResultsRow("m", "cos", "STS12", 100)
         with pytest.raises(DegenerateInputError, match="duplicate"):
@@ -1439,7 +1464,7 @@ def _results_outcome(load, path):
     except DatasetFormatError as exc:
         return type(exc), str(exc), exc.line
     columns = [
-        (column.rows, column.cells, column.cell_codes.tolist(), column.scores.tobytes(),
+        (column.cells, column.cell_codes.tolist(), column.scores.tobytes(),
          column.datasets.codes.tolist(), column.micro_average.hex())
         for column in map(table._method_columns, table.methods())
     ]
@@ -1576,6 +1601,44 @@ class TestColumnarResults:
         assert loaded == table and hash(loaded) == hash(table)
         assert repr(loaded) == repr(table) and loaded.rows == table.rows
         assert _results_outcome(load_results, path) == _results_outcome(lambda p: table, path)
+
+    def test_saving_a_loaded_table_builds_no_rows(self, tmp_path):
+        rows = (
+            ResultsRow("m2", "cos", "D2", 5028),
+            ResultsRow("m1", "recos", "D2", -31),
+            ResultsRow("m1", "cos", "D1", 7),
+            ResultsRow("m1", "recos", "D1", 75 * 10**308),
+        )
+        made, saved = tmp_path / "made.csv", tmp_path / "saved.csv"
+        save_results(ResultsTable(rows), made)
+        # Whitespace, blank lines, CRLF and scores of fewer digits load as
+        # the same cells, and save as the constructed table does.
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "model,method,dataset,score\r\n m2 ,cos,D2,50.28\r\n\r\nm1,recos,D2,-0.31\n"
+            f"m1,cos,\tD1,0.07\nm1,recos,D1,75{'0' * 306}\n"
+        )
+        for source in (made, path):
+            table = load_results(source)
+            save_results(table, saved)
+            assert saved.read_bytes() == made.read_bytes()
+            assert "rows" not in vars(table)
+
+    def test_loaded_rows_are_made_by_the_checked_constructor(self, tmp_path, monkeypatch):
+        path = tmp_path / "r.csv"
+        path.write_text("model,method,dataset,score\nm,a,D1,1.5\nm,b,D1,2\nm,a,D2,3.25\n")
+        table = load_results(path)
+        checked = []
+        post_init = ResultsRow.__post_init__
+
+        def spy(row):
+            checked.append((row.model, row.method, row.dataset, row.score_cents))
+            post_init(row)
+
+        monkeypatch.setattr(ResultsRow, "__post_init__", spy)
+        rows = table.rows
+        assert checked == [("m", "a", "D1", 150), ("m", "b", "D1", 200), ("m", "a", "D2", 325)]
+        assert table.rows is rows and table.cells("a") and len(checked) == 3
 
     def test_rows_are_built_on_first_access_and_kept(self, tmp_path):
         path = tmp_path / "r.csv"

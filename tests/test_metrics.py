@@ -353,6 +353,12 @@ class TestDecosFromTanimoto:
         with pytest.raises(DegenerateInputError):
             decos_from_tanimoto(bad)
 
+    @pytest.mark.parametrize("bad", ["x", "", None, [0.5]])
+    def test_a_value_that_is_not_a_number_is_a_typed_error(self, bad):
+        with pytest.raises(DegenerateInputError) as err:
+            decos_from_tanimoto(bad)
+        assert str(err.value) == f"tanimoto value is not a number: {bad!r}"
+
     @given(st.floats(0.0, 1.0))
     def test_monotone_into_unit_interval(self, t):
         y = decos_from_tanimoto(t)
@@ -390,6 +396,14 @@ class TestSimilarityDispatch:
             assert MetricKind(kind.value) is kind
         with pytest.raises(ValueError):
             MetricKind("euclid")
+
+    @pytest.mark.parametrize("bad", ["euclid", "COS", "", None, ["cos"]])
+    def test_unknown_kind_is_a_typed_error(self, bad):
+        message = f"unknown metric kind {bad!r}; expected one of recos, cos, decos, tanimoto"
+        for call in (lambda: MetricKind(bad), lambda: similarity(bad, [1.0, 2.0], [2.0, 1.0])):
+            with pytest.raises(DegenerateInputError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def _brute_similar(u, v):

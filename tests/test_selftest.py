@@ -145,3 +145,10 @@ def test_untyped_error_still_propagates(monkeypatch):
 def test_fewer_than_one_trial_is_a_typed_error(trials):
     with pytest.raises(DegenerateInputError, match="trials must be >= 1"):
         selftest.run_selftest(seed=5, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64)])
+def test_a_negative_seed_is_a_typed_error(seed):
+    with pytest.raises(DegenerateInputError) as err:
+        selftest.run_selftest(seed=seed, trials=1)
+    assert str(err.value) == f"seed must be >= 0, got {seed}"
