@@ -101,15 +101,13 @@ VectorLike = Union[DenseVector, Sequence[float], np.ndarray]
 
 
 def _vector(value: VectorLike) -> np.ndarray:
-    # A checked C-contiguous float64 array, ``value`` itself if it is one, so
-    # never write to it.  ndim is checked before ascontiguousarray makes 0-d
-    # input 1-d; contiguity keeps np.dot on the BLAS path and rounding of a copy.
-    # The one check of a single operand: DenseVector, norm and _pair's fallback.
+    # ``_operand``'s array, checked.  The one check of a single operand:
+    # DenseVector, norm and _pair's fallback.
     if isinstance(value, DenseVector):
         return value.components
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = _operand(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidVectorError(f"not a numeric vector: {exc}") from exc
     if arr.ndim != 1:
         raise InvalidVectorError(f"expected a 1-d vector, got shape {arr.shape}")
@@ -117,7 +115,7 @@ def _vector(value: VectorLike) -> np.ndarray:
         raise InvalidVectorError("vector must have at least one component")
     if not np.isfinite(arr).all():
         raise InvalidVectorError("vector components must be finite")
-    return np.ascontiguousarray(arr)
+    return arr
 
 
 class MetricKind(str, Enum):
@@ -140,10 +138,17 @@ class MetricKind(str, Enum):
 
 
 def _operand(value: VectorLike) -> np.ndarray:
-    # ``_vector``'s conversion without its checks, for ``_pair``'s fast path.
+    # ``value`` as a float64 array, ``value`` itself if it is a contiguous one,
+    # so never write to it; unchecked but for complex input.  Only 1-d input is
+    # made C-contiguous (0-d stays 0-d for _vector's ndim check), which keeps
+    # np.dot on the BLAS path and rounding of a copy.  Complex input is refused
+    # only after a cast made a new array, so a float64 array pays nothing for
+    # the test, and numpy's ComplexWarning about the cast may print first.
     if isinstance(value, DenseVector):
         return value.components
     arr = np.asarray(value, dtype=np.float64)
+    if arr is not value and np.iscomplexobj(value):
+        raise TypeError("complex values have no float64 value")
     return np.ascontiguousarray(arr) if arr.ndim == 1 else arr
 
 
@@ -245,7 +250,9 @@ def decos(u: VectorLike, v: VectorLike) -> float:
     sq = float(a.dot(a)) + float(b.dot(b))
     if sq == 0.0:
         raise DegenerateInputError("decos is undefined when both vectors are zero")
-    return _clip_unit(d / (0.5 * sq))
+    half = 0.5 * sq
+    # Halving the smallest subnormal rounds to 0.0; then divide twice d by sq.
+    return _clip_unit(d / half if half != 0.0 else 2.0 * d / sq)
 
 
 def tanimoto(u: VectorLike, v: VectorLike) -> float:

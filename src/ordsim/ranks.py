@@ -6,24 +6,30 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidVectorError
+from .errors import DegenerateInputError, InvalidVectorError, OrdsimError
 
 __all__ = ["average_ranks", "spearman_rho"]
 
 SequenceLike = Union[Sequence[float], np.ndarray]
 
 
-def _as_array(x: SequenceLike, name: str) -> np.ndarray:
+def _as_array(values: SequenceLike, name: str, error: type[OrdsimError]) -> np.ndarray:
+    # The one check of a sample in ranks and stats: a 1-d, non-empty, finite
+    # float64 array (``values`` itself if it is one, so never write to it), or
+    # ``error`` naming ``name``.  Complex input is refused before the cast drops
+    # its imaginary part.
     try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidVectorError(f"{name} must be numeric: {exc}") from None
+        if np.iscomplexobj(values):
+            raise TypeError("complex values have no float64 value")
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be numeric: {exc}") from None
     if arr.ndim != 1:
-        raise InvalidVectorError(f"{name} must be 1-d, got shape {arr.shape}")
+        raise error(f"{name} must be 1-d, got shape {arr.shape}")
     if arr.size == 0:
-        raise InvalidVectorError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidVectorError(f"{name} must contain only finite values")
+        raise error(f"{name} must be non-empty")
+    if not np.isfinite(arr).all():
+        raise error(f"{name} must be finite")
     return arr
 
 
@@ -36,7 +42,7 @@ def average_ranks(x: SequenceLike) -> np.ndarray:
     within the sort changes no rank.  Without ties the ranks are the sorted
     positions 1..n; the group averages are built only when ties exist.
     """
-    arr = _as_array(x, "x")
+    arr = _as_array(x, "x", InvalidVectorError)
     n = arr.size
     order = np.argsort(arr)
     sorted_vals = arr[order]
@@ -62,8 +68,8 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
     Handles ties exactly (no sum-of-squared-rank-differences shortcut).
     Requires n >= 2 and at least two distinct values on each side.
     """
-    ax = _as_array(x, "x")
-    ay = _as_array(y, "y")
+    ax = _as_array(x, "x", InvalidVectorError)
+    ay = _as_array(y, "y", InvalidVectorError)
     if ax.size != ay.size:
         raise DegenerateInputError(f"length mismatch: {ax.size} vs {ay.size}")
     if ax.size < 2:

@@ -17,6 +17,7 @@ A typed ``ordsim`` error raised in a trial is a failure of that property.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +196,16 @@ _PROPERTIES = (
 )
 
 
+def _integer(name: str, value: int) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DegenerateInputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def run_selftest(seed: int = 42, trials: int = 1000) -> SelftestReport:
     """Run every property for ``trials`` iterations; deterministic in ``seed``."""
+    seed, trials = _integer("seed", seed), _integer("trials", trials)
     if trials < 1:
         raise DegenerateInputError("trials must be >= 1")
     if seed < 0:

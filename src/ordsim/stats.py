@@ -34,7 +34,7 @@ from .errors import DegenerateInputError
 
 # No function here calls average_ranks; it stays importable here because
 # perfbench/tracing.py wraps it at ordsim.stats.average_ranks.
-from .ranks import average_ranks  # noqa: F401
+from .ranks import _as_array, average_ranks  # noqa: F401
 
 __all__ = [
     "PairedDiffs",
@@ -82,16 +82,9 @@ class PairedDiffs:
 
     def __post_init__(self) -> None:
         labels = _checked_labels(self.labels)
-        try:
-            values = np.array(self.diffs, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DegenerateInputError(f"differences must be numeric: {exc}") from None
-        if values.ndim != 1:
-            raise DegenerateInputError(f"differences must be 1-d, got shape {values.shape}")
+        values = _as_array(self.diffs, "differences", DegenerateInputError).copy()
         if values.size != len(labels):
             raise DegenerateInputError(f"{values.size} diffs but {len(labels)} labels")
-        if values.size == 0:
-            raise DegenerateInputError("need at least one paired difference")
         self._set_values(values, labels, _LodoIndex([ds for _, ds in labels]))
         object.__setattr__(self, "diffs", tuple(values.tolist()))
 
@@ -99,19 +92,16 @@ class PairedDiffs:
     def _from_columns(
         cls, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: _LodoIndex
     ) -> PairedDiffs:
-        # For a non-empty float64 array that the caller hands over, labels
-        # that are already a tuple of (model, dataset) pairs of str, and a
-        # _LodoIndex of the labels' datasets.  The diffs tuple is made on
-        # first access.
+        # For a float64 array that the caller hands over, labels that are
+        # already a tuple of (model, dataset) pairs of str, and a _LodoIndex
+        # of the labels' datasets.  The diffs tuple is made on first access.
         diffs = cls.__new__(cls)
-        diffs._set_values(values, labels, datasets)
+        diffs._set_values(_as_array(values, "differences", DegenerateInputError), labels, datasets)
         return diffs
 
     def _set_values(
         self, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: _LodoIndex
     ) -> None:
-        if not np.isfinite(values).all():
-            raise DegenerateInputError("differences must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_values", values)
@@ -484,15 +474,10 @@ def _t_test(
 
 def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
     """Between-groups Cohen's d with the pooled standard deviation."""
-    try:
-        xa = np.asarray(a, dtype=np.float64)
-        xb = np.asarray(b, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DegenerateInputError(f"samples must be numeric: {exc}") from None
-    if xa.ndim != 1 or xb.ndim != 1 or xa.size < 2 or xb.size < 2:
+    xa = _as_array(a, "samples", DegenerateInputError)
+    xb = _as_array(b, "samples", DegenerateInputError)
+    if xa.size < 2 or xb.size < 2:
         raise DegenerateInputError("cohens_d_pooled requires two samples of size >= 2")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise DegenerateInputError("samples must be finite")
     # d is the same at any common scale of both samples.
     (gap, pooled), _ = _rescaled(_mean_gap_and_pooled_var, xa, xb)
     if pooled == 0.0:
@@ -513,13 +498,8 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     adjusted_i = min over j with p_j >= p_i of (m / rank_j) * p_j, capped at 1.
     Adjustment preserves the ordering of the raw p-values.
     """
-    try:
-        p = np.asarray(p_values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DegenerateInputError(f"p-values must be numeric: {exc}") from None
-    if p.ndim != 1 or p.size == 0:
-        raise DegenerateInputError("need a non-empty 1-d sequence of p-values")
-    if not np.all((p >= 0.0) & (p <= 1.0)):
+    p = _as_array(p_values, "p-values", DegenerateInputError)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise DegenerateInputError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")

@@ -3,13 +3,14 @@
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ordsim
 import ordsim.cli as cli
 import ordsim.errors
 from ordsim import DenseVector, PairDataset, PairRecord
-from ordsim.errors import OrdsimError
+from ordsim.errors import DegenerateInputError, InvalidVectorError, OrdsimError
 
 MODULES = ("bounds", "errors", "harness", "io", "metrics", "ranks", "selftest", "stats")
 
@@ -117,3 +118,51 @@ def test_cli_reports_every_error_as_a_data_error(capsys, monkeypatch, cls):
     assert code == cli.EXIT_DATA_ERROR
     assert captured.out == ""
     assert captured.err == "error: boom\n"
+
+
+# Every public function that takes numbers, called with one operand z and, if
+# it takes two, REAL as the other.  z has three components whose real parts
+# lie in [0, 1], so that a cast that dropped the imaginary part would pass.
+REAL = [3.0, 1.0, 2.0]
+NUMBER_TAKERS = [
+    ("recos", lambda z: ordsim.recos(z, REAL), InvalidVectorError),
+    ("recos, second operand", lambda z: ordsim.recos(REAL, z), InvalidVectorError),
+    ("cosine", lambda z: ordsim.cosine(z, REAL), InvalidVectorError),
+    ("decos", lambda z: ordsim.decos(REAL, z), InvalidVectorError),
+    ("tanimoto", lambda z: ordsim.tanimoto(z, REAL), InvalidVectorError),
+    ("similarity", lambda z: ordsim.similarity("recos", z, REAL), InvalidVectorError),
+    ("dot", lambda z: ordsim.dot(z, REAL), InvalidVectorError),
+    ("norm", ordsim.norm, InvalidVectorError),
+    ("DenseVector", DenseVector, InvalidVectorError),
+    ("bound_chain", lambda z: ordsim.bound_chain(z, REAL), InvalidVectorError),
+    ("rearrangement_bound", lambda z: ordsim.rearrangement_bound(REAL, z), InvalidVectorError),
+    ("is_similarly_ordered", lambda z: ordsim.is_similarly_ordered(z, REAL), InvalidVectorError),
+    ("average_ranks", ordsim.average_ranks, InvalidVectorError),
+    ("spearman_rho", lambda z: ordsim.spearman_rho(REAL, z), InvalidVectorError),
+    ("PairedDiffs", lambda z: ordsim.PairedDiffs(z, (("m", "a"), ("m", "b"), ("m", "c"))),
+     DegenerateInputError),
+    ("cohens_d_pooled", lambda z: ordsim.cohens_d_pooled(z, REAL), DegenerateInputError),
+    ("benjamini_hochberg", ordsim.benjamini_hochberg, DegenerateInputError),
+]
+COMPLEX_FORMS = {
+    "complex128 array": np.array([0.25 + 1j, 0.5, 0.75]),
+    "complex64 array": np.array([0.25 + 1j, 0.5, 0.75], dtype=np.complex64),
+    "list of numpy complex scalars": [np.complex128(0.25 + 1j), 0.5, 0.75],
+}
+
+
+@pytest.mark.filterwarnings("ignore:Casting complex values")
+@pytest.mark.parametrize("form", COMPLEX_FORMS)
+@pytest.mark.parametrize("call, error", [t[1:] for t in NUMBER_TAKERS], ids=[t[0] for t in NUMBER_TAKERS])
+def test_complex_input_is_a_typed_error(call, error, form):
+    # A cast to float64 would drop the imaginary part with only numpy's
+    # ComplexWarning (which the metrics' fast path may print first).
+    with pytest.raises(error, match="complex values have no float64 value"):
+        call(COMPLEX_FORMS[form])
+
+
+@pytest.mark.parametrize("call, error", [t[1:] for t in NUMBER_TAKERS], ids=[t[0] for t in NUMBER_TAKERS])
+def test_an_int_beyond_float64_is_a_typed_error(call, error):
+    # float(10**400) raises OverflowError, which the checks report as theirs.
+    with pytest.raises(error, match="int too large to convert to float"):
+        call([10**400, 0.5, 0.75])

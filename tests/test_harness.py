@@ -162,6 +162,13 @@ class TestEvaluate:
             want = 100.0 * _stable_sort_rho(sims, gold)
             assert evaluate(ds, kind).rho_x100.hex() == want.hex()
 
+    def test_decos_scores_a_row_whose_halved_squared_norm_underflows(self):
+        # Row 0's |u|^2 + |v|^2 is 5e-324, whose half rounds to 0.0, and its
+        # u.v == 0 makes it a branch row; decos is 0.0 there, the true value.
+        pairs = [([2.2e-162], [0.0]), ([1.0], [2.0]), ([1.0], [-1.0])]
+        report = evaluate(_dataset_from_sims([1.0, 2.0, 0.0], pairs), "decos")
+        assert report.rho_x100 == 100.0
+
     def test_non_finite_score_names_its_row(self):
         # tanimoto's aa + bb - d is inf - inf on row 4, so its score is NaN.
         rng = np.random.default_rng(181)

@@ -291,6 +291,11 @@ class TestDecos:
     def test_one_zero_allowed(self):
         assert decos([0, 0], [1, 2]) == 0.0
 
+    def test_the_smallest_subnormal_squared_norm_divides(self):
+        # |u|^2 rounds to 5e-324, whose half rounds to 0.0; the true value is 0.
+        assert decos([2.2e-162], [0.0]) == 0.0
+        assert decos([0.0], [2.2e-162]) == 0.0
+
     def test_self_similarity_exact(self):
         assert decos([3.7, -1.2], [3.7, -1.2]) == 1.0
         assert decos([3.7, -1.2], [-3.7, 1.2]) == -1.0

@@ -152,3 +152,24 @@ def test_a_negative_seed_is_a_typed_error(seed):
     with pytest.raises(DegenerateInputError) as err:
         selftest.run_selftest(seed=seed, trials=1)
     assert str(err.value) == f"seed must be >= 0, got {seed}"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_a_typed_error(kwargs, message):
+    with pytest.raises(DegenerateInputError) as err:
+        selftest.run_selftest(**{"seed": 5, "trials": 1, **kwargs})
+    assert str(err.value) == message
+
+
+def test_counts_are_kept_as_the_ints_operator_index_gives():
+    report = selftest.run_selftest(seed=True, trials=True)
+    assert (report.seed, report.trials) == (1, 1)
+    assert type(report.seed) is int and type(report.trials) is int
+    assert all(result.trials == 1 for result in report.results)

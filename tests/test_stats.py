@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import ordsim.stats
 from ordsim import (
     DegenerateInputError,
+    InvalidVectorError,
     PairedDiffs,
     benjamini_hochberg,
     cohens_d_pooled,
@@ -24,6 +25,7 @@ from ordsim import (
     leave_one_dataset_out,
     paired_t_test,
     sign_test,
+    spearman_rho,
     wilcoxon_signed_rank,
 )
 from ordsim import TestResult as StatsTestResult
@@ -796,6 +798,41 @@ class TestBenjaminiHochberg:
         order = sorted(range(len(ps)), key=lambda i: ps[i])
         adj_in_order = [adjusted[i] for i in order]
         assert adj_in_order == sorted(adj_in_order)
+
+
+# The five functions that take a sample, the name each gives it and the error
+# each raises; they share ranks._as_array, so the same malformed sample gets
+# the same message from all five.
+SAMPLE_TAKERS = [
+    ("average_ranks", average_ranks, "x", InvalidVectorError),
+    ("spearman_rho", lambda xs: spearman_rho(xs, [0.1, 0.2]), "x", InvalidVectorError),
+    (
+        "PairedDiffs",
+        lambda xs: PairedDiffs(xs, tuple(("m", f"d{i}") for i in range(len(xs)))),
+        "differences",
+        DegenerateInputError,
+    ),
+    ("cohens_d_pooled", lambda xs: cohens_d_pooled(xs, [0.1, 0.2]), "samples", DegenerateInputError),
+    ("benjamini_hochberg", benjamini_hochberg, "p-values", DegenerateInputError),
+]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (["a", "b"], " must be numeric: "),
+        ([[0.5, 0.5]], r" must be 1-d, got shape \(1, 2\)$"),
+        ([], " must be non-empty$"),
+        ([0.5, math.nan], " must be finite$"),
+    ],
+    ids=["non-numeric", "2-d", "empty", "nan"],
+)
+@pytest.mark.parametrize(
+    "call, name, error", [t[1:] for t in SAMPLE_TAKERS], ids=[t[0] for t in SAMPLE_TAKERS]
+)
+def test_every_sample_taker_gives_the_same_four_messages(call, name, error, values, message):
+    with pytest.raises(error, match="^" + name + message):
+        call(values)
 
 
 class TestLeaveOneDatasetOut:
