@@ -8,7 +8,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CoverageMismatchError, InvalidVectorError
-from .io import PairDataset, ResultsTable
+from .io import PairDataset, ResultsTable, _MethodColumns
 from .metrics import MetricKind, similarity
 # evaluate ranks through the private pair; spearman_rho stays importable
 # here because perfbench/tracing.py wraps it at ordsim.harness.spearman_rho.
@@ -17,7 +17,10 @@ from .stats import (
     DescriptiveStats,
     PairedDiffs,
     TestResult,
+    _all_finite,
+    _gap_and_pooled_var,
     _micro_average,
+    _pooled_d,
     benjamini_hochberg,
     cohens_d_pooled,
     descriptive_stats,
@@ -109,10 +112,14 @@ def compare(
     when every cell is tied.
 
     The comparison reads the columns the table built once per method: cell
-    codes, the score array, dataset codes and the micro-average.  The
-    tests run in a's cell order; b's scores are reordered to it if needed,
-    and the leave-one-dataset-out test reads the blocks the table keeps for
-    a's dataset codes.
+    codes, the score array, dataset codes and the micro-average, and the
+    mean and variance of the scores that each method keeps once computed.
+    The tests run in a's cell order; b's scores are reordered to it if
+    needed, and the leave-one-dataset-out test reads the blocks the table
+    keeps for a's dataset codes.  The pooled d comes from the two kept
+    means and variances, unless b was reordered or the gap or pooled
+    variance made from them is not finite; then ``cohens_d_pooled``
+    computes it from the scores.
     """
     col_a = results._method_columns(a)
     col_b = results._method_columns(b)
@@ -123,7 +130,8 @@ def compare(
     scores_a, scores_b = col_a.scores, col_b.scores
     codes_a, codes_b = col_a.cell_codes, col_b.cell_codes
     micro_avg_b = col_b.micro_average
-    if not np.array_equal(codes_a, codes_b):
+    reordered = not np.array_equal(codes_a, codes_b)
+    if reordered:
         # A method holds each cell code once: b's position of each of a's
         # cells, or -1 where b lacks it.
         position = np.full(max(codes_a.max(), codes_b.max()) + 1, -1)
@@ -143,7 +151,7 @@ def compare(
     # inf that makes is rejected by the tests below as a typed error.
     with np.errstate(over="ignore"):
         values = scores_a - scores_b
-    diffs = PairedDiffs._from_columns(values, col_a.cells, col_a.datasets)
+    diffs = PairedDiffs._from_columns(values, lambda: col_a.cells, col_a.datasets)
     wil = wilcoxon_signed_rank(diffs, alternative)
     sgn = sign_test(diffs, alternative)
     t = paired_t_test(diffs, alternative)
@@ -155,7 +163,7 @@ def compare(
         wilcoxon=wil,
         sign=sgn,
         t_test=t,
-        pooled_d=cohens_d_pooled(scores_a, scores_b),
+        pooled_d=_pooled_d_of_columns(col_a, col_b, scores_b, reordered),
         bh_adjusted={
             "wilcoxon": adjusted[0],
             "sign": adjusted[1],
@@ -165,3 +173,22 @@ def compare(
         micro_avg_a=col_a.micro_average,
         micro_avg_b=micro_avg_b,
     )
+
+
+def _pooled_d_of_columns(
+    col_a: _MethodColumns, col_b: _MethodColumns, scores_b: np.ndarray, reordered: bool
+) -> float:
+    """``cohens_d_pooled(col_a.scores, scores_b)`` bit for bit, where
+    ``scores_b`` are b's scores in a's cell order.
+
+    Where b's scores were not reordered, the call's means and variances are
+    the ones the two methods keep.  If the gap and pooled variance made from
+    them are finite, so are they, and the call would not rescale: d is made
+    from them here.
+    """
+    n = col_a.scores.size
+    if not reordered and n >= 2:
+        gap_and_pooled = _gap_and_pooled_var(col_a.mean_var, n, col_b.mean_var, n)
+        if _all_finite(gap_and_pooled):
+            return _pooled_d(*gap_and_pooled)
+    return cohens_d_pooled(col_a.scores, scores_b)

@@ -21,11 +21,13 @@ Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
 as integer hundredths, so equal published scores compare exactly equal and a
 cell difference of zero is exactly zero.  A (model, method, dataset) triple
-may appear only once.  ``load_results`` checks the rows a column at a time
-and reads a file that fails any check again line by line, which raises the
-error.  A ``ResultsTable`` is kept as columns, with per-method columns built
-once, which ``compare`` reads; its ``rows`` are built by ``ResultsRow`` on
-first access, and ``save_results`` writes the row columns.
+may appear only once.  ``load_results`` splits a plain file (``\n`` line
+ends, three commas a row, no blank line) into rows in whole-buffer passes
+and any other file with ``_read_lines``, checks the rows a column at a
+time, and reads a file that fails any check again line by line, which
+raises the error.  A ``ResultsTable`` is kept as columns, with per-method
+columns built once, which ``compare`` reads; its ``rows`` are built by
+``ResultsRow`` on first access, and ``save_results`` writes the row columns.
 
 Errors name the file and 1-based line number of the offending record.
 """
@@ -42,14 +44,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, repeat
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
 from .metrics import DenseVector, _RowValues
 from .ranks import _centered_ranks
-from .stats import _encode, _LodoIndex, _micro_average
+from .stats import _encode, _first_appearance_codes, _LodoIndex, _mean_var, _micro_average
 
 __all__ = [
     "PairRecord",
@@ -559,14 +561,41 @@ class ResultsRow:
         return _cents_to_score(self.score_cents)
 
 
-class _MethodColumns(NamedTuple):
-    """One method's cells, in file order, as columns."""
+class _MethodColumns:
+    """One method's rows of a table, in file order, as columns.  ``cells``
+    and ``mean_var`` are made on first use and kept."""
 
-    cells: tuple[tuple[str, str], ...]  # (model, dataset)
-    cell_codes: np.ndarray  # one code per (model, dataset) of the table
-    scores: np.ndarray  # read-only float64, ResultsRow.score bit for bit
-    datasets: _LodoIndex  # dataset codes, numbered in this method's first-appearance order
-    micro_average: float
+    def __init__(
+        self,
+        rows: np.ndarray,
+        models: list[str],
+        datasets: list[str],
+        cell_codes: np.ndarray,
+        scores: np.ndarray,
+        dataset_codes: np.ndarray,
+    ) -> None:
+        # rows: the method's row numbers; the other arguments are the table's columns.
+        self._rows = rows
+        self._models_and_datasets = (models, datasets)
+        self.cell_codes = cell_codes[rows]  # one code per (model, dataset) of the table
+        self.scores = scores[rows]  # read-only float64, ResultsRow.score bit for bit
+        self.scores.setflags(write=False)
+        # Dataset codes, numbered in the method's order of first appearance.
+        self.datasets = _LodoIndex(*_first_appearance_codes(dataset_codes[rows]))
+        self.micro_average = _micro_average(self.scores)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[str, str], ...]:
+        """(model, dataset) per score."""
+        models, datasets = self._models_and_datasets
+        rows = self._rows.tolist()
+        return tuple(zip(map(models.__getitem__, rows), map(datasets.__getitem__, rows)))
+
+    @cached_property
+    def mean_var(self) -> tuple[float, float]:
+        """``stats._mean_var`` of the scores, which may overflow to inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _mean_var(self.scores)
 
 
 @dataclass(frozen=True)
@@ -574,13 +603,15 @@ class ResultsTable:
     """Benchmark cells with unique (model, method, dataset) triples.
 
     A table is kept as columns.  Once, when it is made, it builds each
-    method's columns: the method's (model, dataset) cells in file order, a
-    read-only float64 array of their scores (``ResultsRow.score`` bit for
-    bit, see ``scores``), dataset codes numbered in the method's own order of
-    first appearance, and the micro-average of the scores.  ``compare``
-    reads only these.  A method's first leave-one-dataset-out test builds
-    its blocks over the dataset codes, and the table keeps them, read-only,
-    while they hold at most ``stats._LODO_BLOCK_CELLS`` entries.
+    method's columns: a read-only float64 array of its scores in file order
+    (``ResultsRow.score`` bit for bit, see ``scores``), their cell codes,
+    dataset codes numbered in the method's own order of first appearance,
+    and the micro-average of the scores.  The method's (model, dataset)
+    cells and the mean and variance of its scores are made on first use and
+    kept.  ``compare`` reads only these.  A method's first
+    leave-one-dataset-out test builds its blocks over the dataset codes, and
+    the table keeps them, read-only, while they hold at most
+    ``stats._LODO_BLOCK_CELLS`` entries.
 
     ``rows`` is the table's value, kept as a tuple whatever sequence made
     it: ``==``, ``hash`` and ``repr`` read it and nothing else.  A table
@@ -651,17 +682,8 @@ class ResultsTable:
         columns = {}
         for code, method in enumerate(method_names):
             rows = np.flatnonzero(method_codes == code)
-            row_list = rows.tolist()
-            method_scores = scores[rows]
-            method_scores.setflags(write=False)
             columns[method] = _MethodColumns(
-                cells=tuple(
-                    zip(map(models.__getitem__, row_list), map(datasets.__getitem__, row_list))
-                ),
-                cell_codes=cell_codes[rows],
-                scores=method_scores,
-                datasets=_LodoIndex(dataset_codes[rows].tolist()),
-                micro_average=_micro_average(method_scores),
+                rows, models, datasets, cell_codes, scores, dataset_codes
             )
         object.__setattr__(self, "_names", (model_names, method_names, dataset_names))
         object.__setattr__(self, "_row_columns", (models, methods, datasets, cents))
@@ -703,32 +725,70 @@ _NO_SCORES.setflags(write=False)
 
 
 _RESULTS_HEADER = "model,method,dataset,score"
+_PLAIN_RESULTS_HEAD = f"{_RESULTS_HEADER}\n".encode()
+
+# The comma, and the bytes below 0x80 at which str.splitlines() breaks a
+# line; translate deletes every other byte.
+_NOT_RESULTS_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r\x0b\x0c\x1c\x1d\x1e")))
+# The UTF-8 of the characters above 0x7f at which str.splitlines() breaks a line.
+_WIDE_LINE_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
 
 
 def load_results(path: PathLike) -> ResultsTable:
     """Load a results table, enforcing the schema and triple uniqueness.
 
-    The rows are checked a column at a time.  A file that fails one of those
+    The rows are checked a column at a time.  A plain file (see
+    ``_plain_results``) is split into rows in whole-buffer passes; any other
+    file is read by ``_read_lines``.  A file that fails one of the column
     checks is read again line by line, which raises the error of its first
     bad line.
     """
     path = Path(path)
-    header_no, header, lines = _read_lines(path, _read_bytes(path))
-    if header != _RESULTS_HEADER:
-        raise _bad_line(path, header_no, f"header must be {_RESULTS_HEADER!r}, got {header!r}")
-    table = _table_by_column([line for _, line in lines])
+    data = _read_bytes(path)
+    table = _plain_results(data)
     if table is None:
-        table = ResultsTable._from_columns(*_results_by_line(path, lines))
+        header_no, header, lines = _read_lines(path, data)
+        if header != _RESULTS_HEADER:
+            raise _bad_line(
+                path, header_no, f"header must be {_RESULTS_HEADER!r}, got {header!r}"
+            )
+        rows = [line for _, line in lines]
+        if set(map(str.count, rows, repeat(","))) == {3}:
+            table = _table_by_column(rows)
+        if table is None:
+            table = ResultsTable._from_columns(*_results_by_line(path, lines))
     return table
 
 
+def _plain_results(data: bytes) -> ResultsTable | None:
+    """The table of a plain results file's bytes, or None.
+
+    A plain file starts with the header and a line feed, and each of its
+    rows holds exactly three commas and ends in a line feed, with no other
+    line break that ``str.splitlines()`` knows.  Its rows are then the lines
+    ``_read_lines`` gives, none of them blank.  Any other file, one that is
+    not UTF-8, and one whose rows ``_table_by_column`` rejects give None.
+    """
+    if not data.startswith(_PLAIN_RESULTS_HEAD):
+        return None
+    body = data[len(_PLAIN_RESULTS_HEAD) :]
+    separators = body.translate(None, _NOT_RESULTS_SEPARATORS)
+    if not separators or separators != b",,,\n" * (len(separators) // 4):
+        return None
+    if not body.isascii() and any(line_break in body for line_break in _WIDE_LINE_BREAKS):
+        return None
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return _table_by_column(text[:-1].split("\n"))
+
+
 def _table_by_column(lines: list[str]) -> ResultsTable | None:
-    """The table of a results file's rows, or None unless there is at least
-    one row, every row has 4 fields, no field is empty after ``strip()``,
+    """The table of a results file's rows, at least one, each holding
+    exactly 3 commas; or None unless no field is empty after ``strip()``,
     every score is a ``_SCORE_RE`` decimal of magnitude below 1e13, and no
     cell is repeated."""
-    if set(map(str.count, lines, repeat(","))) != {3}:
-        return None
     joined = ",".join(lines)
     fields = joined.split(",")
     if joined.split(None, 1) != [joined]:  # the rows hold whitespace to strip

@@ -74,7 +74,7 @@ class PairedDiffs:
 
     ``compare`` builds its diffs from a results table's columns instead,
     with the dataset index the table keeps for the method, and makes the
-    diffs tuple on first use.
+    diffs and labels tuples on first use.
     """
 
     diffs: tuple[float, ...]
@@ -85,36 +85,48 @@ class PairedDiffs:
         values = _as_array(self.diffs, "differences", DegenerateInputError).copy()
         if values.size != len(labels):
             raise DegenerateInputError(f"{values.size} diffs but {len(labels)} labels")
-        self._set_values(values, labels, _LodoIndex([ds for _, ds in labels]))
+        names, codes = _encode([ds for _, ds in labels])
+        self._set_values(values, _LodoIndex(codes, len(names)))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "diffs", tuple(values.tolist()))
 
     @classmethod
     def _from_columns(
-        cls, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: _LodoIndex
+        cls,
+        values: np.ndarray,
+        labels: tuple[tuple[str, str], ...] | Callable[[], tuple[tuple[str, str], ...]],
+        datasets: _LodoIndex,
     ) -> PairedDiffs:
         # For a float64 array that the caller hands over, labels that are
-        # already a tuple of (model, dataset) pairs of str, and a _LodoIndex
-        # of the labels' datasets.  The diffs tuple is made on first access.
+        # already a tuple of (model, dataset) pairs of str, or a function of
+        # no arguments that returns one, and a _LodoIndex of the labels'
+        # datasets.  The diffs tuple, and the labels of a function, are made
+        # on first access.
         diffs = cls.__new__(cls)
-        diffs._set_values(_as_array(values, "differences", DegenerateInputError), labels, datasets)
+        diffs._set_values(_as_array(values, "differences", DegenerateInputError), datasets)
+        if callable(labels):
+            object.__setattr__(diffs, "_make_labels", labels)
+        else:
+            object.__setattr__(diffs, "labels", labels)
         return diffs
 
-    def _set_values(
-        self, values: np.ndarray, labels: tuple[tuple[str, str], ...], datasets: _LodoIndex
-    ) -> None:
+    def _set_values(self, values: np.ndarray, datasets: _LodoIndex) -> None:
         values.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_datasets", datasets)
 
-    def __getattr__(self, name: str) -> tuple[float, ...]:
+    def __getattr__(self, name: str) -> tuple:
         # Python calls this only for an attribute the instance lacks: the
-        # diffs tuple of a PairedDiffs made by _from_columns.
-        if name != "diffs":
+        # diffs tuple, or the labels of a function, of a PairedDiffs made
+        # by _from_columns.
+        if name == "diffs":
+            value = tuple(self._values.tolist())
+        elif name == "labels":
+            value = self._make_labels()
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        diffs = tuple(self._values.tolist())
-        object.__setattr__(self, "diffs", diffs)
-        return diffs
+        object.__setattr__(self, name, value)
+        return value
 
     @cached_property
     def _moments(self) -> tuple[float, float, float]:
@@ -175,6 +187,15 @@ def _encode(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
     return names, np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
 
 
+def _first_appearance_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Non-negative integer codes renumbered in order of first appearance,
+    the codes ``_encode`` gives the same values, and how many are distinct."""
+    distinct, first = np.unique(codes, return_index=True)
+    renumber = np.empty(distinct[-1] + 1 if distinct.size else 0, np.intp)
+    renumber[distinct[first.argsort()]] = np.arange(distinct.size)
+    return renumber[codes], distinct.size
+
+
 def _mean_var(arr: np.ndarray) -> tuple[float, float]:
     """``arr.mean()`` and ``arr.var(ddof=1)`` (0.0 for one value), bit for
     bit: the same sums, without numpy's per-call overhead."""
@@ -205,10 +226,19 @@ def _rescaled(compute: Callable, *arrays: np.ndarray) -> tuple:
     and that scale."""
     with np.errstate(over="ignore", invalid="ignore"):
         result = compute(*arrays)
-    if np.isfinite(result).all():
+    if _all_finite(result):
         return result, 1.0
     scale = _power_of_two_scale(*arrays)
     return compute(*(arr / scale for arr in arrays)), scale
+
+
+def _all_finite(result: float | tuple[float, ...] | np.ndarray) -> bool:
+    """Whether every value of a float, a tuple of floats or an array is finite."""
+    if isinstance(result, np.ndarray):
+        return bool(np.isfinite(result).all())
+    if isinstance(result, tuple):
+        return all(map(math.isfinite, result))
+    return math.isfinite(result)
 
 
 def _mean_sd_scale(arr: np.ndarray) -> tuple[float, float, float]:
@@ -400,11 +430,32 @@ def wilcoxon_signed_rank(
 
 
 def _binomial_head_sum(n: int, m: int) -> int:
-    """C(n, 0) + ... + C(n, m), by the exact recurrence C(n, i+1) = C(n, i) * (n-i) // (i+1)."""
-    term = total = 1
-    for i in range(m):
+    """C(n, 0) + ... + C(n, m) for 0 <= m <= n, in exact integers.
+
+    The sum walks from the nearer of two points where it is known: from
+    C(n, 0) = 1, or from the middle, h = n // 2, where by the symmetry
+    C(n, i) = C(n, n-i) the head sum up to h is 2**(n-1) for odd n and
+    (2**n + C(n, h)) / 2 for even n.  Each step is the exact recurrence
+    C(n, i+1) = C(n, i) * (n-i) // (i+1), or its inverse
+    C(n, i-1) = C(n, i) * i // (n-i+1), so the walk takes min(m, |m - h|)
+    steps.
+    """
+    h = n // 2
+    if m <= abs(m - h):
+        term = total = 1
+        i = 0
+    else:
+        term = math.comb(n, h)
+        total = 1 << (n - 1) if n % 2 else ((1 << n) + term) >> 1
+        i = h
+    while i < m:
         term = term * (n - i) // (i + 1)
         total += term
+        i += 1
+    while i > m:
+        total -= term
+        term = term * i // (n - i + 1)
+        i -= 1
     return total
 
 
@@ -480,16 +531,26 @@ def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
         raise DegenerateInputError("cohens_d_pooled requires two samples of size >= 2")
     # d is the same at any common scale of both samples.
     (gap, pooled), _ = _rescaled(_mean_gap_and_pooled_var, xa, xb)
-    if pooled == 0.0:
-        raise DegenerateInputError("pooled variance is zero")
-    return gap / math.sqrt(pooled)
+    return _pooled_d(gap, pooled)
 
 
 def _mean_gap_and_pooled_var(xa: np.ndarray, xb: np.ndarray) -> tuple[float, float]:
-    mean_a, var_a = _mean_var(xa)
-    mean_b, var_b = _mean_var(xb)
-    na, nb = xa.size, xb.size
+    return _gap_and_pooled_var(_mean_var(xa), xa.size, _mean_var(xb), xb.size)
+
+
+def _gap_and_pooled_var(
+    mean_var_a: tuple[float, float], na: int, mean_var_b: tuple[float, float], nb: int
+) -> tuple[float, float]:
+    """The gap of two samples' means and their pooled variance, from each
+    sample's ``_mean_var`` and size."""
+    (mean_a, var_a), (mean_b, var_b) = mean_var_a, mean_var_b
     return mean_a - mean_b, ((na - 1) * var_a + (nb - 1) * var_b) / (na + nb - 2)
+
+
+def _pooled_d(gap: float, pooled: float) -> float:
+    if pooled == 0.0:
+        raise DegenerateInputError("pooled variance is zero")
+    return gap / math.sqrt(pooled)
 
 
 def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
@@ -572,9 +633,10 @@ class _LodoIndex:
 
     __slots__ = ("codes", "n_datasets", "_kept")
 
-    def __init__(self, labels: Sequence[Hashable]) -> None:
-        names, self.codes = _encode(labels)
-        self.n_datasets = len(names)
+    def __init__(self, codes: np.ndarray, n_datasets: int) -> None:
+        # codes: 0 .. n_datasets - 1, numbered in order of first appearance.
+        self.codes = codes
+        self.n_datasets = n_datasets
         self._kept: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:

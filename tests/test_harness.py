@@ -1005,3 +1005,86 @@ class TestLargeScores:
                 if a != b:
                     compare(table, a, b, "two-sided")
         compare(_scaled_table(10**100), "A", "B")
+
+
+class TestKeptMoments:
+    """compare makes the pooled d from the mean and variance each method
+    keeps, and calls cohens_d_pooled on the scores where b was reordered or
+    a kept value, the gap or the pooled variance is not finite.  Either way
+    the report is _public_compare's, bit for bit."""
+
+    def _reports(self, table, pairs):
+        calls = mock.Mock(wraps=cohens_d_pooled)
+        with mock.patch.object(ordsim.harness, "cohens_d_pooled", calls):
+            for a, b in pairs:
+                for alternative in ("greater", "two-sided"):
+                    want = _report_bits(_public_compare, table, a, b, alternative)
+                    assert _report_bits(compare, table, a, b, alternative) == want
+        return calls.call_count
+
+    def test_tables_in_one_cell_order_use_the_kept_moments(self):
+        table = load_results(fixture_path("table2.csv"))
+        pairs = [(a, b) for a in table.methods() for b in table.methods() if a != b]
+        for a, b in pairs:
+            compare(table, a, b)
+        for method in table.methods():
+            column = table._method_columns(method)
+            assert column.mean_var == ordsim.stats._mean_var(column.scores)
+            assert "cells" not in vars(column)  # no report reads the labels
+        assert self._reports(table, pairs) == 0
+
+    def test_reordered_cells_fall_back(self):
+        # Each method lists its cells in its own order.
+        assert self._reports(_unequal_table(), [("a", "b"), ("c", "a"), ("d", "b")]) == 6
+
+    def test_kept_values_that_are_not_finite_fall_back(self):
+        # Deviations near 1e306 square to inf: the kept variance is inf, and
+        # cohens_d_pooled rescales.
+        table = _scaled_table(10**305)
+        var = table._method_columns("A").mean_var[1]
+        assert math.isinf(var)
+        assert self._reports(table, [("A", "B"), ("B", "A")]) == 4
+
+    def test_a_pooled_variance_that_is_not_finite_falls_back(self):
+        # Each method's variance, 1.28e308, is finite, and their sum is not.
+        cents = 16 * 10**155
+        table = _table(
+            [
+                ("m", "A", "D0", 0),
+                ("m", "A", "D1", cents),
+                ("m", "B", "D0", 0),
+                ("m", "B", "D1", -cents),
+            ]
+        )
+        for method in ("A", "B"):
+            assert all(map(math.isfinite, table._method_columns(method).mean_var))
+        assert self._reports(table, [("A", "B"), ("B", "A")]) == 4
+        assert math.isfinite(compare(table, "A", "B").pooled_d)
+
+    @pytest.mark.parametrize(
+        "b_cents, message",
+        [(50, "all differences are zero"), (40, "paired t-test requires at least 2 differences")],
+    )
+    def test_one_cell_raises_the_tests_error_first(self, b_cents, message):
+        table = _table([("m", "a", "D", 50), ("m", "b", "D", b_cents)])
+        for alternative in ("greater", "two-sided"):
+            want = _compare_outcome(_public_compare, table, "a", "b", alternative)
+            assert want == f"DegenerateInputError: {message}"
+            assert _compare_outcome(compare, table, "a", "b", alternative) == want
+
+    def test_labels_are_made_on_first_access(self):
+        table = _unequal_table()
+        column = table._method_columns("a")
+        made = []
+
+        def labels():
+            made.append(1)
+            return column.cells
+
+        values = column.scores - column.scores[::-1]
+        d = ordsim.stats.PairedDiffs._from_columns(values, labels, column.datasets)
+        assert made == []
+        assert d.labels == column.cells and d.labels is column.cells and made == [1]
+        assert d == PairedDiffs(values, column.cells) and made == [1]
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            d.nope

@@ -1660,6 +1660,93 @@ class TestColumnarResults:
             table.nope
 
 
+_RESULTS_HEAD = b"model,method,dataset,score\n"
+
+# Results files, and whether load_results reads each by its plain-file path.
+_PLAIN_OR_NOT_FILES = {
+    "plain": (_RESULTS_HEAD + b"m,a,D,1.00\nm,b,D,2\nm,a,E,-3.5\nm,b,E,0\n", True),
+    "surrounding spaces": (_RESULTS_HEAD + b" m ,a,\tD,1.00\nm,b , D,2 \n", True),
+    "non-ASCII names": ("model,method,dataset,score\né,a, D,1\né,b,D,2\n".encode(), True),
+    "a NUL in a name": (_RESULTS_HEAD + b"m\x00,a,D,1\nm,b,D,2\n", True),
+    "repeated cell": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,2\nm,a,D,3\n", False),
+    "bad score": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,2.001\n", False),
+    "score of 1e13": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,10000000000000\n", False),
+    "empty name": (_RESULTS_HEAD + b"m,a,D,1\nm, ,D,2\n", False),
+    "CRLF": (b"model,method,dataset,score\r\nm,a,D,1.00\r\nm,b,D,2\r\n", False),
+    "CRLF rows": (_RESULTS_HEAD + b"m,a,D,1.00\r\nm,b,D,2\r\n", False),
+    "lone CR": (b"model,method,dataset,score\rm,a,D,1.00\rm,b,D,2\r", False),
+    "no final newline": (_RESULTS_HEAD + b"m,a,D,1.00\nm,b,D,2", False),
+    "blank line": (_RESULTS_HEAD + b"m,a,D,1.00\n\nm,b,D,2\n", False),
+    "blank first line": (b"\n" + _RESULTS_HEAD + b"m,a,D,1.00\n", False),
+    "whitespace-only line": (_RESULTS_HEAD + b"m,a,D,1.00\n \t \nm,b,D,2\n", False),
+    "header only": (_RESULTS_HEAD, False),
+    "empty file": (b"", False),
+    "\\x0b in a name": (_RESULTS_HEAD + b"m\x0b,a,D,1\nm,b,D,2\n", False),
+    "\\x0c in a name": (_RESULTS_HEAD + b"m\x0c,a,D,1\nm,b,D,2\n", False),
+    "\\x1c in a name": (_RESULTS_HEAD + b"m\x1c,a,D,1\nm,b,D,2\n", False),
+    "\\x1d in a name": (_RESULTS_HEAD + b"m,a\x1d,D,1\nm,b,D,2\n", False),
+    "\\x1e in a name": (_RESULTS_HEAD + b"m,a,D\x1e,1\nm,b,D,2\n", False),
+    "\\x85 in a name": (_RESULTS_HEAD + "m\x85,a,D,1\nm,b,D,2\n".encode(), False),
+    "\\u2028 in a name": (_RESULTS_HEAD + "m,a\u2028,D,1\nm,b,D,2\n".encode(), False),
+    "\\u2029 in a name": (_RESULTS_HEAD + "m,a,D\u2029,1\nm,b,D,2\n".encode(), False),
+    "UTF-8 BOM": (b"\xef\xbb\xbf" + _RESULTS_HEAD + b"m,a,D,1.00\n", False),
+    "invalid UTF-8": (_RESULTS_HEAD + b"m,a,D,1\nm,\xff,D,2\n", False),
+    "2 fields": (_RESULTS_HEAD + b"m,a,D,1\nm,b\n", False),
+    "5 fields": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,2,3\n", False),
+    "3 fields and 5": (_RESULTS_HEAD + b"m,a,D\nm,b,D,2,3\n", False),
+}
+
+
+class TestPlainResultsFiles:
+    """load_results splits a plain results file into rows in whole-buffer
+    passes; every other file goes through _read_lines.  Both give the same
+    table, or the same error on the same line."""
+
+    @pytest.mark.parametrize("name", list(_PLAIN_OR_NOT_FILES))
+    def test_same_table_or_error_as_the_line_reader(self, tmp_path, monkeypatch, name):
+        data, plain = _PLAIN_OR_NOT_FILES[name]
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        tables = []
+
+        def load(p):
+            tables.append(load_results(p))
+            return tables[-1]
+
+        plain_results = ordsim.io._plain_results
+        taken = []
+
+        def spy(data):
+            table = plain_results(data)
+            taken.append(table is not None)
+            return table
+
+        monkeypatch.setattr(ordsim.io, "_plain_results", spy)
+        got = _results_outcome(load, path)
+        assert taken == [plain]
+        monkeypatch.setattr(ordsim.io, "_plain_results", lambda data: None)
+        want = _results_outcome(load, path)
+        assert got == want
+        if tables:
+            got_table, want_table = tables
+            assert got_table == want_table and repr(got_table) == repr(want_table)
+            assert got_table._row_columns == want_table._row_columns
+
+    def test_saved_files_take_the_plain_path(self, tmp_path, monkeypatch):
+        rows = tuple(
+            ResultsRow(f"m{i % 3}", f"k{i % 2}", f"D{i // 6}", (-1) ** i * 997 * i)
+            for i in range(24)
+        )
+        path = tmp_path / "r.csv"
+        save_results(ResultsTable(rows), path)
+
+        def fail(*args):
+            raise AssertionError("line reader called")
+
+        monkeypatch.setattr(ordsim.io, "_read_lines", fail)
+        assert load_results(path).rows == rows
+
+
 EXPECTED_MODELS = (
     "Word2Vec",
     "FastText",

@@ -329,6 +329,15 @@ def _sign_test_by_counts(d, alternative):
     return StatsTestResult(float(k), p, k / n, n, "sign")
 
 
+def _head_sum_from_zero(n, m):
+    """C(n, 0) + ... + C(n, m) by the recurrence from C(n, 0) alone."""
+    term = total = 1
+    for i in range(m):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return total
+
+
 def _wilcoxon_by_average_ranks(d, alternative):
     """wilcoxon_signed_rank as written before the shared sort: V from
     average_ranks, the tie counts from a bincount of the doubled ranks."""
@@ -665,6 +674,21 @@ class TestSignTest:
                 assert sign_test(d, "two-sided").p_value == min(
                     1.0, 2.0 * (min(upper, lower) / 2**n)
                 )
+
+    def test_head_sum_equals_math_comb_sums(self):
+        # Every n up to 150 and every m: walks from C(n, 0), and up and down
+        # from the middle, for odd and even n.
+        for n in range(151):
+            for m in range(n + 1):
+                assert _binomial_head_sum(n, m) == sum(math.comb(n, i) for i in range(m + 1))
+
+    @pytest.mark.parametrize("n", [10_000, 10_001])
+    def test_head_sum_spot_checks_at_ten_thousand(self, n):
+        h = n // 2
+        for m in (0, 1, 2, h // 2, h // 2 + 1, h - 1, h, h + 1, h + 2, n - h // 2, n - 1, n):
+            assert _binomial_head_sum(n, m) == _head_sum_from_zero(n, m), m
+        # The middle itself: half of 2**n, and for even n half of C(n, h) more.
+        assert _binomial_head_sum(n, h) == (2**n + (math.comb(n, h) if n % 2 == 0 else 0)) // 2
 
     def test_exact_arithmetic_at_scale(self):
         # 71 successes out of 72 at rate 1/2, computed with integer arithmetic.
