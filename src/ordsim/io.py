@@ -21,13 +21,13 @@ Results tables -- header ``model,method,dataset,score``, one benchmark cell
 per row.  Scores carry at most two fraction digits and are stored internally
 as integer hundredths, so equal published scores compare exactly equal and a
 cell difference of zero is exactly zero.  A (model, method, dataset) triple
-may appear only once.  ``load_results`` splits a plain file (``\n`` line
-ends, three commas a row, no blank line) into rows in whole-buffer passes
-and any other file with ``_read_lines``, checks the rows a column at a
-time, and reads a file that fails any check again line by line, which
-raises the error.  A ``ResultsTable`` is kept as columns, with per-method
-columns built once, which ``compare`` reads; its ``rows`` are built by
-``ResultsRow`` on first access, and ``save_results`` writes the row columns.
+may appear only once.  ``load_results`` has two paths.  A plain file,
+whose fields hold only printable ASCII and tabs, is checked a column at a
+time (``_plain_results``); any other file, and a plain one that fails a
+check, is read line by line, which raises the error.  A ``ResultsTable`` is
+kept as columns, with per-method columns built once, which ``compare``
+reads; its ``rows`` are built by ``ResultsRow`` on first access, and
+``save_results`` writes the row columns.
 
 Errors name the file and 1-based line number of the offending record.
 """
@@ -42,7 +42,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import groupby
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -72,9 +72,10 @@ PathLike = Union[str, Path]
 
 # ASCII digits only: ``\d`` would also match other scripts' digits, which
 # ``int`` accepts but ``save_results`` would write back as ASCII.
-_SCORE_RE = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]{1,2}))?")
+_SCORE = r"[+-]?[0-9]+(?:\.[0-9]{1,2})?"
+_SCORE_RE = re.compile(_SCORE)
 # The same scores, each followed by a line feed, for a whole column at once.
-_SCORE_COLUMN_RE = re.compile(r"(?:[+-]?[0-9]+(?:\.[0-9]{1,2})?\n)*")
+_SCORE_COLUMN_RE = re.compile(f"(?:{_SCORE}\n)*")
 
 
 def parse_vector(text: str) -> DenseVector:
@@ -485,11 +486,10 @@ def save_pairs(dataset: PairDataset, path: PathLike) -> None:
 
 
 def _parse_score_cents(text: str) -> int:
-    match = _SCORE_RE.fullmatch(text)
-    if match is None:
+    if _SCORE_RE.fullmatch(text) is None:
         raise ValueError(f"score must be a decimal with at most 2 fraction digits: {text!r}")
-    signed_integer, fraction = match.groups()
-    cents = int(signed_integer + (fraction or "").ljust(2, "0"))
+    signed_integer, _, fraction = text.partition(".")
+    cents = int(signed_integer + fraction.ljust(2, "0"))
     try:
         _cents_to_score(cents)
     except OverflowError:
@@ -727,21 +727,18 @@ _NO_SCORES.setflags(write=False)
 _RESULTS_HEADER = "model,method,dataset,score"
 _PLAIN_RESULTS_HEAD = f"{_RESULTS_HEADER}\n".encode()
 
-# The comma, and the bytes below 0x80 at which str.splitlines() breaks a
-# line; translate deletes every other byte.
-_NOT_RESULTS_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n\r\x0b\x0c\x1c\x1d\x1e")))
-# The UTF-8 of the characters above 0x7f at which str.splitlines() breaks a line.
-_WIDE_LINE_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
+# The bytes a plain results file's fields may hold: printable ASCII and
+# tab, but not the comma.  None is a line break to str.splitlines().
+_PLAIN_RESULTS_BYTES = bytes(range(0x20, 0x7F)).replace(b",", b"") + b"\t"
 
 
 def load_results(path: PathLike) -> ResultsTable:
     """Load a results table, enforcing the schema and triple uniqueness.
 
-    The rows are checked a column at a time.  A plain file (see
-    ``_plain_results``) is split into rows in whole-buffer passes; any other
-    file is read by ``_read_lines``.  A file that fails one of the column
-    checks is read again line by line, which raises the error of its first
-    bad line.
+    A plain file (see ``_plain_results``) is checked a column at a time.
+    Any other file, and a plain one that fails a column check, is read by
+    ``_read_lines`` and ``_results_by_line``, which raise the error of its
+    first bad line.
     """
     path = Path(path)
     data = _read_bytes(path)
@@ -752,11 +749,7 @@ def load_results(path: PathLike) -> ResultsTable:
             raise _bad_line(
                 path, header_no, f"header must be {_RESULTS_HEADER!r}, got {header!r}"
             )
-        rows = [line for _, line in lines]
-        if set(map(str.count, rows, repeat(","))) == {3}:
-            table = _table_by_column(rows)
-        if table is None:
-            table = ResultsTable._from_columns(*_results_by_line(path, lines))
+        table = ResultsTable._from_columns(*_results_by_line(path, lines))
     return table
 
 
@@ -764,32 +757,21 @@ def _plain_results(data: bytes) -> ResultsTable | None:
     """The table of a plain results file's bytes, or None.
 
     A plain file starts with the header and a line feed, and each of its
-    rows holds exactly three commas and ends in a line feed, with no other
-    line break that ``str.splitlines()`` knows.  Its rows are then the lines
-    ``_read_lines`` gives, none of them blank.  Any other file, one that is
-    not UTF-8, and one whose rows ``_table_by_column`` rejects give None.
+    rows, one at least, holds exactly three commas and ends in a line feed;
+    every other byte is one of ``_PLAIN_RESULTS_BYTES``.  Its rows are then
+    the lines ``_read_lines`` gives, and each name that ``strip()`` leaves
+    non-empty passes ``_check_results_field``.  The rows are checked a
+    column at a time: no field may be empty after ``strip()``, every score
+    must be a ``_SCORE_RE`` decimal of magnitude below 1e13, and no cell may
+    repeat.  A file that is not plain or fails a check gives None.
     """
-    if not data.startswith(_PLAIN_RESULTS_HEAD):
+    if not data.startswith(_PLAIN_RESULTS_HEAD) or not data.endswith(b"\n"):
         return None
     body = data[len(_PLAIN_RESULTS_HEAD) :]
-    separators = body.translate(None, _NOT_RESULTS_SEPARATORS)
+    separators = body.translate(None, _PLAIN_RESULTS_BYTES)
     if not separators or separators != b",,,\n" * (len(separators) // 4):
         return None
-    if not body.isascii() and any(line_break in body for line_break in _WIDE_LINE_BREAKS):
-        return None
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    return _table_by_column(text[:-1].split("\n"))
-
-
-def _table_by_column(lines: list[str]) -> ResultsTable | None:
-    """The table of a results file's rows, at least one, each holding
-    exactly 3 commas; or None unless no field is empty after ``strip()``,
-    every score is a ``_SCORE_RE`` decimal of magnitude below 1e13, and no
-    cell is repeated."""
-    joined = ",".join(lines)
+    joined = body.decode("ascii")[:-1].replace("\n", ",")
     fields = joined.split(",")
     if joined.split(None, 1) != [joined]:  # the rows hold whitespace to strip
         fields = list(map(str.strip, fields))

@@ -282,6 +282,16 @@ class TestCompare:
         assert proc.stderr == f"error: {path}:2: score is too large for a float64: {score!r}\n"
         assert "Traceback" not in proc.stderr
 
+    def test_last_line_without_line_feed_is_data_error(self, fresh_python, tmp_path):
+        # The last line holds no comma and no line feed: a row of one field.
+        path = tmp_path / "results.csv"
+        path.write_bytes(b"model,method,dataset,score\nm,a,D,1.5\nZZZ")
+        proc = fresh_python("-m", "ordsim", "compare", "--results", str(path), "--a", "a", "--b", "b")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path}:3: expected 4 fields, got 1\n"
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("score_b", ["1.00", "-150" + "0" * 306], ids=["finite-diffs", "inf-diff"])
     def test_scores_above_1e306_compare(self, fresh_python, tmp_path, score_b):
         # 7.5e307 is a finite float64 score; a - b overflows only in the second case.

@@ -1457,25 +1457,28 @@ class TestResultsTable:
 
 
 def _results_outcome(load, path):
-    """A table's rows, repr, hash and every method's columns, or the error's
-    type, message and line."""
+    """A table's row columns, rows, repr, hash and every method's columns,
+    or the error's type, message and line."""
     try:
         table = load(path)
     except DatasetFormatError as exc:
         return type(exc), str(exc), exc.line
+    row_columns = table._row_columns
     columns = [
         (column.cells, column.cell_codes.tolist(), column.scores.tobytes(),
          column.datasets.codes.tolist(), column.micro_average.hex())
         for column in map(table._method_columns, table.methods())
     ]
     names = (table.models(), table.methods(), table.datasets())
-    return table.rows, repr(table), hash(table), names, columns
+    return row_columns, table.rows, repr(table), hash(table), names, columns
 
 
 def _load_results_by_line(path):
-    """load_results through the per-line loop alone."""
-    _, _, lines = ordsim.io._read_lines(path, path.read_bytes())
-    return ResultsTable._from_columns(*ordsim.io._results_by_line(path, lines))
+    """load_results through the per-line reader alone: ``_read_lines``, the
+    header check and ``_results_by_line``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ordsim.io, "_plain_results", lambda data: None)
+        return load_results(path)
 
 
 _score_texts = st.one_of(
@@ -1666,8 +1669,10 @@ _RESULTS_HEAD = b"model,method,dataset,score\n"
 _PLAIN_OR_NOT_FILES = {
     "plain": (_RESULTS_HEAD + b"m,a,D,1.00\nm,b,D,2\nm,a,E,-3.5\nm,b,E,0\n", True),
     "surrounding spaces": (_RESULTS_HEAD + b" m ,a,\tD,1.00\nm,b , D,2 \n", True),
-    "non-ASCII names": ("model,method,dataset,score\né,a, D,1\né,b,D,2\n".encode(), True),
-    "a NUL in a name": (_RESULTS_HEAD + b"m\x00,a,D,1\nm,b,D,2\n", True),
+    "an inner tab in a name": (_RESULTS_HEAD + b"m\tx,a,D,1\nm\tx,b,D,2\n", True),
+    "non-ASCII names": ("model,method,dataset,score\né,a, D,1\né,b,D,2\n".encode(), False),
+    "a NUL in a name": (_RESULTS_HEAD + b"m\x00,a,D,1\nm,b,D,2\n", False),
+    "a DEL in a name": (_RESULTS_HEAD + b"m\x7f,a,D,1\nm,b,D,2\n", False),
     "repeated cell": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,2\nm,a,D,3\n", False),
     "bad score": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,2.001\n", False),
     "score of 1e13": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,10000000000000\n", False),
@@ -1676,6 +1681,13 @@ _PLAIN_OR_NOT_FILES = {
     "CRLF rows": (_RESULTS_HEAD + b"m,a,D,1.00\r\nm,b,D,2\r\n", False),
     "lone CR": (b"model,method,dataset,score\rm,a,D,1.00\rm,b,D,2\r", False),
     "no final newline": (_RESULTS_HEAD + b"m,a,D,1.00\nm,b,D,2", False),
+    # A last line with no line feed and no comma, after one row and after two.
+    "last line of one field": (_RESULTS_HEAD + b"m,a,D,1.5\nZZZ", False),
+    "last line of one field after 2 rows": (_RESULTS_HEAD + b"m,a,D,1.5\nm,b,D,2\nZZZ", False),
+    "last line a space after 2 rows": (_RESULTS_HEAD + b"m,a,D,1.5\nm,b,D,2\n ", False),
+    "last line a tab after 2 rows": (_RESULTS_HEAD + b"m,a,D,1.5\nm,b,D,2\n\t", False),
+    "last line a space": (_RESULTS_HEAD + b"m,a,D,1.5\n ", False),
+    "last line a tab": (_RESULTS_HEAD + b"m,a,D,1.5\n\t", False),
     "blank line": (_RESULTS_HEAD + b"m,a,D,1.00\n\nm,b,D,2\n", False),
     "blank first line": (b"\n" + _RESULTS_HEAD + b"m,a,D,1.00\n", False),
     "whitespace-only line": (_RESULTS_HEAD + b"m,a,D,1.00\n \t \nm,b,D,2\n", False),
@@ -1696,23 +1708,54 @@ _PLAIN_OR_NOT_FILES = {
     "3 fields and 5": (_RESULTS_HEAD + b"m,a,D\nm,b,D,2,3\n", False),
 }
 
+# Separators, line ends, blanks and bytes no plain file holds, to put among fields.
+_results_odd_bytes = st.sampled_from(
+    [b",", b"\n", b"\r", b"\r\n", b" ", b"\t", b"\x0c", b"\x7f", "é".encode(), b"\xff"]
+)
+
+
+@st.composite
+def _results_file_bytes(draw):
+    """Results files as raw bytes: rows of three names and a score, ending
+    in LF, CR or CRLF, with an odd byte before or after about one field in
+    sixteen, and sometimes a last line with no line feed."""
+    names = st.sampled_from([b"m", b"n", b"a", b"b", b"D", b"E x"])
+    scores = st.sampled_from([b"1", b"-2.5", b"0.07", b"3.10", b"1.234"])
+
+    def field(values):
+        value = draw(values)
+        if draw(st.integers(0, 15)) == 0:
+            odd = draw(_results_odd_bytes)
+            value = odd + value if draw(st.booleans()) else value + odd
+        return value
+
+    header = _RESULTS_HEAD.rstrip(b"\n")
+    data = header + draw(st.sampled_from([b"\n"] * 6 + [b"\r", b"\r\n"]))
+    for _ in range(draw(st.integers(0, 5))):
+        row = b",".join([field(names), field(names), field(names), field(scores)])
+        data += row + draw(st.sampled_from([b"\n"] * 6 + [b"\r", b"\r\n"]))
+    return data + draw(st.sampled_from([b""] * 4 + [b"ZZZ", b" ", b"\t", b"m,a,D,1", b"E x,b,D,2 "]))
+
+
+# The characters a plain file's names may hold: printable ASCII and tab, not ",".
+_plain_names = st.text(
+    st.sampled_from([chr(c) for c in range(0x20, 0x7F) if c != ord(",")] + ["\t"]),
+    min_size=1,
+    max_size=3,
+)
+
 
 class TestPlainResultsFiles:
-    """load_results splits a plain results file into rows in whole-buffer
-    passes; every other file goes through _read_lines.  Both give the same
-    table, or the same error on the same line."""
+    """load_results checks a plain results file, whose fields hold only
+    printable ASCII and tabs, a column at a time; every other file goes
+    through the per-line reader.  Both give the same table, or the same
+    error on the same line."""
 
     @pytest.mark.parametrize("name", list(_PLAIN_OR_NOT_FILES))
     def test_same_table_or_error_as_the_line_reader(self, tmp_path, monkeypatch, name):
         data, plain = _PLAIN_OR_NOT_FILES[name]
         path = tmp_path / "r.csv"
         path.write_bytes(data)
-        tables = []
-
-        def load(p):
-            tables.append(load_results(p))
-            return tables[-1]
-
         plain_results = ordsim.io._plain_results
         taken = []
 
@@ -1722,15 +1765,37 @@ class TestPlainResultsFiles:
             return table
 
         monkeypatch.setattr(ordsim.io, "_plain_results", spy)
-        got = _results_outcome(load, path)
+        got = _results_outcome(load_results, path)
         assert taken == [plain]
-        monkeypatch.setattr(ordsim.io, "_plain_results", lambda data: None)
-        want = _results_outcome(load, path)
-        assert got == want
-        if tables:
-            got_table, want_table = tables
-            assert got_table == want_table and repr(got_table) == repr(want_table)
-            assert got_table._row_columns == want_table._row_columns
+        assert got == _results_outcome(_load_results_by_line, path)
+
+    @given(_results_file_bytes())
+    @settings(max_examples=300, deadline=None)
+    def test_raw_bytes_give_the_line_readers_outcome(self, tmp_path_factory, data):
+        # The line reader's table, or its typed error, message and line.
+        path = tmp_path_factory.mktemp("results") / "r.csv"
+        path.write_bytes(data)
+        assert _results_outcome(load_results, path) == _results_outcome(_load_results_by_line, path)
+
+    @given(
+        st.lists(
+            st.tuples(_plain_names, _plain_names, _plain_names, st.integers(-(10**6), 10**6)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plain_names_build_their_rows(self, tmp_path_factory, cells):
+        # A file that the line reader loads and whose bytes are all plain
+        # loads by the plain path, and its rows pass ResultsRow's checks.
+        path = tmp_path_factory.mktemp("results") / "r.csv"
+        rows = [f"{m},{k},{d},{_format_score_cents(c)}\n" for m, k, d, c in cells]
+        path.write_text("model,method,dataset,score\n" + "".join(rows))
+        want = _results_outcome(_load_results_by_line, path)
+        assert _results_outcome(load_results, path) == want
+        if want[0] is not DatasetFormatError:
+            table = ordsim.io._plain_results(path.read_bytes())
+            assert table is not None and table.rows == _load_results_by_line(path).rows
 
     def test_saved_files_take_the_plain_path(self, tmp_path, monkeypatch):
         rows = tuple(
