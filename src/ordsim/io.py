@@ -1,35 +1,29 @@
 """Dataset file formats and bundled fixtures.
 
 Two CSV schemas, both plain comma-separated UTF-8 with no quoting (fields
-must not contain commas), LF, CRLF or CR line endings, blank lines ignored:
+must not contain commas), LF, CRLF or CR line endings, blank lines ignored.
+Errors name the file and 1-based line number of the offending record.
 
-Pair datasets -- header ``gold,u_0,...,u_{d-1},v_0,...,v_{d-1}`` for some
-dimension d >= 1, one scored vector pair per row.  ``gold`` is the reference
-similarity score for the pair; all values are decimal literals.
-``load_pairs`` reads the file's bytes once and parses the rows straight
-into a ``PairDataset``'s columns, ``gold``, ``U`` and ``V``, the dataset's
-one representation.  When the header is exact and every data row holds
-nothing but ASCII digits, ``.``, ``e``, ``E``, ``+``, ``-`` and commas, as
-the rows ``save_pairs`` writes do, numpy parses the rows from the bytes
-(``_plain_table``).  Any other file, and one of which numpy's reader
-rejects any part, is decoded and parsed line by line with ``float()``.
-The values and the errors are the same either way: over those characters
-the readers accept the same literals as ``float()`` and give them the same
-bits, and every error is raised by the per-line parse.
+Both loaders read a file's bytes once and share one rule.  A file is plain
+when its first line is the exact header and every line, the last one
+included, ends in the header line's own line end, LF or CRLF; no line may
+be blank, and every row must hold the header's number of fields of the
+loader's bytes.  A plain file is read in whole-buffer passes; any other
+file, and a plain one that fails a later check, is read line by line, which
+gives the same columns or raises the same error.
+
+Pair datasets -- header ``gold,u_0,...,u_{d-1},v_0,...,v_{d-1}``, d >= 1,
+one pair of decimal literals per row, ``gold`` its reference similarity.
+``load_pairs`` parses the rows straight into a ``PairDataset``'s columns.
+A plain pair file's fields hold ASCII digits, ``.``, ``e``, ``E``, ``+``
+and ``-``, and numpy parses it (``_plain_table``) to ``float()``'s bits.
 
 Results tables -- header ``model,method,dataset,score``, one benchmark cell
-per row.  Scores carry at most two fraction digits and are stored internally
-as integer hundredths, so equal published scores compare exactly equal and a
-cell difference of zero is exactly zero.  A (model, method, dataset) triple
-may appear only once.  ``load_results`` has two paths.  A plain file,
-whose fields hold only printable ASCII and tabs, is checked a column at a
-time (``_plain_results``); any other file, and a plain one that fails a
-check, is read line by line, which raises the error.  A ``ResultsTable`` is
-kept as columns, with per-method columns built once, which ``compare``
-reads; its ``rows`` are built by ``ResultsRow`` on first access, and
-``save_results`` writes the row columns.
-
-Errors name the file and 1-based line number of the offending record.
+per row, each (model, method, dataset) once.  Scores carry at most two
+fraction digits and are kept as integer hundredths, so equal published
+scores compare exactly equal.  A plain results file's fields hold printable
+ASCII and tabs (``_plain_results``).  A ``ResultsTable`` is kept as columns,
+which ``compare`` reads; its ``rows`` are built on first access.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ import operator
 import os
 import re
 import sys
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -262,18 +255,34 @@ def _read_lines(path: Path, data: bytes) -> tuple[int, str, list[tuple[int, str]
     return header_no, header, lines[1:]
 
 
-# Lines of spaces and tabs, then a line that starts ``gold,`` and its end.
-_PAIR_HEAD_RE = re.compile(rb"[ \t\r\n]*(?<![ \t])(gold,[^\r\n]*)(?:\r\n?|\n)")
+def _plain_head(data: bytes) -> tuple[bytes, bytes]:
+    """The first line of a file's bytes and its line end, LF or CRLF; two
+    empty strings if the file has no LF or does not end in that line end."""
+    head_end = data.find(b"\n")
+    header = data[:head_end].removesuffix(b"\r")
+    eol = data[len(header) : head_end + 1]
+    return (header, eol) if head_end >= 0 and data.endswith(eol) else (b"", b"")
+
+
+def _plain_rows(rows: bytes, alphabet: bytes, width: int, eol: bytes) -> int:
+    """How many rows ``rows`` holds if each is ``width`` comma-separated
+    fields of ``alphabet`` bytes ending in ``eol``, the last row's final LF
+    dropped; else 0.  Deleting the alphabet leaves only commas and line ends."""
+    separators = rows.translate(None, alphabet) + b"\n"
+    row = b"," * (width - 1) + eol
+    count = len(separators) // len(row)
+    return count if separators == row * count else 0
 
 
 def load_pairs(path: PathLike, name: str | None = None) -> PairDataset:
-    """Load a pair dataset, validating the header and every row."""
+    """Load a pair dataset, validating the header and every row: a plain
+    file by numpy (``_plain_table``), any other file line by line."""
     path = Path(path)
     data = _read_bytes(path)
-    head = _PAIR_HEAD_RE.match(data)
-    dim = head[1].count(b",") // 2 if head else 0
-    plain = head is not None and head[1] == _pair_header(dim).encode("ascii")
-    table = _plain_table(data, head.end(), 1 + 2 * dim) if plain else None
+    header, eol = _plain_head(data)
+    dim = header.count(b",") // 2
+    plain = header == _pair_header(dim).encode("ascii")
+    table = _plain_table(data, len(header) + len(eol), 1 + 2 * dim) if plain else None
     if table is None:
         header_no, header, rows = _read_lines(path, data)
         columns = header.split(",")
@@ -308,26 +317,21 @@ _X87_LONG_DOUBLE = (
 _X87_MIN_NORMAL_EXPONENT = 16383 - 1022
 
 
-# The fewest bytes of rows worth a thread of their own.  On a 2-core x86-64
+# The fewest bytes of rows worth a worker of their own.  On a 2-core x86-64
 # VM, two parts of a 53 kB file took 1.26 times as long as one call, of a
 # 107 kB file 0.95 times and of a 214 kB file 0.85 times.
 _PART_MIN_CHARS = 2**16
 
 
 def _plain_table(data: bytes, start: int, width: int) -> np.ndarray | None:
-    """The rows of a pair file's bytes ``data`` from byte ``start`` on,
-    parsed by numpy, if they are plain: at least 2 rows of ``width`` fields
-    of ``_PLAIN_LITERAL_CHARS``, and a finite table.  Anything else gives
-    None, and ``_table_by_line`` raises the error.  The strtold reader cuts
-    the rows at line feeds into parts of about equal size, one per CPU the
-    process may run on but at most one per ``_PART_MIN_CHARS`` bytes
-    (``_read_parts``).
-    """
-    if data.find(b"\r", start) >= 0:  # CR and CRLF line ends, as splitlines() sees them
-        data, start = b"\n".join(filter(None, data[start:].splitlines())), 0
-    end = len(data)
-    while end > start and data[end - 1] == ord("\n"):  # blank lines at the end
-        end -= 1
+    """The rows of a pair file's bytes from byte ``start`` to the end, one
+    final LF dropped, parsed by numpy if they are plain (the line end is
+    that of the line before ``start``, else LF), 2 at least and finite; else
+    None.  The strtold reader cuts the rows at line feeds into parts of about
+    equal size, one per CPU the process may run on but at most one per
+    ``_PART_MIN_CHARS`` bytes (``_read_parts``)."""
+    eol = b"\r\n" if data.endswith(b"\r\n", 0, start) else b"\n"
+    end = len(data) - 1 if data.endswith(b"\n") else len(data)
     count = min(_available_cpus(), (end - start) // _PART_MIN_CHARS) if _X87_LONG_DOUBLE else 1
     edges = [start - 1]  # the line feed before each part
     for k in range(1, count):
@@ -335,9 +339,9 @@ def _plain_table(data: bytes, start: int, width: int) -> np.ndarray | None:
         if cut > edges[-1]:
             edges.append(cut)
     parts = [data[lo + 1 : hi] for lo, hi in zip(edges, [*edges[1:], end])]
-    tables = _read_parts(parts, width)
+    tables = _read_parts(parts, width, eol)
     if any(table is None for table in tables) or sum(map(len, tables)) < 2:
-        return None  # and loadtxt would warn about a file without rows
+        return None
     return tables[0] if len(tables) == 1 else np.concatenate(tables)
 
 
@@ -349,55 +353,36 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_parts(parts: list[bytes], width: int) -> list[np.ndarray | None]:
+def _read_parts(parts: list[bytes], width: int, eol: bytes) -> list[np.ndarray | None]:
     """``_plain_part`` of each part, in part order: the first in the calling
-    thread, checked and then parsed, and each other part in a thread of its
-    own, started before that, parsed and then checked.  A part's checks hold
-    the GIL and its parse does not, so one part's checks run during another
-    part's parse.  Every started thread is joined before this returns or
-    raises.  An exception that ``_plain_part`` does not turn into None (a
-    MemoryError, say) is raised here; where several parts raise, the first
-    part's is.
+    thread, checked and then parsed, and each other part on a thread pool's
+    worker, submitted before that, parsed and then checked.  A part's checks
+    hold the GIL and its parse does not, so they run during another part's
+    parse.  One part imports no pool.  Every worker has ended before this
+    returns or raises; of the exceptions that ``_plain_part`` does not turn
+    into None (a MemoryError, say), the first part's is raised.
     """
-    outcomes: list[np.ndarray | BaseException | None] = [None] * len(parts)
+    if len(parts) == 1:
+        return [_plain_part(parts[0], width, eol)]
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, about 6 ms
 
-    def parse(i: int) -> None:
-        try:
-            outcomes[i] = _plain_part(parts[i], width, parse_first=True)
-        except BaseException as exc:  # raised again in the calling thread
-            outcomes[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, len(parts)):
-            thread = threading.Thread(target=parse, args=(i,))
-            thread.start()
-            threads.append(thread)
-        outcomes[0] = _plain_part(parts[0], width)
-    finally:
-        for thread in threads:
-            thread.join()
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-    return outcomes
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        rest = [pool.submit(_plain_part, part, width, eol, True) for part in parts[1:]]
+        first = _plain_part(parts[0], width, eol)
+    return [first, *(future.result() for future in rest)]
 
 
-def _plain_part(part: bytes, width: int, parse_first: bool = False) -> np.ndarray | None:
-    """The finite table of ``part``'s rows, ``width`` fields each, or None,
-    parsed before it is checked with ``parse_first``.  The reader's
-    ValueError, or a warning that the caller's filters raise, gives None."""
+def _plain_part(
+    part: bytes, width: int, eol: bytes, parse_first: bool = False
+) -> np.ndarray | None:
+    """The finite table of ``part``'s rows, or None, parsed before it is
+    checked with ``parse_first``.  The reader's ValueError, or a warning
+    that the caller's filters raise, gives None.  ``float()`` strips the CR
+    of a CRLF row from a field that it reads again."""
     wide = _long_doubles(part) if parse_first else None
-    # Deleting the literals leaves the commas and line feeds, and any byte
-    # that has no place in a plain part; rows of width fields leave this.
-    separators = part.translate(None, _PLAIN_LITERAL_CHARS) + b"\n"
-    rows = len(separators) // width
-    if separators != (b"," * (width - 1) + b"\n") * rows:
-        # Drop blank lines, as ``_read_lines`` does, and check the rest again.
-        plain = b"\n".join(filter(None, part.split(b"\n")))
-        if plain == part:
-            return None
-        return _plain_part(plain, width) if plain else np.empty((0, width))
+    rows = _plain_rows(part, _PLAIN_LITERAL_CHARS, width, eol)
+    if not rows:
+        return None
     try:
         if _X87_LONG_DOUBLE:
             wide = wide if parse_first else _long_doubles(part)
@@ -408,7 +393,7 @@ def _plain_part(part: bytes, width: int, parse_first: bool = False) -> np.ndarra
             float(part[part.rfind(b",") + 1 :])
             table = _strtold_table(part, wide, rows, width)
         else:
-            lines = part.decode("ascii").split("\n")
+            lines = part.decode("ascii").splitlines()
             table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
@@ -419,9 +404,11 @@ def _plain_part(part: bytes, width: int, parse_first: bool = False) -> np.ndarra
 
 def _long_doubles(part: bytes) -> np.ndarray | None:
     """``part``'s fields as x87 long doubles, or None where ``np.fromstring``
-    rejects them; it needs ``bytes``, which end in a NUL, to stop."""
+    rejects them; it needs ``bytes``, which end in a NUL, to stop.  CRs are
+    deleted first: it would read the empty field in ``,\\r,`` as 0."""
     try:
-        return np.fromstring(part.replace(b"\n", b","), dtype=np.longdouble, sep=",")
+        text = part.replace(b"\r", b"").replace(b"\n", b",")
+        return np.fromstring(text, dtype=np.longdouble, sep=",")
     except (ValueError, Warning):
         return None
 
@@ -725,7 +712,6 @@ _NO_SCORES.setflags(write=False)
 
 
 _RESULTS_HEADER = "model,method,dataset,score"
-_PLAIN_RESULTS_HEAD = f"{_RESULTS_HEADER}\n".encode()
 
 # The bytes a plain results file's fields may hold: printable ASCII and
 # tab, but not the comma.  None is a line break to str.splitlines().
@@ -733,13 +719,9 @@ _PLAIN_RESULTS_BYTES = bytes(range(0x20, 0x7F)).replace(b",", b"") + b"\t"
 
 
 def load_results(path: PathLike) -> ResultsTable:
-    """Load a results table, enforcing the schema and triple uniqueness.
-
-    A plain file (see ``_plain_results``) is checked a column at a time.
-    Any other file, and a plain one that fails a column check, is read by
-    ``_read_lines`` and ``_results_by_line``, which raise the error of its
-    first bad line.
-    """
+    """Load a results table, enforcing the schema and triple uniqueness: a
+    plain file a column at a time (``_plain_results``), any other file, and a
+    plain one that fails a check, line by line (``_results_by_line``)."""
     path = Path(path)
     data = _read_bytes(path)
     table = _plain_results(data)
@@ -756,22 +738,20 @@ def load_results(path: PathLike) -> ResultsTable:
 def _plain_results(data: bytes) -> ResultsTable | None:
     """The table of a plain results file's bytes, or None.
 
-    A plain file starts with the header and a line feed, and each of its
-    rows, one at least, holds exactly three commas and ends in a line feed;
-    every other byte is one of ``_PLAIN_RESULTS_BYTES``.  Its rows are then
-    the lines ``_read_lines`` gives, and each name that ``strip()`` leaves
-    non-empty passes ``_check_results_field``.  The rows are checked a
-    column at a time: no field may be empty after ``strip()``, every score
-    must be a ``_SCORE_RE`` decimal of magnitude below 1e13, and no cell may
-    repeat.  A file that is not plain or fails a check gives None.
+    A plain file's rows, one at least, hold four fields of
+    ``_PLAIN_RESULTS_BYTES`` each (the module's rule), so they are the lines
+    ``_read_lines`` gives, and each name that ``strip()`` leaves non-empty
+    passes ``_check_results_field``.  The rows are checked a column at a
+    time: no field may be empty after ``strip()``, every score must be a
+    ``_SCORE_RE`` decimal of magnitude below 1e13, and no cell may repeat.
+    A file that is not plain or fails a check gives None.
     """
-    if not data.startswith(_PLAIN_RESULTS_HEAD) or not data.endswith(b"\n"):
+    header, eol = _plain_head(data)
+    start = len(header) + len(eol)
+    rows = _plain_rows(data[start:-1], _PLAIN_RESULTS_BYTES, 4, eol)
+    if header != _RESULTS_HEADER.encode() or not rows:
         return None
-    body = data[len(_PLAIN_RESULTS_HEAD) :]
-    separators = body.translate(None, _PLAIN_RESULTS_BYTES)
-    if not separators or separators != b",,,\n" * (len(separators) // 4):
-        return None
-    joined = body.decode("ascii")[:-1].replace("\n", ",")
+    joined = data[start : len(data) - len(eol)].decode("ascii").replace(eol.decode(), ",")
     fields = joined.split(",")
     if joined.split(None, 1) != [joined]:  # the rows hold whitespace to strip
         fields = list(map(str.strip, fields))

@@ -379,31 +379,21 @@ _ROW_FORMULAS = {
 }
 
 
-def _group_extrema(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Sort by a, then reduce b over each run of equal a-values.
-    order = np.argsort(a, kind="stable")
-    a_s = a[order]
-    b_s = b[order]
-    starts = np.flatnonzero(np.concatenate(([True], a_s[1:] != a_s[:-1])))
-    gmax = np.maximum.reduceat(b_s, starts)
-    gmin = np.minimum.reduceat(b_s, starts)
-    return gmin, gmax
-
-
 def is_similarly_ordered(u: VectorLike, v: VectorLike) -> bool:
     """Whether ``(u_i - u_j) * (v_i - v_j) >= 0`` for every index pair.
 
-    Checked in O(d log d): after sorting by ``u``, every ``v`` value in a
-    group of equal ``u`` components must be <= every ``v`` value in the next
-    group.
+    Checked in O(d log d): sorted by ``u`` and, among equal ``u``
+    components, by ``v``, the ``v`` values must not decrease.
     """
     a, b, _ = _pair(u, v)
-    gmin, gmax = _group_extrema(a, b)
-    return bool(np.all(gmax[:-1] <= gmin[1:]))
+    b = b[np.lexsort((b, a))]
+    return bool(np.all(b[:-1] <= b[1:]))
 
 
 def is_oppositely_ordered(u: VectorLike, v: VectorLike) -> bool:
-    """Whether ``(u_i - u_j) * (v_i - v_j) <= 0`` for every index pair."""
+    """Whether ``(u_i - u_j) * (v_i - v_j) <= 0`` for every index pair:
+    sorted by ``u`` and, among equal ``u`` components, by ``v`` descending,
+    the ``v`` values must not increase."""
     a, b, _ = _pair(u, v)
-    gmin, gmax = _group_extrema(a, b)
-    return bool(np.all(gmin[:-1] >= gmax[1:]))
+    b = b[np.lexsort((-b, a))]
+    return bool(np.all(b[:-1] >= b[1:]))

@@ -1,6 +1,8 @@
 """Cold start: everything but the paired t-test runs without importing scipy.
 
-That includes ``ordsim bench`` on a plain pair file, which numpy parses in one call.
+That includes ``ordsim bench`` on a plain pair file, which numpy parses in one call,
+and neither imports ``concurrent.futures`` (and with it ``logging``): only a file
+of two parts or more starts the thread pool.
 
 pytest's own process has scipy loaded already, so the check runs in a fresh
 interpreter.
@@ -46,9 +48,14 @@ codes = [
     main(["bench", "--pairs", path, "--metric", "recos"]),
 ]
 before = scipy_modules()
+# A one-part load, evaluate and bench start no thread pool, which imports logging.
+pool_modules = sorted(
+    m for m in sys.modules if m.split(".")[0] in ("concurrent", "logging")
+)
 p_value = paired_t_test(PairedDiffs.from_values([1.0, 3.0])).p_value
 print(json.dumps({
     "codes": codes, "before": before, "after": scipy_modules(), "p": p_value,
+    "pool_modules": pool_modules,
     "reader_calls": reader_calls, "x87": ordsim.io._X87_LONG_DOUBLE,
 }))
 """
@@ -69,6 +76,7 @@ def test_scipy_is_imported_only_by_the_t_test(fresh_python, tmp_path):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0, 0]
     assert probe["before"] == []
+    assert probe["pool_modules"] == []
     # load_pairs and bench both took the fast reader: the file is plain.
     reader = "fromstring" if probe["x87"] else "loadtxt"
     assert probe["reader_calls"] == [reader] * 2

@@ -549,6 +549,11 @@ _EDGE_CASE_FILES = [
     _short_pair_file(["1,2,3", "-1e999,1,2"]),
     _short_pair_file(["1,2,3", "4,5,6"], "\r\n"),
     _short_pair_file(["1,2,3", "4,5,6"], "\r"),
+    # Subnormals, read again with float(), at the ends of CRLF rows.
+    _short_pair_file(["5e-324,2.2250738585072014e-308,-4e-320", "1e-310,0,1e-320"], "\r\n"),
+    # An empty last field before a CRLF, in the first row and in the last.
+    _short_pair_file(["1,2,", "4,5,6"], "\r\n"),
+    _short_pair_file(["1,2,3", "4,5,"], "\r\n"),
     "gold,u_0,v_0\n\n1,2,3\r\n\r\n\n4,5,6\n\n",
     "\n \n\r\ngold,u_0,v_0\n1,2,3\n4,5,6\n",
     "\n  gold,u_0,v_0\n1,2,3\n4,5,6\n",
@@ -591,7 +596,11 @@ def _pair_file_bytes(draw):
     for _ in range(draw(st.integers(1, 5))):
         n_fields = draw(st.sampled_from([1 + 2 * dim] * 8 + [2 * dim]))
         lines.append(b",".join(draw(draw(field)) for _ in range(n_fields)))
-    ends = [draw(_line_ends) for _ in lines]
+    # Some files end every line in CRLF, so that plain CRLF files are drawn.
+    if draw(st.integers(0, 3)) == 0:
+        ends = [b"\r\n"] * len(lines)
+    else:
+        ends = [draw(_line_ends) for _ in lines]
     data = b"".join(line + end for line, end in zip(lines, ends))
     prefixes = [b""] * 4 + [b"\n", b" \r\n", b"\x0c\n", b"\n\t", b"\xef\xbb\xbf"]
     prefix = draw(st.sampled_from(prefixes))
@@ -771,18 +780,14 @@ class TestNumpyReaderMatchesFloat:
         "text",
         [
             _short_pair_file(["1,2,3", "4.5,-5e-324,6", "7,8e300,9"], "\r\n"),
-            _short_pair_file(["1,2,3", "4.5,-5e-324,6", "7,8e300,9"], "\r"),
-            "gold,u_0,v_0\n1,2,3\n\n4.5,-5e-324,6\n\n\n7,8e300,9\n\n\n",
-            "gold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9",
-            "\n\r\n \t\ngold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9\n",
-            "gold,u_0,v_0\r\n\r1,2,3\r\r\n4.5,-5e-324,6\n\r\n\r7,8e300,9\r\n\r",
+            _short_pair_file(["0.5,-1,2e-3", "1.5,-2,4e-3", "2.5,-3,6e-3", "3.5,-4,8e-3",
+                              "4.5,-5,1e-2", "5.5,-6,1.2e-2"], "\r\n"),
         ],
-        ids=["crlf", "cr", "blank-lines", "no-final-newline", "header-after-blank-lines",
-             "mixed-line-ends"],
+        ids=["crlf", "crlf-six-rows"],
     )
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_common_files_take_numpys_reader(self, tmp_path, monkeypatch, text, cpus):
-        # With parts of any size, so that blank lines and CRs meet a cut.
+        # With parts of any size, so that a cut meets a CRLF.
         path = tmp_path / "pairs.csv"
         path.write_bytes(text.encode())
         want = _load_outcome(_reference_load_pairs, path)
@@ -795,6 +800,37 @@ class TestNumpyReaderMatchesFloat:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert _load_outcome(load_pairs, path) == want
         assert want[:2] == ("pairs", 1)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _short_pair_file(["1,2,3", "4.5,-5e-324,6", "7,8e300,9"], "\r"),
+            "gold,u_0,v_0\n1,2,3\n\n4.5,-5e-324,6\n\n\n7,8e300,9\n\n\n",
+            "gold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9",
+            "\n\r\n \t\ngold,u_0,v_0\n1,2,3\n4.5,-5e-324,6\n7,8e300,9\n",
+            "gold,u_0,v_0\r\n\r1,2,3\r\r\n4.5,-5e-324,6\n\r\n\r7,8e300,9\r\n\r",
+        ],
+        ids=["cr", "blank-lines", "no-final-newline", "header-after-blank-lines",
+             "mixed-line-ends"],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_other_files_take_the_line_reader(self, tmp_path, monkeypatch, text, cpus):
+        # Files that are not plain load by the per-line loop alone.
+        path = tmp_path / "pairs.csv"
+        path.write_bytes(text.encode())
+        want = _load_outcome(_reference_load_pairs, path)
+        table_by_line = ordsim.io._table_by_line
+        per_line = []
+
+        def counted_per_line(*args):
+            per_line.append(args)
+            return table_by_line(*args)
+
+        monkeypatch.setattr(ordsim.io, "_table_by_line", counted_per_line)
+        monkeypatch.setattr(ordsim.io, "_PART_MIN_CHARS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _load_outcome(load_pairs, path) == want
+        assert want[:2] == ("pairs", 1) and len(per_line) == 1
 
     def test_parses_the_text_it_read(self, tmp_path, monkeypatch):
         # The file is read once: a writer that replaces it right after the
@@ -854,9 +890,9 @@ def _outcomes_in_parts(path, cpu_counts, action="error", **errstate):
     plain_part = ordsim.io._plain_part
     cut = []
 
-    def counted(part, width, parse_first=False):
+    def counted(part, *args):
         cut.append(part.decode().split("\n"))
-        return plain_part(part, width, parse_first)
+        return plain_part(part, *args)
 
     outcomes, parts = [], []
     with pytest.MonkeyPatch.context() as mp:
@@ -1677,7 +1713,11 @@ _PLAIN_OR_NOT_FILES = {
     "bad score": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,2.001\n", False),
     "score of 1e13": (_RESULTS_HEAD + b"m,a,D,1\nm,b,D,10000000000000\n", False),
     "empty name": (_RESULTS_HEAD + b"m,a,D,1\nm, ,D,2\n", False),
-    "CRLF": (b"model,method,dataset,score\r\nm,a,D,1.00\r\nm,b,D,2\r\n", False),
+    "CRLF": (b"model,method,dataset,score\r\nm,a,D,1.00\r\nm,b,D,2\r\n", True),
+    "CRLF, last line without CRLF": (b"model,method,dataset,score\r\nm,a,D,1.00\r\nm,b,D,2", False),
+    "CRLF with a lone CR in a name": (
+        b"model,method,dataset,score\r\nm\rx,a,D,1.00\r\nm,b,D,2\r\n", False
+    ),
     "CRLF rows": (_RESULTS_HEAD + b"m,a,D,1.00\r\nm,b,D,2\r\n", False),
     "lone CR": (b"model,method,dataset,score\rm,a,D,1.00\rm,b,D,2\r", False),
     "no final newline": (_RESULTS_HEAD + b"m,a,D,1.00\nm,b,D,2", False),

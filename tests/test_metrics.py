@@ -411,18 +411,29 @@ class TestSimilarityDispatch:
             assert str(err.value) == message
 
 
+def _order(x, y):
+    """The sign of x - y, by comparison, so that no difference can overflow."""
+    return (x > y) - (x < y)
+
+
 def _brute_similar(u, v):
     n = len(u)
     return all(
-        (u[i] - u[j]) * (v[i] - v[j]) >= 0 for i in range(n) for j in range(n)
+        _order(u[i], u[j]) * _order(v[i], v[j]) >= 0 for i in range(n) for j in range(n)
     )
 
 
 def _brute_opposite(u, v):
     n = len(u)
     return all(
-        (u[i] - u[j]) * (v[i] - v[j]) <= 0 for i in range(n) for j in range(n)
+        _order(u[i], u[j]) * _order(v[i], v[j]) <= 0 for i in range(n) for j in range(n)
     )
+
+
+# Signed zeros, the smallest subnormals and values near the largest double,
+# drawn from few values so that ties are common.
+_edge_order_component = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 5.0, -5.0, 5e-324,
+                                         -5e-324, 1e308, -1e308])
 
 
 class TestOrdinalPredicates:
@@ -442,10 +453,11 @@ class TestOrdinalPredicates:
         assert is_oppositely_ordered([4], [9])
 
     @given(
-        st.integers(1, 8).flatmap(
-            lambda d: st.tuples(
-                st.lists(int_component, min_size=d, max_size=d),
-                st.lists(int_component, min_size=d, max_size=d),
+        st.tuples(st.integers(1, 8), st.sampled_from([int_component, _edge_order_component]))
+        .flatmap(
+            lambda dc: st.tuples(
+                st.lists(dc[1], min_size=dc[0], max_size=dc[0]),
+                st.lists(dc[1], min_size=dc[0], max_size=dc[0]),
             )
         )
     )
