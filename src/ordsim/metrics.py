@@ -379,21 +379,29 @@ _ROW_FORMULAS = {
 }
 
 
-def is_similarly_ordered(u: VectorLike, v: VectorLike) -> bool:
-    """Whether ``(u_i - u_j) * (v_i - v_j) >= 0`` for every index pair.
-
-    Checked in O(d log d): sorted by ``u`` and, among equal ``u``
-    components, by ``v``, the ``v`` values must not decrease.
-    """
-    a, b, _ = _pair(u, v)
+def _similarly_ordered(a: np.ndarray, b: np.ndarray) -> bool:
+    # On checked arrays: sorted by a and, among equal a components, by b, b
+    # must not decrease.  On (a, -b) it checks the opposite order: negation
+    # reverses b's order, and -0.0 == 0.0.
     b = b[np.lexsort((b, a))]
     return bool(np.all(b[:-1] <= b[1:]))
 
 
+def is_similarly_ordered(u: VectorLike, v: VectorLike) -> bool:
+    """Whether ``(u_i - u_j) * (v_i - v_j) >= 0`` for every index pair.
+
+    Checked in O(d log d) by one sort; see ``_similarly_ordered``.  u.v only
+    certifies the operands, so neither predicate warns when it overflows or
+    depends on the caller's ``np.errstate``.
+    """
+    with np.errstate(all="ignore"):
+        a, b, _ = _pair(u, v)
+    return _similarly_ordered(a, b)
+
+
 def is_oppositely_ordered(u: VectorLike, v: VectorLike) -> bool:
     """Whether ``(u_i - u_j) * (v_i - v_j) <= 0`` for every index pair:
-    sorted by ``u`` and, among equal ``u`` components, by ``v`` descending,
-    the ``v`` values must not increase."""
-    a, b, _ = _pair(u, v)
-    b = b[np.lexsort((-b, a))]
-    return bool(np.all(b[:-1] >= b[1:]))
+    ``is_similarly_ordered(u, -v)``."""
+    with np.errstate(all="ignore"):
+        a, b, _ = _pair(u, v)
+    return _similarly_ordered(a, -b)

@@ -99,47 +99,32 @@ def _hierarchy_trial(rng: np.random.Generator, i: int, d: int):
 def _saturation_trial(rng: np.random.Generator, i: int, d: int):
     kind = i % 5
     msg = None
-    if kind == 0:
-        # Similarly ordered with positive dot: recos saturates at +1.
+    if kind < 2:
+        # Similarly ordered with positive dot (kind 0) or oppositely ordered
+        # with negative dot (kind 1): recos saturates at +1 or -1.
+        sign = 1.0 if kind == 0 else -1.0
         u = np.abs(rng.standard_normal(d)) + 0.1
-        v = u * u + 0.5
+        v = sign * (u * u + 0.5)
         r = recos(u, v)
-        if abs(r - 1.0) > _REL_TOL:
-            msg = f"similarly ordered pair gave recos={r!r}"
-    elif kind == 1:
-        # Oppositely ordered with negative dot: recos saturates at -1.
-        u = np.abs(rng.standard_normal(d)) + 0.1
-        v = -(u * u + 0.5)
-        r = recos(u, v)
-        if abs(r + 1.0) > _REL_TOL:
-            msg = f"oppositely ordered pair gave recos={r!r}"
-    elif kind == 2:
-        # v = k Pu with sgn(u.v) = sgn(k): rearrangement meets Cauchy-Schwarz.
+        if abs(r - sign) > _REL_TOL:
+            order = "similarly" if kind == 0 else "oppositely"
+            msg = f"{order} ordered pair gave recos={r!r}"
+    elif kind < 4:
+        # v = k Pu with sgn(u.v) = sgn(k): rearrangement meets Cauchy-Schwarz
+        # (kind 2), and with |k| = 1 the arithmetic bound (kind 3).
         u = rng.standard_normal(d)
         pu = _positive_perm(rng, u)
-        k = float(rng.uniform(0.25, 4.0)) * (1.0 if i % 2 else -1.0)
-        v = k * pu
+        k = float(rng.uniform(0.25, 4.0)) if kind == 2 else 1.0
+        v = k * (1.0 if i % 2 else -1.0) * pu
         chain = bound_chain(u, v)
-        if not _rel_close(chain.rearrangement, chain.cauchy_schwarz):
-            msg = (
-                f"rearrangement={chain.rearrangement!r} != "
-                f"cauchy_schwarz={chain.cauchy_schwarz!r}"
-            )
-        elif abs(abs(recos(u, v)) - abs(cosine(u, v))) > _REL_TOL:
-            msg = f"|recos|={abs(recos(u, v))!r} != |cos|={abs(cosine(u, v))!r}"
-    elif kind == 3:
-        # v = +/-Pu (unit |k|): rearrangement meets the arithmetic bound.
-        u = rng.standard_normal(d)
-        pu = _positive_perm(rng, u)
-        v = pu * (1.0 if i % 2 else -1.0)
-        chain = bound_chain(u, v)
-        if not _rel_close(chain.rearrangement, chain.arithmetic_quadratic):
-            msg = (
-                f"rearrangement={chain.rearrangement!r} != "
-                f"am_qm={chain.arithmetic_quadratic!r}"
-            )
-        elif abs(abs(recos(u, v)) - abs(decos(u, v))) > _REL_TOL:
-            msg = f"|recos|={abs(recos(u, v))!r} != |decos|={abs(decos(u, v))!r}"
+        if kind == 2:
+            bound, name, metric, label = chain.cauchy_schwarz, "cauchy_schwarz", cosine, "cos"
+        else:
+            bound, name, metric, label = chain.arithmetic_quadratic, "am_qm", decos, "decos"
+        if not _rel_close(chain.rearrangement, bound):
+            msg = f"rearrangement={chain.rearrangement!r} != {name}={bound!r}"
+        elif abs(abs(recos(u, v)) - abs(metric(u, v))) > _REL_TOL:
+            msg = f"|recos|={abs(recos(u, v))!r} != |{label}|={abs(metric(u, v))!r}"
     else:
         # v = +/-u: decos saturates at +/-1 exactly.
         u = rng.standard_normal(d)

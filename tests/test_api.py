@@ -1,6 +1,8 @@
 """The public API: what ``import ordsim`` exports, and the typed-error base."""
 
 import importlib
+import pkgutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,3 +168,21 @@ def test_an_int_beyond_float64_is_a_typed_error(call, error):
     # float(10**400) raises OverflowError, which the checks report as theirs.
     with pytest.raises(error, match="int too large to convert to float"):
         call([10**400, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning])
+@pytest.mark.parametrize(
+    "module", ["ordsim"] + [f"ordsim.{m.name}" for m in pkgutil.iter_modules(ordsim.__path__)]
+)
+def test_the_suite_fails_on_a_warning_from_any_module(module, category):
+    # pyproject.toml's filterwarnings.  metrics' pair functions still let
+    # numpy warn at a dot that overflows, so its RuntimeWarning is let through.
+    def warn():
+        warnings.warn_explicit("injected", category, "injected.py", 1, module=module)
+
+    if (module, category) == ("ordsim.metrics", RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="injected"):
+            warn()
+    else:
+        with pytest.raises(category, match="injected"):
+            warn()

@@ -336,6 +336,13 @@ class TestCompare:
         assert code == 1
         assert "zzz" in err
 
+    def test_unknown_first_method_is_data_error_without_traceback(self, fresh_python, table2):
+        proc = fresh_python(
+            "-m", "ordsim", "compare", "--results", table2, "--a", "missing", "--b", "cos"
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: no cells for method 'missing'\n"
+
 
 def _huge_scores_file(path):
     """3 models x 4 datasets; in cell k = 1..12, A scores k * 1e305 and B
@@ -512,6 +519,13 @@ class TestSelftest:
         with pytest.raises(SystemExit) as exc:
             cli.main(["selftest", "--seed", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, text", [("--seed", "abc"), ("--trials", "1.5")])
+    def test_count_that_is_not_an_integer_is_usage_error(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", flag, text])
+        assert exc.value.code == 2
+        assert f"not an integer: {text!r}" in capsys.readouterr().err
 
     def test_failure_exit_code_and_reporting(self, capsys, monkeypatch):
         failing = SelftestReport(

@@ -530,9 +530,11 @@ class TestCompareMechanics:
         with pytest.raises(CoverageMismatchError, match="cover different cells"):
             compare(_table(rows), "m1", "m2")
 
-    def test_unknown_method(self):
-        with pytest.raises(CoverageMismatchError, match="no cells"):
-            compare(self._synthetic(), "m1", "zzz")
+    @pytest.mark.parametrize("a, b", [("missing", "m1"), ("m1", "missing")])
+    def test_unknown_method(self, a, b):
+        with pytest.raises(CoverageMismatchError) as err:
+            compare(self._synthetic(), a, b)
+        assert str(err.value) == "no cells for method 'missing'"
 
 
 def _reference_compare(results, a, b, alternative="greater"):

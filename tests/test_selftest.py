@@ -9,10 +9,11 @@ A random draw that moves changes one of them.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 import ordsim.selftest as selftest
-from ordsim import BoundViolationError, DegenerateInputError
+from ordsim import BoundChain, BoundViolationError, DegenerateInputError
 
 FAULTS = {
     "recos": lambda f: lambda u, v: f(u, v) * 0.9,
@@ -130,6 +131,42 @@ def test_typed_error_is_a_property_failure(monkeypatch):
     )
     others = [r for name, r in results.items() if name not in ("bound-chain", "saturation")]
     assert all(r.failures == 0 for r in others)
+
+
+# The message of each of the saturation property's five kinds (trial i % 5)
+# with recos, cosine and decos fixed at 0.5, 0.75 and 0.25, under a bound
+# chain whose rearrangement bound misses both larger bounds, and under one
+# whose links all meet.
+_MISSED = BoundChain(1.0, 1.0, 2.0, 3.0)
+_MET = BoundChain(1.0, 1.0, 1.0, 1.0)
+SATURATION_MESSAGES = {
+    _MISSED: (
+        "similarly ordered pair gave recos=0.5",
+        "oppositely ordered pair gave recos=0.5",
+        "rearrangement=1.0 != cauchy_schwarz=2.0",
+        "rearrangement=1.0 != am_qm=3.0",
+        "v=+/-u gave decos=0.25",
+    ),
+    _MET: (
+        "similarly ordered pair gave recos=0.5",
+        "oppositely ordered pair gave recos=0.5",
+        "|recos|=0.5 != |cos|=0.75",
+        "|recos|=0.5 != |decos|=0.25",
+        "v=+/-u gave decos=0.25",
+    ),
+}
+
+
+@pytest.mark.parametrize("chain", [_MISSED, _MET], ids=["missed", "met"])
+@pytest.mark.parametrize("i", range(10))
+def test_every_saturation_message_is_pinned(monkeypatch, chain, i):
+    monkeypatch.setattr(selftest, "recos", lambda u, v: 0.5)
+    monkeypatch.setattr(selftest, "cosine", lambda u, v: 0.75)
+    monkeypatch.setattr(selftest, "decos", lambda u, v: 0.25)
+    monkeypatch.setattr(selftest, "bound_chain", lambda u, v: chain)
+    msg, u, v = selftest._saturation_trial(np.random.default_rng(i), i, 8)
+    assert msg == SATURATION_MESSAGES[chain][i % 5]
+    assert u.shape == v.shape == (8,)
 
 
 def test_untyped_error_still_propagates(monkeypatch):
