@@ -425,29 +425,29 @@ class TestCompareLargeScores:
 # ordered pair of distinct methods, both alternatives and both formats.
 COMPARE_OUTPUT_SHA256 = {
     ("recos", "cos", "greater", "table"): "54e6f4fea9e9a1ae6d776bb77011c7e95130bbd1cbddf791250ba8c1527a8d73",
-    ("recos", "cos", "greater", "csv"): "9e3e37a09cc4b732dd6f0c51764e84fdc07a711c7f7c739427b9895cf4e424bc",
+    ("recos", "cos", "greater", "csv"): "e57b5d55164ffc88718efadb21811b1e0fbb893daea8ca7b5c91e6e82c5ff9c9",
     ("recos", "cos", "two-sided", "table"): "68980dffb48104774a6471a6b6421506d297ae6252bd226c6116da3b8bfcacb4",
-    ("recos", "cos", "two-sided", "csv"): "1f241aad8f308f74b620d56cb5de53e9c553f76beaeceb1fcc6d4f7307ac9fee",
+    ("recos", "cos", "two-sided", "csv"): "86febff43c020c18089de676153ef8f390db25aec9a8e8174b1fc7a1510ca995",
     ("recos", "decos", "greater", "table"): "34ee6e7adfd84f1a352264b7b4184f46b8f94b06d1b9881557b595764831d559",
-    ("recos", "decos", "greater", "csv"): "04f1fc55bd939f7bad150e8a3bb0a928d464455e534e2e0637d7ea38979a0b62",
+    ("recos", "decos", "greater", "csv"): "a36a2a80883511568073d0177e0cf84a0edbc8c70400747a740c93687bb406cb",
     ("recos", "decos", "two-sided", "table"): "a7da75ae4ee42bf44124cff2c41adf4cb8f45a208777e9328bb99e26ab2cbf9f",
-    ("recos", "decos", "two-sided", "csv"): "56d8090b31030910a79161a5a3a4afb476b71b1b0de46c7b8f9db08de31e1139",
+    ("recos", "decos", "two-sided", "csv"): "15b4f37a3b135d9ac8235d2ffb91c10ff34084d148b80459d9ea6f14503932ce",
     ("cos", "recos", "greater", "table"): "e160b2fe1b21fba6fa6cfd2011b3ad6c130837cd11a74d347bf68023781667dd",
     ("cos", "recos", "greater", "csv"): "343c63cc04a5b283b1c67bd38f24b0e615846ba4415eaa51de5995d6c23a272c",
     ("cos", "recos", "two-sided", "table"): "e7cf420e15bd488926160f8d9e4513ce8dcbf1856d35e9ac888d6291388c0f00",
-    ("cos", "recos", "two-sided", "csv"): "83326772710727be7f1b61e902cf5ee1ddf47a9cb71f11abb2b72f7c11b6c2b8",
+    ("cos", "recos", "two-sided", "csv"): "fdf920d091695a9d04c45c696b61ccd201182dbe35b1f823097c13eb2f763489",
     ("cos", "decos", "greater", "table"): "f82d6a11af8e5af3d1e9b62950c56caf850697b4681a71ecf1ec57245c6983a2",
-    ("cos", "decos", "greater", "csv"): "fd4adbb5dbd64c650d40ba048a0d69d6c744e3a44793121aea1267aa1002ef4b",
+    ("cos", "decos", "greater", "csv"): "78d88773285f00c1f861ef28904e33e9d6188f5c5adbd6d1fd1ca2e13ef84a25",
     ("cos", "decos", "two-sided", "table"): "9f0353ed9b6510dde88d2f0ef974d4ae222ef1d96c6c3373dc34e8f7e5f05064",
-    ("cos", "decos", "two-sided", "csv"): "06a61e25985b4b4d423323ca6d53d553baade5815d7d763dd0d7e5158bc74721",
+    ("cos", "decos", "two-sided", "csv"): "3819fc486ca0a517ab4b0ff4ae4fcf3c8faeb23ea7ee9a76d1f3a18fe07b802a",
     ("decos", "recos", "greater", "table"): "a8ae09876cb0c744501be2a3282fef97dfcbdfbf6e141c940318c0423745a10e",
     ("decos", "recos", "greater", "csv"): "4b7c692b9d047c43dbb2f671fd6c7f32ae3d25637f81869f80ed29fae40533fe",
     ("decos", "recos", "two-sided", "table"): "1def52aacf61fd886211c61057b68f47adacbbdfa0fc180e9c40600246e151bf",
-    ("decos", "recos", "two-sided", "csv"): "3a2861fc8f818d705007a7af02f965e557a1eaa22ce0cd9464850aabfa22c15c",
+    ("decos", "recos", "two-sided", "csv"): "d08cf47fe9675cd5370b2f1809348b54e86c9bdf993d3d27f3ab9864ffab56bb",
     ("decos", "cos", "greater", "table"): "cd73bf47d45f3228cfec0eb5c962da3773d93d02efcd9e21c575698f647da108",
     ("decos", "cos", "greater", "csv"): "f5fcbe1e1f8364590c2b395447b63af3d61c9a55722a68822d28e8b32722639d",
     ("decos", "cos", "two-sided", "table"): "c41d54413902d96a58452ccae6e27665094a97fcd3fe9bee960286313a536dd8",
-    ("decos", "cos", "two-sided", "csv"): "613bb838681ad635c096307b1f872737175666b09c83e95004e75aeb58187443",
+    ("decos", "cos", "two-sided", "csv"): "4c45e7f59299e7dc8918a452fc3dc0735918e744483d3f621f283150378017e1",
 }
 
 

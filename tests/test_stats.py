@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import timeit
 from fractions import Fraction
 from unittest import mock
 
@@ -21,8 +22,11 @@ from ordsim import (
     PairedDiffs,
     benjamini_hochberg,
     cohens_d_pooled,
+    compare,
     descriptive_stats,
+    fixture_path,
     leave_one_dataset_out,
+    load_results,
     paired_t_test,
     sign_test,
     spearman_rho,
@@ -730,18 +734,73 @@ class TestPairedT:
             assert r.statistic == pytest.approx(float(ref.statistic), abs=1e-12)
             assert r.p_value == pytest.approx(float(ref.pvalue), abs=1e-12)
 
+    @staticmethod
+    def _mpmath_sf(t, df):
+        # P(T > t) at the float t, from 40-digit mpmath.
+        with mpmath.workdps(40):
+            x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+            half = mpmath.betainc(
+                mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True
+            ) / 2
+            return half if t >= 0 else 1 - half
+
     def test_tail_function_against_mpmath(self):
-        # Accuracy target: 1e-10 absolute for df <= 1000.  df = 319 is the
-        # 8-model x 40-dataset grid that compare runs in the benchmark.
-        mpmath.mp.dps = 40
-        for df in (1, 2, 5, 10, 76, 200, 319, 1000):
-            for t in (-7.5, -2.2, -0.5, 0.0, 0.5, 2.2, 7.2006, 25.0):
-                x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
-                half = mpmath.betainc(
-                    mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True
-                ) / 2
-                expected = float(half if t >= 0 else 1 - half)
-                assert _student_t_sf(t, df) == pytest.approx(expected, abs=1e-10)
+        # Accuracy target for df <= 1000: 1e-14 absolute, and 1e-12 relative
+        # where p <= 1e-3.  df = 319 and 39 are the paired and leave-one-
+        # dataset-out t-tests of the benchmark's 8-model x 40-dataset grid.
+        # |t| = 1e-9 at df >= 319 makes df / (df + t²) round to 1, which an
+        # incomplete beta of that argument turns into a p-value of exactly
+        # 0.5, 4e-10 off; (5.84, 918) has p = 3.7e-9, where a head/tail switch
+        # taken too late loses relative accuracy.
+        rng = np.random.default_rng(2026)
+        cases = [
+            (t, df)
+            for df in (1, 2, 3, 4, 5, 10, 39, 76, 200, 319, 320, 918, 1000)
+            for t in (-7.5, -2.2, -0.5, -1e-4, -1e-9, 0.0, 1e-9, 1e-4, 0.5, 2.2, 7.2006, 25.0)
+        ]
+        cases.append((5.84, 918))
+        cases += [
+            (float(rng.normal(0.0, 1.0) * rng.choice([1.0, 3.0, 8.0])), int(rng.integers(1, 1001)))
+            for _ in range(200)
+        ]
+        for t, df in cases:
+            expected = self._mpmath_sf(t, df)
+            p = _student_t_sf(t, df)
+            assert abs(p - expected) <= 1e-14, (t, df)
+            if expected <= 1e-3:
+                assert abs(p - expected) <= 1e-12 * expected, (t, df)
+
+    @pytest.mark.parametrize("df", [1, 2, 10**5, 10**6])
+    def test_tail_function_at_large_df_and_extreme_t(self, df):
+        for t in (0.0, 1e-300, -1e-300, 1e300, -1e300, 40.0, -40.0):
+            p = _student_t_sf(t, df)
+            assert 0.0 <= p <= 1.0
+            assert abs(p - float(scipy.stats.t.sf(t, df))) <= 1e-12, t
+        assert _student_t_sf(0.0, df) == 0.5
+
+    def test_tail_function_cost_at_df_100000(self):
+        # The series has df / 2 terms at most near t = 0 (0.2-0.3 ms); the
+        # first call grows the coefficient tables, so it is left out.
+        for t in (0.0, 1e-300, 1.0, 3.0, 40.0):
+            _student_t_sf(t, 10**5)
+            best = min(timeit.repeat(lambda: _student_t_sf(t, 10**5), number=1, repeat=5))
+            assert best < 1e-3, (t, best)
+
+    def test_bundled_table_t_tails_against_mpmath(self):
+        # Both t-tests of every compare on table2.csv (df 76 and 6) come
+        # within a few units in the last place of mpmath; scipy's betainc at
+        # a rounded df / (df + t²) was up to 1.8e-15 relative off here.
+        table = load_results(fixture_path("table2.csv"))
+        for a, b in itertools.permutations(["recos", "cos", "decos"], 2):
+            for alternative in ("greater", "two-sided"):
+                report = compare(table, a, b, alternative)
+                for result in (report.t_test, report.lodo):
+                    t, df = result.statistic, result.n_used - 1
+                    if alternative == "greater":
+                        expected = self._mpmath_sf(t, df)
+                    else:
+                        expected = min(1, 2 * self._mpmath_sf(abs(t), df))
+                    assert abs(result.p_value - expected) <= 1e-15 * expected, (a, b, alternative)
 
 
 class TestCohensD:
