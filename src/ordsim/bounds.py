@@ -44,6 +44,10 @@ class BoundChain:
     arithmetic_quadratic: float
 
     def __post_init__(self) -> None:
+        # An ordered chain holds every link; only a chain that is not (or
+        # holds NaN) is checked link by link against the tolerance.
+        if self.abs_dot <= self.rearrangement <= self.cauchy_schwarz <= self.arithmetic_quadratic:
+            return
         links = (
             ("abs_dot", self.abs_dot, "rearrangement", self.rearrangement),
             ("rearrangement", self.rearrangement, "cauchy_schwarz", self.cauchy_schwarz),

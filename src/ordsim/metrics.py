@@ -137,6 +137,9 @@ class MetricKind(str, Enum):
         raise DegenerateInputError(f"unknown metric kind {value!r}; expected one of {names}")
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _operand(value: VectorLike) -> np.ndarray:
     # ``value`` as a float64 array, ``value`` itself if it is a contiguous one,
     # so never write to it; unchecked but for complex input.  Only 1-d input is
@@ -144,6 +147,10 @@ def _operand(value: VectorLike) -> np.ndarray:
     # np.dot on the BLAS path and rounding of a copy.  Complex input is refused
     # only after a cast made a new array, so a float64 array pays nothing for
     # the test, and numpy's ComplexWarning about the cast may print first.
+    # The common operand, a C-contiguous native float64 ndarray, is what both
+    # calls would hand back, so it skips them; any other pays this one test.
+    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.flags.c_contiguous:
+        return value
     if isinstance(value, DenseVector):
         return value.components
     arr = np.asarray(value, dtype=np.float64)
@@ -175,7 +182,10 @@ def _pair(u: VectorLike, v: VectorLike) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _clip_unit(x: float) -> float:
     # Rounding can push a quotient a few ulps past its mathematical range.
-    return float(min(1.0, max(-1.0, x)))
+    # NaN fails both tests and clips to -1.0.
+    if -1.0 < x < 1.0:
+        return x
+    return 1.0 if x >= 1.0 else -1.0
 
 
 def dot(u: VectorLike, v: VectorLike) -> float:

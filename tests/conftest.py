@@ -99,6 +99,10 @@ def form_pairs():
     return pairs
 
 
+class _Subclass(np.ndarray):
+    """A trivial ndarray subclass: the same values, another type."""
+
+
 def _vector_forms(x):
     strided = np.empty(2 * x.size)
     strided[::2] = x
@@ -114,6 +118,10 @@ def _vector_forms(x):
         "reversed": x[::-1].copy()[::-1],
         "readonly": readonly,
         "float32": x.astype(np.float32),
+        "byteswapped": x.astype(">f8"),
+        "subclass": x.copy().view(_Subclass),
+        # Read-only, and misaligned by one byte.
+        "unaligned": np.frombuffer(b"\0" + x.tobytes(), np.float64, offset=1),
     }
     if np.isfinite(x).all() and np.array_equal(x, np.rint(x)):
         forms["int"] = [int(c) for c in x]
@@ -124,5 +132,6 @@ def _vector_forms(x):
 def vector_forms():
     """Map a float64 vector with float32-exact components to each input form
     holding the same values; the ``int`` form only where the values are
-    finite integers."""
+    finite integers.  Only ``ndarray``, ``readonly`` and ``unaligned`` are
+    plain C-contiguous float64 arrays, which the metrics use as they are."""
     return _vector_forms

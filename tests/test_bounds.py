@@ -1,5 +1,6 @@
 """Bound chain: hand cases, equality conditions, brute-force oracle agreement."""
 
+import dataclasses
 import itertools
 import math
 
@@ -62,6 +63,44 @@ class TestBoundChainType:
 
     def test_tolerates_rounding_slack(self):
         BoundChain(1.0, 1.0 - 5e-10, 1.0, 1.0)
+
+    LINKS = ("abs_dot", "rearrangement", "cauchy_schwarz", "arithmetic_quadratic")
+
+    @pytest.mark.parametrize("link", range(3))
+    @pytest.mark.parametrize("hi", [0.5, 1.0, 3.0, 1e12, -2.0])
+    def test_each_link_and_its_tolerance(self, link, hi):
+        # Every field below the link is -inf and every field above it +inf,
+        # so only this link can fail.
+        tol = 1e-9 * max(1.0, abs(hi))
+        lo_name, hi_name = self.LINKS[link], self.LINKS[link + 1]
+        for lo in (hi + 2 * tol, math.nextafter(hi + 1.01 * tol, math.inf)):
+            fields = [-math.inf] * link + [lo, hi] + [math.inf] * (2 - link)
+            message = f"bound ordering violated: {lo_name}={lo!r} > {hi_name}={hi!r}"
+            with pytest.raises(BoundViolationError) as caught:
+                BoundChain(*fields)
+            assert str(caught.value) == message
+        for lo in (hi + 0.5 * tol, hi + 0.99 * tol, math.nextafter(hi, math.inf)):
+            fields = [-math.inf] * link + [lo, hi] + [math.inf] * (2 - link)
+            assert list(dataclasses.astuple(BoundChain(*fields))) == fields
+
+    @staticmethod
+    def _by_links(fields):
+        # Each link checked against the tolerance, the first failure raised.
+        for (lo_name, lo), (hi_name, hi) in itertools.pairwise(zip(TestBoundChainType.LINKS, fields)):
+            if lo > hi + 1e-9 * max(1.0, abs(hi)):
+                return f"bound ordering violated: {lo_name}={lo!r} > {hi_name}={hi!r}"
+        return None
+
+    def test_non_finite_and_extreme_fields(self):
+        values = [-math.inf, -1.0, -0.0, 0.0, 1.0, 1.0 + 5e-10, 2.0, 1e308, math.inf, math.nan]
+        for fields in itertools.product(values, repeat=4):
+            want = self._by_links(fields)
+            try:
+                BoundChain(*fields)
+                got = None
+            except BoundViolationError as exc:
+                got = str(exc)
+            assert got == want, fields
 
     def test_chain_is_frozen(self):
         c = BoundChain(1.0, 2.0, 3.0, 4.0)

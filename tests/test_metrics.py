@@ -388,6 +388,34 @@ class TestHierarchy:
             checked += 1
 
 
+def _clip_reference(x):
+    return float(min(1.0, max(-1.0, x)))
+
+
+class TestClipUnit:
+    """``_clip_unit`` gives the bits of the builtin min/max clip it replaced."""
+
+    EDGES = [
+        0.0, -0.0, 1.0, -1.0,
+        math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+        math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0),
+        math.inf, -math.inf, math.nan,
+        5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+        2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    ]
+
+    @pytest.mark.parametrize("x", EDGES, ids=float.hex)
+    def test_edge_values(self, x):
+        got = ordsim.metrics._clip_unit(x)
+        assert type(got) is float
+        assert float.hex(got) == float.hex(_clip_reference(x))
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @settings(max_examples=500, deadline=None)
+    def test_any_float(self, x):
+        assert float.hex(ordsim.metrics._clip_unit(x)) == float.hex(_clip_reference(x))
+
+
 class TestSimilarityDispatch:
     def test_matches_direct_calls(self):
         u, v = [1, 5.5, 2, 4], [1, 8.5, 2, 4]
@@ -559,13 +587,26 @@ class TestInputForms:
     def test_caller_arrays_are_not_written(self, form_pairs, vector_forms):
         for u, v in form_pairs:
             fu, fv = vector_forms(u), vector_forms(v)
-            for form in ("ndarray", "strided", "column", "reversed", "float32"):
+            for form in ("ndarray", "strided", "column", "reversed", "float32", "byteswapped", "subclass"):
                 a, b = fu[form], fv[form]
                 before = (a.copy(), b.copy())
                 for f in PAIR_FUNCS:
                     f(a, b)
                 norm(a)
                 assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+    def test_plain_float64_arrays_are_used_as_they_are(self, vector_forms):
+        # Exactly the forms that need no cast are returned as they are; the
+        # others come back as a new array of the same values.
+        x = np.array([1.0, -2.0, 4.0, 3.0])
+        as_is = {"ndarray", "readonly", "unaligned"}
+        forms = vector_forms(x)
+        assert as_is < forms.keys()
+        for form, value in forms.items():
+            arr = ordsim.metrics._operand(value)
+            assert (arr is value) == (form in as_is), form
+            assert type(arr) is np.ndarray and arr.dtype == np.float64, form
+            assert arr.flags.c_contiguous and np.array_equal(arr, x), form
 
     @pytest.mark.parametrize("scalar", [3.0, 4, np.float64(2.0), np.array(5.0)])
     def test_zero_d_input_rejected(self, scalar):
