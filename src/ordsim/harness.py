@@ -115,11 +115,11 @@ def compare(
     codes, the score array, dataset codes and the micro-average, and the
     mean and variance of the scores that each method keeps once computed.
     The tests run in a's cell order; b's scores are reordered to it if
-    needed, and the leave-one-dataset-out test reads the blocks the table
-    keeps for a's dataset codes.  The pooled d comes from the two kept
-    means and variances, unless b was reordered or the gap or pooled
-    variance made from them is not finite; then ``cohens_d_pooled``
-    computes it from the scores.
+    needed, and the leave-one-dataset-out test sums the differences over
+    a's dataset codes.  The pooled d comes from the two kept means and
+    variances, unless b was reordered or the gap or pooled variance made
+    from them is not finite; then ``cohens_d_pooled`` computes it from the
+    scores.
     """
     col_a = results._method_columns(a)
     col_b = results._method_columns(b)

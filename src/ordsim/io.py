@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
 from .metrics import DenseVector, _RowValues
 from .ranks import _centered_ranks
-from .stats import _encode, _first_appearance_codes, _LodoIndex, _mean_var, _micro_average
+from .stats import _encode, _first_appearance_codes, _mean_var, _micro_average
 
 __all__ = [
     "PairRecord",
@@ -549,8 +549,9 @@ class ResultsRow:
 
 
 class _MethodColumns:
-    """One method's rows of a table, in file order, as columns.  ``cells``
-    and ``mean_var`` are made on first use and kept."""
+    """One method's rows of a table, in file order, as columns: cell codes,
+    read-only scores and dataset codes, and the micro-average of the
+    scores.  ``cells`` and ``mean_var`` are made on first use and kept."""
 
     def __init__(
         self,
@@ -567,8 +568,9 @@ class _MethodColumns:
         self.cell_codes = cell_codes[rows]  # one code per (model, dataset) of the table
         self.scores = scores[rows]  # read-only float64, ResultsRow.score bit for bit
         self.scores.setflags(write=False)
-        # Dataset codes, numbered in the method's order of first appearance.
-        self.datasets = _LodoIndex(*_first_appearance_codes(dataset_codes[rows]))
+        # Read-only dataset codes, numbered in the method's order of first appearance.
+        self.datasets = _first_appearance_codes(dataset_codes[rows])
+        self.datasets.setflags(write=False)
         self.micro_average = _micro_average(self.scores)
 
     @cached_property
@@ -595,10 +597,8 @@ class ResultsTable:
     dataset codes numbered in the method's own order of first appearance,
     and the micro-average of the scores.  The method's (model, dataset)
     cells and the mean and variance of its scores are made on first use and
-    kept.  ``compare`` reads only these.  A method's first
-    leave-one-dataset-out test builds its blocks over the dataset codes, and
-    the table keeps them, read-only, while they hold at most
-    ``stats._LODO_BLOCK_CELLS`` entries.
+    kept.  ``compare`` reads only these; its leave-one-dataset-out test
+    sums the differences per dataset code.
 
     ``rows`` is the table's value, kept as a tuple whatever sequence made
     it: ``==``, ``hash`` and ``repr`` read it and nothing else.  A table

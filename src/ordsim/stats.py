@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -52,10 +52,6 @@ __all__ = [
 
 _ALTERNATIVES = ("greater", "two-sided")
 
-# Index entries (8 MB of intp) per block of leave_one_dataset_out, and in
-# all for the blocks a _LodoIndex keeps.
-_LODO_BLOCK_CELLS = 1 << 20
-
 
 @dataclass(frozen=True)
 class PairedDiffs:
@@ -65,16 +61,16 @@ class PairedDiffs:
     finite numbers and stores them as a tuple of floats, and the labels as
     a tuple of (model, dataset) pairs of str.  It also keeps one read-only
     float64 copy of the differences, which every test in this module reads,
-    and numbers the labels' datasets in order of first appearance, in an
-    index that keeps the leave-one-dataset-out blocks once built (see
-    ``_LodoIndex``).  On first use it computes their mean and sd, for all
-    the tests, and a read-only sorted copy of them with the bounds of its
-    zeros, which ``descriptive_stats``, ``sign_test`` and
+    and a read-only array of the labels' dataset codes, numbered in order
+    of first appearance, from which ``leave_one_dataset_out`` takes its
+    per-dataset sums and counts.  On first use it computes their mean and
+    sd, for all the tests, and a read-only sorted copy of them with the
+    bounds of its zeros, which ``descriptive_stats``, ``sign_test`` and
     ``wilcoxon_signed_rank`` share.  None of these is a field, so they take
     no part in ``==``, ``hash`` or ``repr``.
 
     ``compare`` builds its diffs from a results table's columns instead,
-    with the dataset index the table keeps for the method, and makes the
+    with the dataset codes the table keeps for the method, and makes the
     diffs and labels tuples on first use.
     """
 
@@ -86,8 +82,8 @@ class PairedDiffs:
         values = _as_array(self.diffs, "differences", DegenerateInputError).copy()
         if values.size != len(labels):
             raise DegenerateInputError(f"{values.size} diffs but {len(labels)} labels")
-        names, codes = _encode([ds for _, ds in labels])
-        self._set_values(values, _LodoIndex(codes, len(names)))
+        _, codes = _encode([ds for _, ds in labels])
+        self._set_values(values, codes)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "diffs", tuple(values.tolist()))
 
@@ -96,13 +92,13 @@ class PairedDiffs:
         cls,
         values: np.ndarray,
         labels: tuple[tuple[str, str], ...] | Callable[[], tuple[tuple[str, str], ...]],
-        datasets: _LodoIndex,
+        datasets: np.ndarray,
     ) -> PairedDiffs:
         # For a float64 array that the caller hands over, labels that are
         # already a tuple of (model, dataset) pairs of str, or a function of
-        # no arguments that returns one, and a _LodoIndex of the labels'
-        # datasets.  The diffs tuple, and the labels of a function, are made
-        # on first access.
+        # no arguments that returns one, and the labels' dataset codes,
+        # numbered in order of first appearance.  The diffs tuple, and the
+        # labels of a function, are made on first access.
         diffs = cls.__new__(cls)
         diffs._set_values(_as_array(values, "differences", DegenerateInputError), datasets)
         if callable(labels):
@@ -111,8 +107,9 @@ class PairedDiffs:
             object.__setattr__(diffs, "labels", labels)
         return diffs
 
-    def _set_values(self, values: np.ndarray, datasets: _LodoIndex) -> None:
+    def _set_values(self, values: np.ndarray, datasets: np.ndarray) -> None:
         values.setflags(write=False)
+        datasets.setflags(write=False)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_datasets", datasets)
 
@@ -188,13 +185,13 @@ def _encode(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
     return names, np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
 
 
-def _first_appearance_codes(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Non-negative integer codes renumbered in order of first appearance,
-    the codes ``_encode`` gives the same values, and how many are distinct."""
+def _first_appearance_codes(codes: np.ndarray) -> np.ndarray:
+    """Non-negative integer codes renumbered in order of first appearance:
+    the codes ``_encode`` gives the same values."""
     distinct, first = np.unique(codes, return_index=True)
     renumber = np.empty(distinct[-1] + 1 if distinct.size else 0, np.intp)
     renumber[distinct[first.argsort()]] = np.arange(distinct.size)
-    return renumber[codes], distinct.size
+    return renumber[codes]
 
 
 def _mean_var(arr: np.ndarray) -> tuple[float, float]:
@@ -632,18 +629,20 @@ def paired_t_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     _check_alternative(alternative)
     if d.n < 2:
         raise DegenerateInputError("paired t-test requires at least 2 differences")
-    return _t_test(d._moments, d.n, alternative, "paired-t")
+    constant = "paired t-test is undefined for constant differences"
+    return _t_test(d._moments, d.n, alternative, "paired-t", constant)
 
 
 def _t_test(
-    moments: tuple[float, float, float], n: int, alternative: str, name: str
+    moments: tuple[float, float, float], n: int, alternative: str, name: str, constant: str
 ) -> TestResult:
     """One-sample t-test against zero from the (mean, sd, scale) of n >= 2
-    values, df = n - 1, with effect size mean / sd."""
+    values, df = n - 1, with effect size mean / sd.  Raises
+    DegenerateInputError with the message ``constant`` where the sd is 0."""
     # mean / sd is the same at any scale.
     mean, sd, _ = moments
     if sd == 0.0:
-        raise DegenerateInputError("paired t-test is undefined for constant differences")
+        raise DegenerateInputError(constant)
     t_stat = mean / (sd / math.sqrt(n))
     df = n - 1
     if alternative == "greater":
@@ -714,74 +713,25 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     For each dataset label, take the mean difference over all cells NOT from
     that dataset; then t-test those exclusion means against zero with
     df = (number of datasets) - 1.
+
+    Exclusion mean k is (total - S_k) / (n - n_k), with S_k and n_k the sum
+    and count of dataset k's differences: one weighted ``np.bincount`` of
+    the dataset codes, so the cost is O(n) whatever the number of datasets.
     """
     _check_alternative(alternative)
-    index = d._datasets
-    if index.n_datasets < 2:
+    codes = d._datasets
+    counts = np.bincount(codes)
+    k = counts.size
+    if k < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
     # The t statistic is the same at any scale of the differences.
-    exclusion_means, _ = _rescaled(lambda arr: _exclusion_means(arr, index), d._values)
-    return _t_test(_mean_sd_scale(exclusion_means), index.n_datasets, alternative, "lodo-t")
+    exclusion_means, _ = _rescaled(lambda arr: _exclusion_means(arr, codes, counts), d._values)
+    constant = f"leave-one-dataset-out t-test is undefined: all {k} exclusion means are equal"
+    return _t_test(_mean_sd_scale(exclusion_means), k, alternative, "lodo-t", constant)
 
 
-def _exclusion_means(arr: np.ndarray, index: _LodoIndex) -> np.ndarray:
-    """For each dataset code, the mean of the values of the other datasets."""
-    exclusion_means = np.empty(index.n_datasets)
-    for rows, kept_index in index:
-        exclusion_means[rows] = np.add.reduce(arr[kept_index], axis=1) / kept_index.shape[1]
-    return exclusion_means
-
-
-def _lodo_blocks(codes: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """leave_one_dataset_out's (rows, kept_index) blocks over dataset codes,
-    built one at a time.
-
-    Datasets with the same cell count keep the same number of cells, so each
-    block's ``rows`` are datasets of one cell count, and row i of its
-    ``kept_index`` lists, in order, the positions of the cells not in
-    dataset rows[i].  A row's add.reduce of those cells adds in the order
-    and grouping a 1-d add.reduce of the same cells does, so every mean is
-    bit-identical to it.  Blocks hold at most _LODO_BLOCK_CELLS entries,
-    whatever n is (one row each if n is more).
-    """
-    counts = np.bincount(codes)
-    positions = np.arange(codes.size)
-    step = max(1, _LODO_BLOCK_CELLS // codes.size)
-    for count in sorted(set(counts.tolist())):
-        group = np.flatnonzero(counts == count)
-        for start in range(0, group.size, step):
-            rows = group[start : start + step]
-            keep = codes != rows[:, None]
-            yield rows, np.broadcast_to(positions, keep.shape)[keep].reshape(rows.size, -1)
-
-
-class _LodoIndex:
-    """A column of dataset labels as codes, numbered in order of first
-    appearance, and leave_one_dataset_out's blocks over them: iterating the
-    index yields the (rows, kept_index) pairs.
-
-    The first pass keeps the blocks, read-only, when they hold at most
-    _LODO_BLOCK_CELLS entries in all (codes.size * (n_datasets - 1)), so a
-    later test on the same codes reuses them: each ``compare`` with the same
-    method as ``a`` on one results table.  Over that, every pass builds the
-    blocks one at a time, as ``_lodo_blocks`` yields them, and keeps none.
-    """
-
-    __slots__ = ("codes", "n_datasets", "_kept")
-
-    def __init__(self, codes: np.ndarray, n_datasets: int) -> None:
-        # codes: 0 .. n_datasets - 1, numbered in order of first appearance.
-        self.codes = codes
-        self.n_datasets = n_datasets
-        self._kept: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if self._kept is None:
-            blocks = _lodo_blocks(self.codes)
-            if self.codes.size * (self.n_datasets - 1) > _LODO_BLOCK_CELLS:
-                return blocks
-            self._kept = tuple(blocks)
-            for rows, kept_index in self._kept:
-                rows.setflags(write=False)
-                kept_index.setflags(write=False)
-        return iter(self._kept)
+def _exclusion_means(arr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """For each dataset code, the mean of the values of the other datasets,
+    from the total and the per-dataset sums; ``counts`` is
+    ``np.bincount(codes)``."""
+    return (np.add.reduce(arr) - np.bincount(codes, weights=arr)) / (arr.size - counts)

@@ -270,6 +270,21 @@ class TestCompare:
             "statistical tests not applicable\n"
         )
 
+    def test_equal_exclusion_means_name_the_lodo_test(self, capsys, tmp_path):
+        # a - b is 1 and 3 on D1 and 2 and 2 on D2: the paired t is defined,
+        # but both exclusion means are 2.
+        path = tmp_path / "results.csv"
+        rows = ["model,method,dataset,score"]
+        for model, dataset, score in [("m1", "D1", 51), ("m2", "D1", 53), ("m1", "D2", 52), ("m2", "D2", 52)]:
+            rows += [f"{model},a,{dataset},{score}.00", f"{model},b,{dataset},50.00"]
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "compare", "--results", str(path), "--a", "a", "--b", "b")
+        assert (code, err) == (1, "")
+        assert out == (
+            "compare a vs b: leave-one-dataset-out t-test is undefined: "
+            "all 2 exclusion means are equal; statistical tests not applicable\n"
+        )
+
     def test_oversized_score_is_data_error(self, fresh_python, tmp_path):
         score = "1" + "0" * 400
         path = tmp_path / "big.csv"
@@ -429,9 +444,9 @@ COMPARE_OUTPUT_SHA256 = {
     ("recos", "cos", "two-sided", "table"): "68980dffb48104774a6471a6b6421506d297ae6252bd226c6116da3b8bfcacb4",
     ("recos", "cos", "two-sided", "csv"): "86febff43c020c18089de676153ef8f390db25aec9a8e8174b1fc7a1510ca995",
     ("recos", "decos", "greater", "table"): "34ee6e7adfd84f1a352264b7b4184f46b8f94b06d1b9881557b595764831d559",
-    ("recos", "decos", "greater", "csv"): "a36a2a80883511568073d0177e0cf84a0edbc8c70400747a740c93687bb406cb",
+    ("recos", "decos", "greater", "csv"): "11d6e282aeebd73b16786cc1f485729839c4fbc07d74201c7645e09eff9ae560",
     ("recos", "decos", "two-sided", "table"): "a7da75ae4ee42bf44124cff2c41adf4cb8f45a208777e9328bb99e26ab2cbf9f",
-    ("recos", "decos", "two-sided", "csv"): "15b4f37a3b135d9ac8235d2ffb91c10ff34084d148b80459d9ea6f14503932ce",
+    ("recos", "decos", "two-sided", "csv"): "2bad9554f1b146d6e8c1f6d8a02b3cc8d13ef7539c6e580993be7197a45b31bb",
     ("cos", "recos", "greater", "table"): "e160b2fe1b21fba6fa6cfd2011b3ad6c130837cd11a74d347bf68023781667dd",
     ("cos", "recos", "greater", "csv"): "343c63cc04a5b283b1c67bd38f24b0e615846ba4415eaa51de5995d6c23a272c",
     ("cos", "recos", "two-sided", "table"): "e7cf420e15bd488926160f8d9e4513ce8dcbf1856d35e9ac888d6291388c0f00",
@@ -441,9 +456,9 @@ COMPARE_OUTPUT_SHA256 = {
     ("cos", "decos", "two-sided", "table"): "9f0353ed9b6510dde88d2f0ef974d4ae222ef1d96c6c3373dc34e8f7e5f05064",
     ("cos", "decos", "two-sided", "csv"): "3819fc486ca0a517ab4b0ff4ae4fcf3c8faeb23ea7ee9a76d1f3a18fe07b802a",
     ("decos", "recos", "greater", "table"): "a8ae09876cb0c744501be2a3282fef97dfcbdfbf6e141c940318c0423745a10e",
-    ("decos", "recos", "greater", "csv"): "4b7c692b9d047c43dbb2f671fd6c7f32ae3d25637f81869f80ed29fae40533fe",
+    ("decos", "recos", "greater", "csv"): "a2702c6d0bc39b9543919c4ec29cdcfe9c63a4e3c72a4c2f6c9853889ecc9c47",
     ("decos", "recos", "two-sided", "table"): "1def52aacf61fd886211c61057b68f47adacbbdfa0fc180e9c40600246e151bf",
-    ("decos", "recos", "two-sided", "csv"): "d08cf47fe9675cd5370b2f1809348b54e86c9bdf993d3d27f3ab9864ffab56bb",
+    ("decos", "recos", "two-sided", "csv"): "2a3793a589bd8bfff027fea3920cd3e954e6b01c97e96f3ab3e6fa38f676d617",
     ("decos", "cos", "greater", "table"): "cd73bf47d45f3228cfec0eb5c962da3773d93d02efcd9e21c575698f647da108",
     ("decos", "cos", "greater", "csv"): "f5fcbe1e1f8364590c2b395447b63af3d61c9a55722a68822d28e8b32722639d",
     ("decos", "cos", "two-sided", "table"): "c41d54413902d96a58452ccae6e27665094a97fcd3fe9bee960286313a536dd8",

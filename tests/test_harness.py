@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import warnings
-import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -540,8 +539,8 @@ class TestCompareMechanics:
 def _reference_compare(results, a, b, alternative="greater"):
     """``compare`` as it was before score columns: rows looked up cell by cell.
 
-    Copied verbatim, except that it calls the per-dataset loop below for
-    leave-one-dataset-out.
+    Copied verbatim, except that it leaves leave-one-dataset-out to the
+    caller: it returns the report with ``lodo`` None, and the diffs.
     """
     cells_a = results.cells(a)
     cells_b = results.cells(b)
@@ -581,29 +580,10 @@ def _reference_compare(results, a, b, alternative="greater"):
             "sign": adjusted[1],
             "t_test": adjusted[2],
         },
-        lodo=_reference_lodo(diffs, alternative),
+        lodo=None,
         micro_avg_a=sum(scores_a) / len(scores_a),
         micro_avg_b=sum(scores_b) / len(scores_b),
-    )
-
-
-def _reference_lodo(d, alternative):
-    """leave_one_dataset_out with one masked 1-d sum per dataset."""
-    codes_of = {}
-    codes = np.fromiter(
-        (codes_of.setdefault(ds, len(codes_of)) for _, ds in d.labels),
-        dtype=np.intp,
-        count=d.n,
-    )
-    if len(codes_of) < 2:
-        raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
-    arr = np.asarray(d.diffs, dtype=np.float64)
-    exclusion_means = []
-    for code in range(len(codes_of)):
-        kept = arr[codes != code]
-        exclusion_means.append(float(np.add.reduce(kept) / kept.size))
-    result = paired_t_test(PairedDiffs.from_values(exclusion_means), alternative)
-    return dataclasses.replace(result, method_name="lodo-t")
+    ), diffs
 
 
 def _compare_outcome(fn, *args):
@@ -650,10 +630,23 @@ def _two_method_tables(draw):
 class TestCompareMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(_two_method_tables(), st.sampled_from(["greater", "two-sided"]))
-    def test_same_report_or_error(self, table, alternative):
+    def test_same_report_or_error(self, exact_lodo, table, alternative):
+        # Every field outside lodo is bit-identical to the reference's; lodo
+        # is checked against exact arithmetic on the reference's diffs.
         for a, b in (("a", "b"), ("b", "a")):
-            want = _compare_outcome(_reference_compare, table, a, b, alternative)
-            assert _compare_outcome(compare, table, a, b, alternative) == want
+            try:
+                want, diffs = _reference_compare(table, a, b, alternative)
+            except (CoverageMismatchError, DegenerateInputError) as exc:
+                want = f"{type(exc).__name__}: {exc}"
+                assert _compare_outcome(compare, table, a, b, alternative) == want
+                continue
+            try:
+                got = compare(table, a, b, alternative)
+            except DegenerateInputError as exc:
+                exact_lodo(diffs, alternative, exc)
+            else:
+                assert repr(dataclasses.replace(got, lodo=None)) == repr(want)
+                exact_lodo(diffs, alternative, got.lodo)
 
     def test_other_key_order_is_aligned(self):
         rows = [
@@ -669,7 +662,8 @@ class TestCompareMatchesReference:
         table = _table(rows)
         assert table.scores("m1")[0] != table.scores("m2")[0]
         r = compare(table, "m1", "m2")
-        assert repr(r) == repr(_reference_compare(table, "m1", "m2"))
+        want, _ = _reference_compare(table, "m1", "m2")
+        assert repr(dataclasses.replace(r, lodo=None)) == repr(want)
         d = r.descriptive
         assert (d.wins, d.ties, d.losses) == (2, 0, 2)
         assert r.micro_avg_b == (0.3 + 0.4 + 0.1 + 0.35) / 4
@@ -778,7 +772,8 @@ class TestCompareMatchesPublicFunctions:
 
 def _exclusion_means_and_lodo(d, alternative):
     """The exclusion means of d, and its leave-one-dataset-out result, as hex."""
-    means = ordsim.stats._exclusion_means(d._values, d._datasets)
+    codes = d._datasets
+    means = ordsim.stats._exclusion_means(d._values, codes, np.bincount(codes))
     return [m.hex() for m in means.tolist()], _report_bits(leave_one_dataset_out, d, alternative)
 
 
@@ -799,110 +794,24 @@ def _unequal_table(methods=("a", "b", "c", "d")):
     return ResultsTable(tuple(rows))
 
 
-class TestLodoBlocks:
-    """A dataset index keeps its leave-one-dataset-out blocks while they hold
-    at most _LODO_BLOCK_CELLS entries, and over that builds them one at a
-    time on each pass.  Both give the same bits."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        _shuffled_method_tables(), st.integers(1, 60), st.sampled_from(["greater", "two-sided"])
-    )
-    def test_kept_and_per_call_blocks_agree(self, table, block_cells, alternative):
-        for a, b in (("a", "b"), ("b", "c"), ("c", "a")):
-            want = _report_bits(_public_compare, table, a, b, alternative)
-            assert _report_bits(compare, table, a, b, alternative) == want
-            # Small blocks, and most of these tables over the cap.
-            with mock.patch.object(ordsim.stats, "_LODO_BLOCK_CELLS", block_cells):
-                got = _report_bits(compare, ResultsTable(table.rows), a, b, alternative)
-            assert got == want
-
-    @pytest.mark.parametrize("block_cells", [None, 1, 20])
-    def test_exclusion_means_and_t_are_bit_identical(self, block_cells):
-        # A method's 27 entries are kept under the default cap; caps of 1
-        # and 20 are below them, with blocks of one and of two rows.
-        cap = ordsim.stats._LODO_BLOCK_CELLS if block_cells is None else block_cells
-        with mock.patch.object(ordsim.stats, "_LODO_BLOCK_CELLS", cap):
-            table = _unequal_table()
-            for a, b in (("a", "b"), ("c", "a"), ("d", "b")):
-                col_a, col_b = table._method_columns(a), table._method_columns(b)
-                keys, _ = table.scores(b)
-                order = [keys.index(cell) for cell in col_a.cells]
-                values = col_a.scores - col_b.scores[order]
-                kept = ordsim.stats.PairedDiffs._from_columns(values, col_a.cells, col_a.datasets)
-                public = PairedDiffs(values, col_a.cells)
-                for alternative in ("greater", "two-sided"):
-                    want = _exclusion_means_and_lodo(public, alternative)
-                    assert _exclusion_means_and_lodo(kept, alternative) == want
-                    assert want[1] == _report_bits(_compare_lodo, table, a, b, alternative)
-                for index in (col_a.datasets, public._datasets):
-                    assert (index._kept is not None) == (block_cells is None)
-
-    def test_table_builds_blocks_once_per_method(self):
-        methods = ("a", "b", "c", "d")
-        pairs = [(a, b) for a in methods for b in methods if a != b]
-        build = ordsim.stats._lodo_blocks
-        with mock.patch.object(ordsim.stats, "_lodo_blocks", wraps=build) as spy:
-            table = _unequal_table(methods)
-            for a, b in pairs:
-                for alternative in ("greater", "two-sided"):
-                    compare(table, a, b, alternative)
-            assert spy.call_count == len(methods)
-            # 9 cells in 4 datasets: 27 entries per method, over a cap of 26.
-            with mock.patch.object(ordsim.stats, "_LODO_BLOCK_CELLS", 26):
-                table = _unequal_table(methods)
-                for a, b in pairs:
-                    compare(table, a, b)
-            assert spy.call_count == len(methods) + len(pairs)
-            d = PairedDiffs.from_values([1.0, 2.0, 4.0], datasets=["A", "B", "A"])
-            leave_one_dataset_out(d)
-            leave_one_dataset_out(d)
-            assert spy.call_count == len(methods) + len(pairs) + 1
-
-    def test_kept_blocks_are_read_only_and_outside_the_value(self):
+class TestLodoColumns:
+    def test_exclusion_means_and_t_are_bit_identical(self):
+        # A column-built PairedDiffs, with the table's read-only dataset
+        # codes, and a public one over the same values give the same bits.
         table = _unequal_table()
-        fresh = _unequal_table()
-        compare(table, "a", "b")
-        compare(table, "c", "d")
-        for method in ("a", "c"):
-            index = table._method_columns(method).datasets
-            blocks = index._kept
-            assert all(x is y for (_, x), (_, y) in zip(index, blocks, strict=True))
-            assert sum(rows.size for rows, _ in blocks) == 4
-            for rows, kept_index in blocks:
-                assert not rows.flags.writeable and not kept_index.flags.writeable
-                with pytest.raises(ValueError):
-                    kept_index[0, 0] = 0
-        assert fresh._method_columns("a").datasets._kept is None
-        assert table == fresh and hash(table) == hash(fresh) and repr(table) == repr(fresh)
-
-    def test_blocks_over_the_cap_are_built_one_at_a_time(self):
-        # Each value its own dataset: 60 * 59 entries, over a cap of 200, in
-        # blocks of 3 rows (177 entries).  While a block is built and summed,
-        # only the block before it may still be alive.
-        build = ordsim.stats._lodo_blocks
-        built = []
-        peak = 0
-
-        def spy(codes):
-            nonlocal peak
-            for rows, kept_index in build(codes):
-                built.append(weakref.ref(kept_index))
-                peak = max(peak, sum(ref().size for ref in built if ref() is not None))
-                yield rows, kept_index
-
-        values = np.random.default_rng(3).standard_normal(60)
-        d = PairedDiffs.from_values(values)
-        want = [_report_bits(leave_one_dataset_out, d, alt) for alt in ("greater", "two-sided")]
-        with mock.patch.object(ordsim.stats, "_LODO_BLOCK_CELLS", 200), mock.patch.object(
-            ordsim.stats, "_lodo_blocks", spy
-        ):
-            d = PairedDiffs.from_values(values)
-            got = [_report_bits(leave_one_dataset_out, d, alt) for alt in ("greater", "two-sided")]
-            assert d._datasets._kept is None
-        assert got == want
-        assert len(built) == 2 * 20
-        assert peak == 2 * 177
+        for a, b in (("a", "b"), ("c", "a"), ("d", "b")):
+            col_a, col_b = table._method_columns(a), table._method_columns(b)
+            assert not col_a.datasets.flags.writeable
+            keys, _ = table.scores(b)
+            order = [keys.index(cell) for cell in col_a.cells]
+            values = col_a.scores - col_b.scores[order]
+            kept = ordsim.stats.PairedDiffs._from_columns(values, col_a.cells, col_a.datasets)
+            public = PairedDiffs(values, col_a.cells)
+            assert public._datasets.tolist() == col_a.datasets.tolist()
+            for alternative in ("greater", "two-sided"):
+                want = _exclusion_means_and_lodo(public, alternative)
+                assert _exclusion_means_and_lodo(kept, alternative) == want
+                assert want[1] == _report_bits(_compare_lodo, table, a, b, alternative)
 
 
 def _scaled_table(scale, values=range(1, 13), models=3, datasets=4):

@@ -1502,7 +1502,7 @@ def _results_outcome(load, path):
     row_columns = table._row_columns
     columns = [
         (column.cells, column.cell_codes.tolist(), column.scores.tobytes(),
-         column.datasets.codes.tolist(), column.micro_average.hex())
+         column.datasets.tolist(), column.micro_average.hex())
         for column in map(table._method_columns, table.methods())
     ]
     names = (table.models(), table.methods(), table.datasets())

@@ -6,7 +6,6 @@ import math
 import sys
 import timeit
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -15,7 +14,6 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ordsim.stats
 from ordsim import (
     DegenerateInputError,
     InvalidVectorError,
@@ -918,6 +916,32 @@ def test_every_sample_taker_gives_the_same_four_messages(call, name, error, valu
         call(values)
 
 
+@st.composite
+def _lodo_tables(draw):
+    """(datasets, values): cent-valued or wide float values, sometimes with
+    one dataset's values scaled to dwarf the rest."""
+    n = draw(st.integers(1, 300))
+    labels = st.sampled_from(["A", "B", "C", "STS12", "STS-B", "b", ""])
+    datasets = draw(st.lists(labels, min_size=n, max_size=n))
+    value = draw(
+        st.sampled_from(
+            [
+                st.integers(-10_000, 10_000).map(lambda c: c / 100.0),
+                # Subnormals and tiny values included.
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                # 53-bit mantissas times 2^-70 .. 2^-20: magnitudes 1e-21 .. 9e9.
+                st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-70, -20)),
+            ]
+        )
+    )
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        big = draw(st.sampled_from(datasets))
+        scale = draw(st.sampled_from([1e4, 1e8, 1e12]))
+        values = [x * scale if ds == big else x for x, ds in zip(values, datasets)]
+    return datasets, values
+
+
 class TestLeaveOneDatasetOut:
     def test_hand_case(self):
         d = diffs(0.2, 0.2, 0.4, 0.4, datasets=["A", "A", "B", "B"])
@@ -948,68 +972,51 @@ class TestLeaveOneDatasetOut:
         assert r.p_value == pytest.approx(float(ref.pvalue), abs=1e-12)
         assert r.n_used == 4
 
+    def test_equal_exclusion_means_name_the_lodo_test(self):
+        # Drop A -> mean(2, 2) = 2, drop B -> mean(1, 3) = 2; the paired t is 4.90.
+        d = diffs(1.0, 3.0, 2.0, 2.0, datasets=["A", "A", "B", "B"])
+        assert paired_t_test(d).statistic == pytest.approx(2 / math.sqrt(2 / 3 / 4))
+        message = "leave-one-dataset-out t-test is undefined: all 2 exclusion means are equal"
+        for alternative in ("greater", "two-sided"):
+            with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+                leave_one_dataset_out(d, alternative)
+
+    def test_bundled_table_lodo_t_is_correctly_rounded(self):
+        # The exact t over the Fraction exclusion means of the float diffs is
+        # 69.7836299330098914...; a sum of the kept cells per exclusion gave
+        # 69.78362993300995.
+        table = load_results(fixture_path("table2.csv"))
+        assert compare(table, "recos", "decos").lodo.statistic == 69.78362993300989
+        assert compare(table, "decos", "recos").lodo.statistic == -69.78362993300989
+
+    def test_cost_with_one_dataset_per_value(self):
+        # Each value its own dataset: one bincount over the codes, a few ms
+        # with the PairedDiffs built, where a kept-cell sum per exclusion
+        # took 1 s.
+        x = np.random.default_rng(20_000).standard_normal(20_000)
+        leave_one_dataset_out(PairedDiffs.from_values(x))
+        best = min(
+            timeit.repeat(
+                lambda: leave_one_dataset_out(PairedDiffs.from_values(x)), number=1, repeat=3
+            )
+        )
+        assert best < 0.05, best
+
+    def test_overflowing_exclusion_sum_is_rescaled(self):
+        # The total 1e308 is finite, but dropping B leaves 1e308 + 1e308.
+        values = [1e308, -1e308, 1e308]
+        r = leave_one_dataset_out(diffs(*values, datasets="ABC"))
+        scaled = leave_one_dataset_out(diffs(*(x * 2**-4 for x in values), datasets="ABC"))
+        assert math.isfinite(r.statistic)
+        assert r == scaled
+
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["A", "B", "C", "STS12", "STS-B", "b", ""]),
-                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-                | st.integers(-10_000, 10_000).map(lambda c: c / 100.0),
-            ),
-            min_size=1,
-            max_size=300,
-        ),
-        st.sampled_from(["greater", "two-sided"]),
-    )
-    def test_equals_per_label_loop(self, cells, alternative):
-        d = PairedDiffs.from_values([v for _, v in cells], datasets=[ds for ds, _ in cells])
+    @given(_lodo_tables(), st.sampled_from(["greater", "two-sided"]))
+    def test_within_forward_error_bound_of_exact_arithmetic(self, exact_lodo, cells, alternative):
+        datasets, values = cells
+        d = PairedDiffs.from_values(values, datasets=datasets)
         try:
-            want = repr(_lodo_per_label_loop(d, alternative))
+            outcome = leave_one_dataset_out(d, alternative)
         except DegenerateInputError as exc:
-            want = repr(exc)
-        try:
-            got = repr(leave_one_dataset_out(d, alternative))
-        except DegenerateInputError as exc:
-            got = repr(exc)
-        assert got == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 12).map(lambda i: f"D{i}"),
-                st.integers(-10_000, 10_000).map(lambda c: c / 100.0),
-            ),
-            min_size=2,
-            max_size=120,
-        ),
-        st.integers(1, 400),
-    )
-    def test_blocks_do_not_change_the_result(self, cells, block_cells):
-        # Small blocks split each group of equal-count datasets into many.
-        d = PairedDiffs.from_values([v for _, v in cells], datasets=[ds for ds, _ in cells])
-        try:
-            want = repr(_lodo_per_label_loop(d, "greater"))
-        except DegenerateInputError as exc:
-            want = repr(exc)
-        with mock.patch.object(ordsim.stats, "_LODO_BLOCK_CELLS", block_cells):
-            try:
-                got = repr(leave_one_dataset_out(d))
-            except DegenerateInputError as exc:
-                got = repr(exc)
-        assert got == want
-
-
-def _lodo_per_label_loop(d, alternative):
-    """leave_one_dataset_out as first written: a string compare and a mean per label."""
-    datasets = []
-    for _, ds in d.labels:
-        if ds not in datasets:
-            datasets.append(ds)
-    if len(datasets) < 2:
-        raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
-    arr = np.asarray(d.diffs, dtype=np.float64)
-    ds_labels = np.asarray([ds for _, ds in d.labels])
-    means = [float(arr[ds_labels != ds].mean()) for ds in datasets]
-    result = paired_t_test(PairedDiffs.from_values(means), alternative)
-    return dataclasses.replace(result, method_name="lodo-t")
+            outcome = exc
+        exact_lodo(d, alternative, outcome)
