@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordsim.harness
+import ordsim.io
 import ordsim.metrics
 import ordsim.ranks
 import ordsim.stats
@@ -812,6 +813,46 @@ class TestLodoColumns:
                 want = _exclusion_means_and_lodo(public, alternative)
                 assert _exclusion_means_and_lodo(kept, alternative) == want
                 assert want[1] == _report_bits(_compare_lodo, table, a, b, alternative)
+
+    def test_table_builds_codes_once_per_method(self):
+        # compare hands the table's codes to its diffs: it never renumbers
+        # them, and never encodes the dataset names of the labels.
+        methods = ("a", "b", "c", "d")
+        pairs = [(a, b) for a in methods for b in methods if a != b]
+        renumber = ordsim.io._first_appearance_codes
+        encode = ordsim.stats._encode
+        with mock.patch.object(
+            ordsim.io, "_first_appearance_codes", wraps=renumber
+        ) as renumbered, mock.patch.object(ordsim.stats, "_encode", wraps=encode) as encoded:
+            table = _unequal_table(methods)
+            for a, b in pairs:
+                for alternative in ("greater", "two-sided"):
+                    compare(table, a, b, alternative)
+            assert renumbered.call_count == len(methods)
+            assert encoded.call_count == 0
+            d = PairedDiffs.from_values([1.0, 2.0, 4.0], datasets=["A", "B", "A"])
+            leave_one_dataset_out(d)
+            leave_one_dataset_out(d)
+            assert (renumbered.call_count, encoded.call_count) == (len(methods), 1)
+
+    def test_codes_are_read_only_and_outside_the_value(self):
+        table = _unequal_table()
+        fresh = _unequal_table()
+        compare(table, "a", "b")
+        compare(table, "c", "d")
+        for method in ("a", "c"):
+            codes = table._method_columns(method).datasets
+            assert codes.dtype == np.intp and not codes.flags.writeable
+            with pytest.raises(ValueError):
+                codes[0] = 0
+        assert table == fresh and hash(table) == hash(fresh) and repr(table) == repr(fresh)
+        d = PairedDiffs.from_values([1.0, 2.0, 4.0], datasets=["A", "B", "A"])
+        same = PairedDiffs.from_values([1.0, 2.0, 4.0], datasets=["A", "B", "A"])
+        leave_one_dataset_out(d)
+        assert not d._datasets.flags.writeable
+        with pytest.raises(ValueError):
+            d._datasets[0] = 1
+        assert d == same and hash(d) == hash(same) and repr(d) == repr(same)
 
 
 def _scaled_table(scale, values=range(1, 13), models=3, datasets=4):

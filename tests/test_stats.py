@@ -956,6 +956,19 @@ class TestLeaveOneDatasetOut:
         with pytest.raises(DegenerateInputError):
             leave_one_dataset_out(diffs(0.1, 0.2, datasets=["A", "A"]))
 
+    def test_codes_number_datasets_in_order_of_first_appearance(self):
+        # One exclusion mean per distinct dataset, whatever its name or count.
+        d = diffs(0.1, 0.5, 0.2, 0.9, 0.3, 0.4, datasets=["C", "A", "C", "", "A", "C"])
+        assert d._datasets.tolist() == [0, 1, 0, 2, 1, 0]
+        r = leave_one_dataset_out(d)
+        assert r.n_used == 3
+        # Drop C -> mean(0.5, 0.9, 0.3), drop A -> mean(0.1, 0.2, 0.9, 0.4),
+        # drop "" -> mean(0.1, 0.5, 0.2, 0.3, 0.4).
+        means = [(0.5 + 0.9 + 0.3) / 3, (0.1 + 0.2 + 0.9 + 0.4) / 4, 1.5 / 5]
+        ref = scipy.stats.ttest_1samp(means, 0.0, alternative="greater")
+        assert r.statistic == pytest.approx(float(ref.statistic), rel=1e-12)
+        assert r.p_value == pytest.approx(float(ref.pvalue), rel=1e-12)
+
     def test_exclusion_means_against_manual_computation(self):
         rng = np.random.default_rng(149)
         datasets = ["A", "B", "C", "D"]
