@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -12,12 +13,12 @@ from .io import PairDataset, ResultsTable, _MethodColumns
 from .metrics import MetricKind, similarity
 # evaluate ranks through the private pair; spearman_rho stays importable
 # here because perfbench/tracing.py wraps it at ordsim.harness.spearman_rho.
-from .ranks import _centered_ranks, _rank_correlation, spearman_rho  # noqa: F401
+from .ranks import _rank_correlation, _sorted_centered_ranks, spearman_rho  # noqa: F401
 from .stats import (
     DescriptiveStats,
     PairedDiffs,
     TestResult,
-    _all_finite,
+    _SMALLEST_NORMAL,
     _gap_and_pooled_var,
     _micro_average,
     _pooled_d,
@@ -59,14 +60,21 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
     that is not finite cannot be ranked: InvalidVectorError names its row
     and value.
 
+    The scores are sorted once and never ranked in row order: the
+    numerator of rho is their centered ranks in sorted order dotted with
+    gold's kept centered ranks gathered into that order.  For n <= 2^18
+    pairs every sum of it is exact, so the report is bit-identical to one
+    from ranks in row order; above that it agrees to within rounding (see
+    ``spearman_rho``).
+
     Deterministic: same dataset and metric always give the same report.
     """
     kind = MetricKind(metric)
     sims, branch = dataset._rows.similarities(kind)
-    for i in np.flatnonzero(branch):
+    for i in branch.tolist():
         sims[i] = similarity(kind, dataset.U[i], dataset.V[i])
     try:
-        ranks = _centered_ranks(sims)
+        ranks = _sorted_centered_ranks(sims)
     except InvalidVectorError:
         # The ranker rejects a non-finite score; name the pair that made it.
         i = int(np.argmin(np.isfinite(sims)))
@@ -183,12 +191,13 @@ def _pooled_d_of_columns(
 
     Where b's scores were not reordered, the call's means and variances are
     the ones the two methods keep.  If the gap and pooled variance made from
-    them are finite, so are they, and the call would not rescale: d is made
-    from them here.
+    them are finite and the pooled variance is at least the smallest normal
+    float, so are they, and the call would not rescale: d is made from them
+    here.
     """
     n = col_a.scores.size
     if not reordered and n >= 2:
-        gap_and_pooled = _gap_and_pooled_var(col_a.mean_var, n, col_b.mean_var, n)
-        if _all_finite(gap_and_pooled):
-            return _pooled_d(*gap_and_pooled)
+        gap, pooled = _gap_and_pooled_var(col_a.mean_var, n, col_b.mean_var, n)
+        if math.isfinite(gap) and _SMALLEST_NORMAL <= pooled < math.inf:
+            return _pooled_d(gap, pooled)
     return cohens_d_pooled(col_a.scores, scores_b)

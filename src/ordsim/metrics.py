@@ -324,10 +324,13 @@ class _RowValues:
     """u.v, the pair (|u|^2, |v|^2) and recos' sorted dot of each row pair
     u_i, v_i of two (n, d) arrays that must never change.  Each is computed
     by ``_row_dots``, as the scalar metric's dot, on first use by a kind
-    whose formula reads it, and kept read-only; overflow does not warn."""
+    whose formula reads it, and kept read-only, as is each kind's list of
+    branch rows (see ``similarities``); overflow does not warn."""
 
     def __init__(self, U: np.ndarray, V: np.ndarray) -> None:
         self._U, self._V = U, V
+        # Each kind's branch rows, found on its first ``similarities`` call.
+        self._branch_rows: dict[MetricKind, np.ndarray] = {}
 
     @cached_property
     @np.errstate(all="ignore")
@@ -360,19 +363,24 @@ class _RowValues:
     @np.errstate(all="ignore")
     def similarities(self, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
         """``similarity(kind, u_i, v_i)`` for every row i, bit for bit, with
-        the scalar metric's float operations in its order; and the branch
-        rows, where u.v == 0 or the unclipped quotient is not finite, whose
-        values mean nothing: score them with ``similarity``.  No other row
-        takes a scalar branch: a zero, inf or NaN denominator over a nonzero
-        u.v makes the quotient inf or NaN, except a finite u.v over inf,
-        whose +/-0.0 is the scalar value.  u.v == 0 is a branch row under
-        every kind because np.dot of one-component vectors is the bare
-        product, whose sign a zero keeps, while the matmul adds it to +0.0.
+        the scalar metric's float operations in its order; and the indices
+        of the branch rows, where u.v == 0 or the unclipped quotient is not
+        finite, whose values mean nothing: score them with ``similarity``.
+        Every other value is finite.  No other row takes a scalar branch: a
+        zero, inf or NaN denominator over a nonzero u.v makes the quotient
+        inf or NaN, except a finite u.v over inf, whose +/-0.0 is the scalar
+        value.  u.v == 0 is a branch row under every kind because np.dot of
+        one-component vectors is the bare product, whose sign a zero keeps,
+        while the matmul adds it to +0.0.  The quotients are the same on
+        every call, so a kind's branch rows are found once and kept.
         """
         d = self.dots
         denominator, clip = _ROW_FORMULAS[kind]
         sims = d / denominator(self)
-        branch = (d == 0.0) | ~np.isfinite(sims)
+        branch = self._branch_rows.get(kind)
+        if branch is None:
+            branch = _frozen(np.flatnonzero((d == 0.0) | ~np.isfinite(sims)))
+            self._branch_rows[kind] = branch
         if clip:
             np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)
         return sims, branch

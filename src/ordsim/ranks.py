@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -43,22 +44,9 @@ def average_ranks(x: SequenceLike) -> np.ndarray:
     positions 1..n; the group averages are built only when ties exist.
     """
     arr = _as_array(x, "x", InvalidVectorError)
-    n = arr.size
-    order = np.argsort(arr)
-    sorted_vals = arr[order]
-    ties = sorted_vals[1:] == sorted_vals[:-1]
-    if ties.any():
-        boundaries = np.concatenate(([True], ~ties))
-        starts = np.flatnonzero(boundaries)
-        counts = np.diff(np.append(starts, n))
-        # Group occupying 1-based positions start+1 .. start+count averages to
-        # start + (count + 1) / 2.
-        group_rank = starts + (counts + 1) / 2.0
-        positions = group_rank[np.cumsum(boundaries) - 1]
-    else:
-        positions = np.arange(1.0, n + 1.0)
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = positions
+    order, centered = _sorted_centered_ranks(arr)
+    ranks = np.empty(arr.size)
+    ranks[order] = centered + (arr.size + 1) / 2.0
     return ranks
 
 
@@ -67,6 +55,14 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
 
     Handles ties exactly (no sum-of-squared-rank-differences shortcut).
     Requires n >= 2 and at least two distinct values on each side.
+
+    x's centered ranks stay in x's sorted order and y's are gathered into
+    it, so the numerator is ``dx_sorted . dy[order]``.  Centered average
+    ranks are multiples of 1/2, so every product and partial sum of both
+    dot products is a multiple of 1/4, and by Cauchy-Schwarz no partial sum
+    exceeds n^3/12 in magnitude: for n <= 2^18 that is below 2^51, so both
+    sums are exact in any order of addition and rho is the same float as
+    from ranks in row order.  Above that, rho is correct to within rounding.
     """
     ax = _as_array(x, "x", InvalidVectorError)
     ay = _as_array(y, "y", InvalidVectorError)
@@ -74,25 +70,54 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
         raise DegenerateInputError(f"length mismatch: {ax.size} vs {ay.size}")
     if ax.size < 2:
         raise DegenerateInputError("spearman_rho requires at least 2 observations")
-    return _rank_correlation(_centered_ranks(ax), _centered_ranks(ay))
+    return _rank_correlation(_sorted_centered_ranks(ax), _centered_ranks(ay))
 
 
-def _centered_ranks(x: SequenceLike) -> tuple[np.ndarray, float]:
-    """``average_ranks(x)`` minus their mean, and the sum of their squares.
+def _sorted_centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, centered): ``np.argsort(arr)`` of a 1-d, non-empty float64
+    array, and for each sorted position its average rank minus the mean rank
+    (n + 1) / 2, a multiple of 1/2.
 
-    The mean of any n average ranks is exactly (n + 1) / 2.
+    Raises InvalidVectorError if a value is not finite.  That takes no pass
+    of its own: the sort puts -inf first and inf and NaN last.
     """
-    r = average_ranks(x)
-    dr = r - (r.size + 1) / 2.0
-    return dr, float(np.dot(dr, dr))
+    n = arr.size
+    order = np.argsort(arr)
+    sorted_vals = arr[order]
+    if not (math.isfinite(sorted_vals[0]) and math.isfinite(sorted_vals[-1])):
+        raise InvalidVectorError("x must be finite")
+    ties = sorted_vals[1:] == sorted_vals[:-1]
+    if ties.any():
+        boundaries = np.concatenate(([True], ~ties))
+        starts = np.flatnonzero(boundaries)
+        counts = np.diff(np.append(starts, n))
+        # Group occupying 1-based positions start+1 .. start+count averages to
+        # start + (count + 1) / 2.
+        group_rank = starts + (counts + 1) / 2.0
+        centered = (group_rank - (n + 1) / 2.0)[np.cumsum(boundaries) - 1]
+    else:
+        # Position i, rank i + 1, is centered to i - (n - 1) / 2.
+        centered = np.arange(-(n - 1) / 2.0, (n + 1) / 2.0)
+    return order, centered
+
+
+def _centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """``average_ranks(arr)`` minus their mean, in row order, and the sum of
+    their squares, for a checked array (see ``_as_array``)."""
+    order, centered = _sorted_centered_ranks(arr)
+    dr = np.empty(arr.size)
+    dr[order] = centered
+    return dr, float(np.dot(centered, centered))
 
 
 def _rank_correlation(
-    x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]
+    x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, float]
 ) -> float:
-    """Spearman's rho from the ``_centered_ranks`` of both sequences."""
-    (dx, ssx), (dy, ssy) = x, y
+    """Spearman's rho from the ``_sorted_centered_ranks`` of x and the
+    ``_centered_ranks`` of y (see ``spearman_rho`` for its exactness)."""
+    (order, dx), (dy, ssy) = x, y
+    ssx = float(np.dot(dx, dx))
     if ssx == 0.0 or ssy == 0.0:
         raise DegenerateInputError("spearman_rho is undefined for a constant sequence")
-    rho = float(np.dot(dx, dy)) / float(np.sqrt(ssx * ssy))
+    rho = float(np.dot(dx, dy[order])) / math.sqrt(ssx * ssy)
     return float(min(1.0, max(-1.0, rho)))

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _ALTERNATIVES = ("greater", "two-sided")
+# Below this a variance may have lost bits to gradual underflow, or all of them.
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,8 @@ class PairedDiffs:
     @cached_property
     def _moments(self) -> tuple[float, float, float]:
         """(mean, sd, scale): the mean and sample sd of the differences
-        divided by ``scale``, which is 1.0 unless the squares overflow."""
+        divided by ``scale``, which is 1.0 unless the squares overflow or
+        may underflow (see ``_spread``)."""
         return _mean_sd_scale(self._values)
 
     @cached_property
@@ -230,6 +233,17 @@ def _rescaled(compute: Callable, *arrays: np.ndarray) -> tuple:
     return compute(*(arr / scale for arr in arrays)), scale
 
 
+def _spread(*arrays: np.ndarray) -> bool:
+    """Whether some array holds two different values.
+
+    Where one does, a variance below the smallest normal float may be made
+    of squared deviations that underflowed, so it is computed again on the
+    values divided by ``_power_of_two_scale``.  Values that are all equal
+    are not rescaled, so exactly constant samples give the variance they
+    give unscaled."""
+    return any(arr.min() < arr.max() for arr in arrays)
+
+
 def _all_finite(result: float | tuple[float, ...] | np.ndarray) -> bool:
     """Whether every value of a float, a tuple of floats or an array is finite."""
     if isinstance(result, np.ndarray):
@@ -240,8 +254,13 @@ def _all_finite(result: float | tuple[float, ...] | np.ndarray) -> bool:
 
 
 def _mean_sd_scale(arr: np.ndarray) -> tuple[float, float, float]:
-    """(mean, sd, scale): ``_mean_var`` at the scale ``_rescaled`` picks, with the sd."""
+    """(mean, sd, scale): ``_mean_var`` at the scale ``_rescaled`` picks, or
+    where the variance may have underflowed (see ``_spread``) at
+    ``_power_of_two_scale(arr)``, with the sd."""
     (mean, var), scale = _rescaled(_mean_var, arr)
+    if var < _SMALLEST_NORMAL and _spread(arr):
+        scale = _power_of_two_scale(arr)
+        mean, var = _mean_var(arr / scale)
     return mean, math.sqrt(var), scale
 
 
@@ -666,6 +685,9 @@ def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
         raise DegenerateInputError("cohens_d_pooled requires two samples of size >= 2")
     # d is the same at any common scale of both samples.
     (gap, pooled), _ = _rescaled(_mean_gap_and_pooled_var, xa, xb)
+    if pooled < _SMALLEST_NORMAL and _spread(xa, xb):
+        scale = _power_of_two_scale(xa, xb)
+        gap, pooled = _mean_gap_and_pooled_var(xa / scale, xb / scale)
     return _pooled_d(gap, pooled)
 
 

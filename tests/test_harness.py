@@ -213,13 +213,13 @@ def _per_pair(ds, kind):
 def _evaluated(ds, kind):
     """``evaluate``'s report, with the scores it ranked."""
     seen = []
-    real = ordsim.harness._centered_ranks
+    real = ordsim.harness._sorted_centered_ranks
 
     def spy(x):
         seen.append(np.array(x, dtype=np.float64))
         return real(x)
 
-    with mock.patch.object(ordsim.harness, "_centered_ranks", spy):
+    with mock.patch.object(ordsim.harness, "_sorted_centered_ranks", spy):
         report = _outcome(lambda: evaluate(ds, kind))
     return (seen[0] if seen else None), report
 
@@ -380,14 +380,16 @@ class TestBlockParity:
             return real_dots(a, b)
 
         ranked = []
-        real_ranks = ordsim.ranks.average_ranks
+        real_ranks = ordsim.ranks._sorted_centered_ranks
 
         def counted_ranks(x):
             ranked.append(x)
             return real_ranks(x)
 
         monkeypatch.setattr(ordsim.metrics, "_row_dots", counted)
-        monkeypatch.setattr(ordsim.ranks, "average_ranks", counted_ranks)
+        # Gold is ranked through ranks._centered_ranks, the scores by evaluate.
+        monkeypatch.setattr(ordsim.ranks, "_sorted_centered_ranks", counted_ranks)
+        monkeypatch.setattr(ordsim.harness, "_sorted_centered_ranks", counted_ranks)
         for _ in range(2):
             for kind in MetricKind:
                 evaluate(ds, kind)
@@ -1012,6 +1014,18 @@ class TestKeptMoments:
             assert all(map(math.isfinite, table._method_columns(method).mean_var))
         assert self._reports(table, [("A", "B"), ("B", "A")]) == 4
         assert math.isfinite(compare(table, "A", "B").pooled_d)
+
+    def test_a_pooled_variance_below_the_smallest_normal_falls_back(self):
+        # Scores in hundredths never get here; cohens_d_pooled rescales
+        # where the squared deviations underflow.
+        a = np.array([1e-170, 2e-170, 3e-170])
+        b = np.array([0.0, 1e-171, 0.0])
+        col_a, col_b = (
+            mock.Mock(scores=x, mean_var=ordsim.stats._mean_var(x)) for x in (a, b)
+        )
+        got = ordsim.harness._pooled_d_of_columns(col_a, col_b, b, False)
+        assert got == cohens_d_pooled(a, b)
+        assert got == pytest.approx(cohens_d_pooled(a * 1e170, b * 1e170), rel=1e-14)
 
     @pytest.mark.parametrize(
         "b_cents, message",

@@ -9,8 +9,19 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordsim import DegenerateInputError, InvalidVectorError, average_ranks, spearman_rho
-from ordsim.ranks import _centered_ranks
+from ordsim import (
+    DegenerateInputError,
+    DenseVector,
+    InvalidVectorError,
+    MetricKind,
+    PairDataset,
+    PairRecord,
+    average_ranks,
+    evaluate,
+    similarity,
+    spearman_rho,
+)
+from ordsim.ranks import _centered_ranks, _sorted_centered_ranks
 
 
 def _ranks_quadratic(xs):
@@ -85,7 +96,7 @@ class TestAverageRanks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert average_ranks(xs).tolist() == [4.0, 2.5, 2.5, 5.0, 1.0]
-            assert _centered_ranks(xs)[1] == 9.5
+            assert _centered_ranks(np.array(xs))[1] == 9.5
 
     @pytest.mark.parametrize("bad", [[], [float("nan")], [1.0, float("inf")]])
     def test_rejects_malformed(self, bad):
@@ -125,7 +136,7 @@ class TestMatchesStableSortRanker:
 
     def _assert_same(self, xs):
         assert average_ranks(xs).tobytes() == _stable_sort_ranks(xs).tobytes()
-        dr, sum_sq = _centered_ranks(xs)
+        dr, sum_sq = _centered_ranks(np.asarray(xs, dtype=np.float64))
         ref_dr, ref_sum_sq = _stable_sort_centered_ranks(xs)
         assert dr.tobytes() == ref_dr.tobytes()
         assert sum_sq.hex() == ref_sum_sq.hex()
@@ -247,3 +258,83 @@ class TestSpearman:
         if len(set(x)) < 2 or len(set(y)) < 2:
             return
         assert -1.0 <= spearman_rho(x, y) <= 1.0
+
+
+def _scatter_rho(x, y):
+    # Reference Spearman rho: ranks in row order (average_ranks), centred,
+    # and Pearson's formula by np.dot, with the same float operations.
+    n = len(x)
+    dx = average_ranks(x) - (n + 1) / 2.0
+    dy = average_ranks(y) - (n + 1) / 2.0
+    ssx, ssy = float(np.dot(dx, dx)), float(np.dot(dy, dy))
+    rho = float(np.dot(dx, dy)) / float(np.sqrt(ssx * ssy))
+    return float(min(1.0, max(-1.0, rho)))
+
+
+def _twice_centered(x):
+    # 2 * (rank - (n + 1) / 2) as exact integers, from the stable-sort ranker.
+    return (2 * _stable_sort_ranks(x)).astype(np.int64) - (len(x) + 1)
+
+
+@st.composite
+def _samples(draw, max_n=3000):
+    """A pair of samples of one size: tie-heavy (a few integers) or tie-free."""
+    n = draw(st.integers(2, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample():
+        if draw(st.booleans()):
+            return rng.integers(0, draw(st.integers(1, 8)), n).astype(np.float64)
+        return rng.permutation(n) * 0.5 - rng.standard_normal() * n
+
+    return sample(), sample()
+
+
+class TestSortedOrderCorrelation:
+    """Spearman's numerator is taken in x's sorted order: dx_sorted . dy[order].
+    Every product and partial sum is a multiple of 1/4 below n^3/12, so for
+    n <= 2^18 both dot products are exact and rho is the scatter-based one."""
+
+    def _assert_exact(self, x, y):
+        order, dx = _sorted_centered_ranks(x)
+        dy, ssy = _centered_ranks(y)
+        a, b = _twice_centered(x), _twice_centered(y)
+        assert 4 * float(np.dot(dx, dy[order])) == int(np.dot(a, b))
+        assert 4 * float(np.dot(dx, dx)) == int(np.dot(a, a))
+        assert 4 * ssy == int(np.dot(b, b))
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            with pytest.raises(DegenerateInputError, match="constant sequence"):
+                spearman_rho(x, y)
+        else:
+            assert spearman_rho(x, y).hex() == _scatter_rho(x, y).hex()
+
+    @given(_samples())
+    @settings(max_examples=150, deadline=None)
+    def test_sums_are_exact_and_rho_is_the_scatter_rho(self, xy):
+        self._assert_exact(*xy)
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_at_two_to_the_eighteen(self, ties):
+        n = 2**18
+        rng = np.random.default_rng(18)
+        x = rng.integers(0, 40, n).astype(np.float64) if ties else rng.standard_normal(n)
+        y = x + rng.standard_normal(n) * 0.3
+        self._assert_exact(x, y)
+        # Equal samples make the largest sums, (n^3 - n) / 12 without ties.
+        self._assert_exact(x, x.copy())
+
+    def test_evaluate_with_duplicated_rows_is_spearman_of_the_scores(self):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((250, 2, 6))
+        rows = np.concatenate([base] * 4)  # each pair 4 times: tied scores
+        gold = np.round(rng.uniform(0, 5, rows.shape[0]), 1)
+        ds = PairDataset(
+            "dup",
+            6,
+            [PairRecord(g, DenseVector(u), DenseVector(v)) for g, (u, v) in zip(gold, rows)],
+        )
+        for kind in MetricKind:
+            scores = [similarity(kind, u, v) for u, v in zip(ds.U, ds.V)]
+            assert len(set(scores)) <= 250
+            want = 100.0 * spearman_rho(scores, ds.gold)
+            assert evaluate(ds, kind).rho_x100.hex() == want.hex()

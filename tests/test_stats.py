@@ -37,6 +37,7 @@ from ordsim.stats import (
     _binomial_head_sum,
     _linear_quantile,
     _norm_sf,
+    _power_of_two_scale,
     _student_t_sf,
 )
 
@@ -179,7 +180,13 @@ class TestPairedDiffs:
         d = PairedDiffs(values, tuple(("m", str(i)) for i in range(len(values))))
         mean, sd, scale = d._moments
         arr = np.array(values)
-        assert scale == 1.0
+        if arr.size > 1 and arr.var(ddof=1) < 2.0**-1022 and arr.min() < arr.max():
+            # The squared deviations may underflow: numpy's values of the
+            # differences scaled by a power of two (TestUnderflowingVariance).
+            assert scale == _power_of_two_scale(arr) < 1.0
+            arr = arr / scale
+        else:
+            assert scale == 1.0
         assert mean.hex() == float(arr.mean()).hex()
         want_sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
         assert sd.hex() == want_sd.hex()
@@ -220,6 +227,39 @@ class TestNearTheFloat64Limit:
             pooled = (sum((v - ma) ** 2 for v in xa) + sum((v - mb) ** 2 for v in xb)) / 4
             want = float((ma - mb) / mpmath.sqrt(pooled))
         assert cohens_d_pooled(a, b) == pytest.approx(want, rel=1e-12)
+
+
+class TestUnderflowingVariance:
+    """Spreads below about 1e-154, whose squared deviations underflow: the
+    power-of-two rescale must keep the variance, as it does for overflow."""
+
+    def test_paired_t(self):
+        t = paired_t_test(diffs(2e-172, 0.0, 1e-172))
+        assert t.statistic == pytest.approx(math.sqrt(3), rel=1e-15)
+        assert t.p_value == pytest.approx(paired_t_test(diffs(2.0, 0.0, 1.0)).p_value, rel=1e-14)
+
+    def test_sd(self):
+        assert descriptive_stats(diffs(2e-172, 0.0, 1e-172)).sd == pytest.approx(1e-172, rel=1e-15)
+
+    def test_lodo(self):
+        r = leave_one_dataset_out(diffs(2.06e-172, 0.0, datasets="AB"))
+        normal = leave_one_dataset_out(diffs(2.06, 0.0, datasets="AB"))
+        assert r.statistic == pytest.approx(normal.statistic, rel=1e-15)
+        assert r.p_value == pytest.approx(normal.p_value, rel=1e-14)
+
+    def test_pooled_d(self):
+        d = cohens_d_pooled([1e-170, 2e-170, 3e-170], [0.0, 1e-171, 0.0])
+        assert d == pytest.approx(cohens_d_pooled([1.0, 2.0, 3.0], [0.0, 0.1, 0.0]), rel=1e-14)
+
+    @pytest.mark.parametrize("c", [0.5, 1e-160, 1e-300, 5e-324])
+    def test_exactly_constant_values_still_raise(self, c):
+        with pytest.raises(DegenerateInputError, match="constant differences"):
+            paired_t_test(diffs(*[c] * 7))
+        with pytest.raises(DegenerateInputError, match="exclusion means are equal"):
+            leave_one_dataset_out(diffs(c, c, c, datasets="ABC"))
+        with pytest.raises(DegenerateInputError, match="pooled variance is zero"):
+            cohens_d_pooled([c] * 7, [c] * 3)
+        assert descriptive_stats(diffs(*[c] * 7)).sd == 0.0
 
 
 class TestDescriptiveStats:
