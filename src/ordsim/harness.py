@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,7 +17,7 @@ from .stats import (
     DescriptiveStats,
     PairedDiffs,
     TestResult,
-    _SMALLEST_NORMAL,
+    _all_finite,
     _gap_and_pooled_var,
     _micro_average,
     _pooled_d,
@@ -191,13 +190,14 @@ def _pooled_d_of_columns(
 
     Where b's scores were not reordered, the call's means and variances are
     the ones the two methods keep.  If the gap and pooled variance made from
-    them are finite and the pooled variance is at least the smallest normal
-    float, so are they, and the call would not rescale: d is made from them
-    here.
+    them are finite, so are they, and the call would not rescale: d is made
+    from them here.  Scores in hundredths give a pooled variance of exactly
+    0 or far above the smallest normal float, so the call's underflow
+    rescaling never applies.
     """
     n = col_a.scores.size
     if not reordered and n >= 2:
-        gap, pooled = _gap_and_pooled_var(col_a.mean_var, n, col_b.mean_var, n)
-        if math.isfinite(gap) and _SMALLEST_NORMAL <= pooled < math.inf:
-            return _pooled_d(gap, pooled)
+        gap_and_pooled = _gap_and_pooled_var(col_a.mean_var, n, col_b.mean_var, n)
+        if _all_finite(gap_and_pooled):
+            return _pooled_d(*gap_and_pooled)
     return cohens_d_pooled(col_a.scores, scores_b)

@@ -324,13 +324,10 @@ class _RowValues:
     """u.v, the pair (|u|^2, |v|^2) and recos' sorted dot of each row pair
     u_i, v_i of two (n, d) arrays that must never change.  Each is computed
     by ``_row_dots``, as the scalar metric's dot, on first use by a kind
-    whose formula reads it, and kept read-only, as is each kind's list of
-    branch rows (see ``similarities``); overflow does not warn."""
+    whose formula reads it, and kept read-only; overflow does not warn."""
 
     def __init__(self, U: np.ndarray, V: np.ndarray) -> None:
         self._U, self._V = U, V
-        # Each kind's branch rows, found on its first ``similarities`` call.
-        self._branch_rows: dict[MetricKind, np.ndarray] = {}
 
     @cached_property
     @np.errstate(all="ignore")
@@ -371,16 +368,12 @@ class _RowValues:
         inf or NaN, except a finite u.v over inf, whose +/-0.0 is the scalar
         value.  u.v == 0 is a branch row under every kind because np.dot of
         one-component vectors is the bare product, whose sign a zero keeps,
-        while the matmul adds it to +0.0.  The quotients are the same on
-        every call, so a kind's branch rows are found once and kept.
+        while the matmul adds it to +0.0.
         """
         d = self.dots
         denominator, clip = _ROW_FORMULAS[kind]
         sims = d / denominator(self)
-        branch = self._branch_rows.get(kind)
-        if branch is None:
-            branch = _frozen(np.flatnonzero((d == 0.0) | ~np.isfinite(sims)))
-            self._branch_rows[kind] = branch
+        branch = np.flatnonzero((d == 0.0) | ~np.isfinite(sims))
         if clip:
             np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)
         return sims, branch
