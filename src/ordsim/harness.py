@@ -119,11 +119,15 @@ def compare(
     when every cell is tied.
 
     The comparison reads the columns the table built once per method: cell
-    codes, the score array, dataset codes and the micro-average, and the
-    mean and variance of the scores that each method keeps once computed.
-    The tests run in a's cell order; b's scores are reordered to it if
-    needed, and the leave-one-dataset-out test sums the differences over
-    a's dataset codes.  The pooled d comes from the two kept means and
+    codes, the score array, dataset codes and counts and the micro-average,
+    and the mean and variance of the scores that each method keeps once
+    computed.  The tests run in a's cell order.  Methods in one cell order
+    share one cell codes array, so b's scores are reordered to a's cells
+    exactly when the two arrays are not the same object.  The diffs are
+    sorted once, when they are made, and a non-finite difference (two
+    scores above about 9e307 apart) shows at the sorted copy's ends.  The
+    leave-one-dataset-out test sums the differences over a's dataset codes,
+    with a's dataset counts.  The pooled d comes from the two kept means and
     variances, unless b was reordered or the gap or pooled variance made
     from them is not finite; then ``cohens_d_pooled`` computes it from the
     scores.
@@ -137,7 +141,8 @@ def compare(
     scores_a, scores_b = col_a.scores, col_b.scores
     codes_a, codes_b = col_a.cell_codes, col_b.cell_codes
     micro_avg_b = col_b.micro_average
-    reordered = not np.array_equal(codes_a, codes_b)
+    # A table's methods with equal cell codes share one array of them.
+    reordered = codes_a is not codes_b
     if reordered:
         # A method holds each cell code once: b's position of each of a's
         # cells, or -1 where b lacks it.
@@ -155,10 +160,12 @@ def compare(
         scores_b = scores_b[order]
         micro_avg_b = _micro_average(scores_b)
     # Scores above about 9e307 can differ by more than float64 holds; the
-    # inf that makes is rejected by the tests below as a typed error.
+    # inf that makes is rejected by _from_columns as a typed error.
     with np.errstate(over="ignore"):
         values = scores_a - scores_b
-    diffs = PairedDiffs._from_columns(values, lambda: col_a.cells, col_a.datasets)
+    diffs = PairedDiffs._from_columns(
+        values, lambda: col_a.cells, col_a.datasets, col_a.dataset_counts
+    )
     wil = wilcoxon_signed_rank(diffs, alternative)
     sgn = sign_test(diffs, alternative)
     t = paired_t_test(diffs, alternative)

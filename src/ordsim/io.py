@@ -549,9 +549,17 @@ class ResultsRow:
 
 
 class _MethodColumns:
-    """One method's rows of a table, in file order, as columns: cell codes,
-    read-only scores and dataset codes, and the micro-average of the
-    scores.  ``cells`` and ``mean_var`` are made on first use and kept."""
+    """One method's rows of a table, in file order, as columns: read-only
+    cell codes, scores, dataset codes and dataset counts, and the
+    micro-average of the scores.  ``cells`` and ``mean_var`` are made on
+    first use and kept.
+
+    Methods of one table whose cell codes are equal share one cell codes
+    array, and with it one dataset codes and one counts array: the same
+    cells in the same order have the same datasets.  So two methods list
+    their cells in one order exactly when their ``cell_codes`` are the same
+    object.
+    """
 
     def __init__(
         self,
@@ -561,16 +569,25 @@ class _MethodColumns:
         cell_codes: np.ndarray,
         scores: np.ndarray,
         dataset_codes: np.ndarray,
+        layouts: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]],
     ) -> None:
-        # rows: the method's row numbers; the other arguments are the table's columns.
+        # rows: the method's row numbers; layouts: the cell, dataset and
+        # count arrays of the table's methods so far, by their cell codes'
+        # bytes; the other arguments are the table's columns.
         self._rows = rows
         self._models_and_datasets = (models, datasets)
-        self.cell_codes = cell_codes[rows]  # one code per (model, dataset) of the table
+        cells = cell_codes[rows]  # one code per (model, dataset) of the table
+        key = cells.tobytes()
+        layout = layouts.get(key)
+        if layout is None:
+            # Dataset codes numbered in the method's order of first appearance.
+            codes = _first_appearance_codes(dataset_codes[rows])
+            layout = layouts[key] = (cells, codes, np.bincount(codes))
+            for column in layout:
+                column.setflags(write=False)
+        self.cell_codes, self.datasets, self.dataset_counts = layout
         self.scores = scores[rows]  # read-only float64, ResultsRow.score bit for bit
         self.scores.setflags(write=False)
-        # Read-only dataset codes, numbered in the method's order of first appearance.
-        self.datasets = _first_appearance_codes(dataset_codes[rows])
-        self.datasets.setflags(write=False)
         self.micro_average = _micro_average(self.scores)
 
     @cached_property
@@ -594,11 +611,13 @@ class ResultsTable:
     A table is kept as columns.  Once, when it is made, it builds each
     method's columns: a read-only float64 array of its scores in file order
     (``ResultsRow.score`` bit for bit, see ``scores``), their cell codes,
-    dataset codes numbered in the method's own order of first appearance,
-    and the micro-average of the scores.  The method's (model, dataset)
-    cells and the mean and variance of its scores are made on first use and
-    kept.  ``compare`` reads only these; its leave-one-dataset-out test
-    sums the differences per dataset code.
+    dataset codes numbered in the method's own order of first appearance
+    and their counts, and the micro-average of the scores.  Methods whose
+    cells come in one order share one array of each kind of code (see
+    ``_MethodColumns``).  The method's (model, dataset) cells and the mean
+    and variance of its scores are made on first use and kept.  ``compare``
+    reads only these; its leave-one-dataset-out test sums the differences
+    per dataset code.
 
     ``rows`` is the table's value, kept as a tuple whatever sequence made
     it: ``==``, ``hash`` and ``repr`` read it and nothing else.  A table
@@ -620,9 +639,14 @@ class ResultsTable:
 
     @classmethod
     def _from_columns(
-        cls, models: list[str], methods: list[str], datasets: list[str], cents: list[int]
+        cls,
+        models: list[str],
+        methods: list[str],
+        datasets: list[str],
+        cents: list[int] | np.ndarray,
     ) -> ResultsTable:
-        # For columns whose values ``load_results`` has checked.
+        # For columns whose values ``load_results`` has checked; the cents
+        # are a list of int, or an int64 array of magnitudes below 2**53.
         table = cls.__new__(cls)
         table._set_columns(models, methods, datasets, cents)
         return table
@@ -637,7 +661,11 @@ class ResultsTable:
         return rows
 
     def _set_columns(
-        self, models: list[str], methods: list[str], datasets: list[str], cents: list[int]
+        self,
+        models: list[str],
+        methods: list[str],
+        datasets: list[str],
+        cents: list[int] | np.ndarray,
     ) -> None:
         """Build each method's columns from the row columns.
 
@@ -659,18 +687,24 @@ class ResultsTable:
             repeated[first] = False
             i = int(np.argmax(repeated))
             raise DegenerateInputError(f"duplicate cell {(models[i], methods[i], datasets[i])!r}")
-        # fromiter converts each int as float() does, so the division gives
-        # the bits of ResultsRow.score; it overflows only on a score above
-        # about 1.8e306, and then each score is converted on its own.
-        try:
-            scores = np.fromiter(cents, np.float64, len(cents)) / 100.0
-        except OverflowError:
-            scores = np.fromiter(map(_cents_to_score, cents), np.float64, len(cents))
+        # An int64 below 2**53, and fromiter's conversion of an int, give
+        # float()'s value, so the division gives the bits of ResultsRow.score;
+        # fromiter overflows only on a score above about 1.8e306, and then
+        # each score is converted on its own.
+        if isinstance(cents, np.ndarray):
+            scores = cents / 100.0
+            cents = cents.tolist()
+        else:
+            try:
+                scores = np.fromiter(cents, np.float64, len(cents)) / 100.0
+            except OverflowError:
+                scores = np.fromiter(map(_cents_to_score, cents), np.float64, len(cents))
         columns = {}
+        layouts: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         for code, method in enumerate(method_names):
             rows = np.flatnonzero(method_codes == code)
             columns[method] = _MethodColumns(
-                rows, models, datasets, cell_codes, scores, dataset_codes
+                rows, models, datasets, cell_codes, scores, dataset_codes, layouts
             )
         object.__setattr__(self, "_names", (model_names, method_names, dataset_names))
         object.__setattr__(self, "_row_columns", (models, methods, datasets, cents))
@@ -753,7 +787,8 @@ def _plain_results(data: bytes) -> ResultsTable | None:
         return None
     joined = data[start : len(data) - len(eol)].decode("ascii").replace(eol.decode(), ",")
     fields = joined.split(",")
-    if joined.split(None, 1) != [joined]:  # the rows hold whitespace to strip
+    # Of the bytes a plain file's fields hold, strip() removes space and tab.
+    if b" " in data or b"\t" in data:
         fields = list(map(str.strip, fields))
     scores = fields[3::4]
     if not _SCORE_COLUMN_RE.fullmatch("\n".join(scores) + "\n"):
@@ -763,7 +798,7 @@ def _plain_results(data: bytes) -> ResultsTable | None:
     # hundred times it is within 0.25 of the exact cents, which rint returns.
     if not np.abs(values).max() < 1e13:
         return None
-    cents = np.rint(values * 100.0).astype(np.int64).tolist()
+    cents = np.rint(values * 100.0).astype(np.int64)
     try:
         table = ResultsTable._from_columns(fields[0::4], fields[1::4], fields[2::4], cents)
     except DegenerateInputError:

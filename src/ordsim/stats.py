@@ -20,6 +20,9 @@ Conventions shared by every test in this module:
   with numpy's own arithmetic for it, on the sorted differences.
 - A ``PairedDiffs`` sorts its differences once; the quartiles, the extremes,
   the win/tie/loss counts and both rank tests read that one sorted copy.
+- Exactly constant values (the smallest equals the largest) have no t-test:
+  "constant differences", or "all K exclusion means are equal" for
+  leave-one-dataset-out, whatever the rounding of their mean.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -64,16 +68,22 @@ class PairedDiffs:
     a tuple of (model, dataset) pairs of str.  It also keeps one read-only
     float64 copy of the differences, which every test in this module reads,
     and a read-only array of the labels' dataset codes, numbered in order
-    of first appearance, from which ``leave_one_dataset_out`` takes its
-    per-dataset sums and counts.  On first use it computes their mean and
-    sd, for all the tests, and a read-only sorted copy of them with the
-    bounds of its zeros, which ``descriptive_stats``, ``sign_test`` and
-    ``wilcoxon_signed_rank`` share.  None of these is a field, so they take
-    no part in ``==``, ``hash`` or ``repr``.
+    of first appearance, with their counts, from which
+    ``leave_one_dataset_out`` takes its per-dataset sums.  On first use it
+    computes a read-only sorted copy of the differences with the bounds of
+    its zeros, which ``descriptive_stats``, ``sign_test`` and
+    ``wilcoxon_signed_rank`` share; the smallest and the largest difference,
+    from which the t-tests tell a constant sample and the largest
+    magnitude, which decides whether a sum may overflow (see ``_mean_sd``);
+    and the mean and sd, for all the tests.  None of these is a field, so
+    they take no part in ``==``, ``hash`` or ``repr``.
 
-    ``compare`` builds its diffs from a results table's columns instead,
-    with the dataset codes the table keeps for the method, and makes the
-    diffs and labels tuples on first use.
+    ``compare`` builds its diffs from a results table's columns instead
+    (``_from_columns``), with the dataset codes and counts the table keeps
+    for the method.  They are sorted when built: the sorted copy's two ends
+    are the smallest and the largest difference, and the check that every
+    difference is finite.  The diffs and labels tuples are made on first
+    use.
     """
 
     diffs: tuple[float, ...]
@@ -95,14 +105,23 @@ class PairedDiffs:
         values: np.ndarray,
         labels: tuple[tuple[str, str], ...] | Callable[[], tuple[tuple[str, str], ...]],
         datasets: np.ndarray,
+        counts: np.ndarray,
     ) -> PairedDiffs:
-        # For a float64 array that the caller hands over, labels that are
-        # already a tuple of (model, dataset) pairs of str, or a function of
-        # no arguments that returns one, and the labels' dataset codes,
-        # numbered in order of first appearance.  The diffs tuple, and the
-        # labels of a function, are made on first access.
+        # For a non-empty 1-d float64 array that the caller hands over,
+        # labels that are already a tuple of (model, dataset) pairs of str,
+        # or a function of no arguments that returns one, the labels'
+        # dataset codes, numbered in order of first appearance, and their
+        # read-only np.bincount.  The diffs tuple, and the labels of a
+        # function, are made on first access.
         diffs = cls.__new__(cls)
-        diffs._set_values(_as_array(values, "differences", DegenerateInputError), datasets)
+        diffs._set_values(values, datasets)
+        object.__setattr__(diffs, "_counts", counts)
+        ascending = diffs._sorted[0]
+        ends = float(ascending[0]), float(ascending[-1])
+        # np.sort puts -inf first, and inf and NaN last.
+        if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
+            raise DegenerateInputError("differences must be finite")
+        object.__setattr__(diffs, "_ends", ends)
         if callable(labels):
             object.__setattr__(diffs, "_make_labels", labels)
         else:
@@ -129,11 +148,11 @@ class PairedDiffs:
         return value
 
     @cached_property
-    def _moments(self) -> tuple[float, float, float]:
-        """(mean, sd, scale): the mean and sample sd of the differences
-        divided by ``scale``, which is 1.0 unless the squares overflow or
-        may underflow (see ``_spread``)."""
-        return _mean_sd_scale(self._values)
+    def _counts(self) -> np.ndarray:
+        """``np.bincount`` of the dataset codes, read-only."""
+        counts = np.bincount(self._datasets)
+        counts.setflags(write=False)
+        return counts
 
     @cached_property
     def _sorted(self) -> tuple[np.ndarray, int, int]:
@@ -144,6 +163,25 @@ class PairedDiffs:
         pos = int(ascending.searchsorted(0.0, "right"))
         ascending.setflags(write=False)
         return ascending, neg, pos
+
+    @cached_property
+    def _ends(self) -> tuple[float, float]:
+        """(low, high): the smallest and the largest difference, which
+        ``_from_columns`` reads off the sorted copy."""
+        return float(self._values.min()), float(self._values.max())
+
+    @property
+    def _peak(self) -> float:
+        """The largest magnitude of the differences."""
+        low, high = self._ends
+        return max(-low, high)
+
+    @cached_property
+    def _moments(self) -> tuple[float, float, float]:
+        """(mean, sd, scale): the mean and sample sd of the differences
+        divided by ``scale``, which is 1.0 unless the squares overflow or
+        may underflow (see ``_mean_sd``)."""
+        return _mean_sd(self._values, self._peak)
 
     @classmethod
     def from_values(
@@ -167,6 +205,14 @@ def _checked_labels(labels: Sequence[Sequence[str]]) -> tuple[tuple[str, str], .
         pairs = tuple(labels)
     except TypeError:
         raise DegenerateInputError(f"labels must be a sequence, got {labels!r}") from None
+    # Tuples of two exact str, the common case, are checked by three passes
+    # that run in C and kept as they are.
+    if (
+        set(map(type, pairs)) <= {tuple}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, chain.from_iterable(pairs))) <= {str}
+    ):
+        return pairs
     for label in pairs:
         if not (
             isinstance(label, (tuple, list))
@@ -180,12 +226,20 @@ def _checked_labels(labels: Sequence[Sequence[str]]) -> tuple[tuple[str, str], .
     return tuple((str(model), str(dataset)) for model, dataset in pairs)
 
 
+class _Numbering(dict):
+    """Numbers each new key by the count of keys before it."""
+
+    def __missing__(self, key: Hashable) -> int:
+        code = self[key] = len(self)
+        return code
+
+
 def _encode(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
     """The distinct values in order of first appearance, and the index of
-    each value among them."""
-    names = tuple(dict.fromkeys(values))
-    code_of = dict(zip(names, range(len(names))))
-    return names, np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+    each value among them, in one pass over the values."""
+    code_of = _Numbering()
+    codes = np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+    return tuple(code_of), codes
 
 
 def _first_appearance_codes(codes: np.ndarray) -> np.ndarray:
@@ -253,11 +307,21 @@ def _all_finite(result: float | tuple[float, ...] | np.ndarray) -> bool:
     return math.isfinite(result)
 
 
-def _mean_sd_scale(arr: np.ndarray) -> tuple[float, float, float]:
-    """(mean, sd, scale): ``_mean_var`` at the scale ``_rescaled`` picks, or
-    where the variance may have underflowed (see ``_spread``) at
-    ``_power_of_two_scale(arr)``, with the sd."""
-    (mean, var), scale = _rescaled(_mean_var, arr)
+# Below this peak magnitude, n values with n < 2**60 have a finite sum and
+# sum of squared deviations: n * (2 * peak)**2 < 2**1022.
+_PEAK_LIMIT = 2.0**480
+
+
+def _mean_sd(arr: np.ndarray, peak: float) -> tuple[float, float, float]:
+    """(mean, sd, scale): ``_mean_var`` of values whose largest magnitude is
+    ``peak``, with the sd, at scale 1.0 below ``_PEAK_LIMIT``, where no sum
+    overflows, and else at the scale ``_rescaled`` picks; or where the
+    variance may have underflowed (see ``_spread``) at
+    ``_power_of_two_scale(arr)``."""
+    if peak < _PEAK_LIMIT:
+        (mean, var), scale = _mean_var(arr), 1.0
+    else:
+        (mean, var), scale = _rescaled(_mean_var, arr)
     if var < _SMALLEST_NORMAL and _spread(arr):
         scale = _power_of_two_scale(arr)
         mean, var = _mean_var(arr / scale)
@@ -547,7 +611,8 @@ def wilcoxon_signed_rank(
     _check_alternative(alternative)
     ascending, neg, pos = d._sorted
     positives = ascending[pos:]
-    magnitudes = np.sort(np.concatenate((-ascending[:neg], positives)))
+    magnitudes = np.concatenate((-ascending[:neg], positives))
+    magnitudes.sort()
     n = magnitudes.size
     if n == 0:
         raise DegenerateInputError("all differences are zero")
@@ -560,16 +625,15 @@ def wilcoxon_signed_rank(
     mu = n * (n + 1) / 4.0
     # The sizes of the runs of equal magnitudes, in ascending order of
     # magnitude, as np.unique would count them.
-    tie_counts = np.diff(
-        np.flatnonzero(np.concatenate(([True], magnitudes[1:] != magnitudes[:-1], [True])))
-    )
-    tie_term = float(np.sum(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
+    bounds = np.concatenate(([True], magnitudes[1:] != magnitudes[:-1], [True])).nonzero()[0]
+    tie_counts = bounds[1:] - bounds[:-1]
+    tie_term = float(np.add.reduce(tie_counts.astype(np.float64) ** 3 - tie_counts)) / 48.0
     sigma = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0 - tie_term)
     if alternative == "greater":
         z = (v_stat - mu - 0.5) / sigma
         p = _norm_sf(z)
     else:
-        shift = 0.5 * float(np.sign(v_stat - mu))
+        shift = 0.5 if v_stat > mu else -0.5 if v_stat < mu else 0.0
         z = (v_stat - mu - shift) / sigma
         p = min(1.0, 2.0 * _norm_sf(abs(z)))
     return TestResult(
@@ -643,12 +707,17 @@ def sign_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
 def paired_t_test(d: PairedDiffs, alternative: str = "greater") -> TestResult:
     """Paired t-test on the differences, df = n - 1.
 
-    The effect size is Cohen's d_z = mean / sd of the differences.
+    The effect size is Cohen's d_z = mean / sd of the differences.  Raises
+    DegenerateInputError where every difference is the same value, however
+    its mean rounds.
     """
     _check_alternative(alternative)
     if d.n < 2:
         raise DegenerateInputError("paired t-test requires at least 2 differences")
     constant = "paired t-test is undefined for constant differences"
+    low, high = d._ends
+    if low == high:
+        raise DegenerateInputError(constant)
     return _t_test(d._moments, d.n, alternative, "paired-t", constant)
 
 
@@ -657,7 +726,8 @@ def _t_test(
 ) -> TestResult:
     """One-sample t-test against zero from the (mean, sd, scale) of n >= 2
     values, df = n - 1, with effect size mean / sd.  Raises
-    DegenerateInputError with the message ``constant`` where the sd is 0."""
+    DegenerateInputError with the message ``constant`` where the sd is 0;
+    callers raise it first where the values are all equal."""
     # mean / sd is the same at any scale.
     mean, sd, _ = moments
     if sd == 0.0:
@@ -717,7 +787,7 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     Adjustment preserves the ordering of the raw p-values.
     """
     p = _as_array(p_values, "p-values", DegenerateInputError)
-    if not ((p >= 0.0) & (p <= 1.0)).all():
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
         raise DegenerateInputError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -726,7 +796,7 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     adjusted_sorted = np.minimum(adjusted_sorted, 1.0)
     out = np.empty(m, dtype=np.float64)
     out[order] = adjusted_sorted
-    return [float(x) for x in out]
+    return out.tolist()
 
 
 def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestResult:
@@ -734,22 +804,33 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
 
     For each dataset label, take the mean difference over all cells NOT from
     that dataset; then t-test those exclusion means against zero with
-    df = (number of datasets) - 1.
+    df = (number of datasets) - 1.  Raises DegenerateInputError where the
+    exclusion means are all equal (their min is their max).
 
     Exclusion mean k is (total - S_k) / (n - n_k), with S_k and n_k the sum
     and count of dataset k's differences: one weighted ``np.bincount`` of
-    the dataset codes, so the cost is O(n) whatever the number of datasets.
+    the dataset codes, with the counts the diffs keep, so the cost is O(n)
+    whatever the number of datasets.  Below ``_PEAK_LIMIT`` no sum can
+    overflow; above it the sums are taken at the scale ``_rescaled`` picks.
     """
     _check_alternative(alternative)
-    codes = d._datasets
-    counts = np.bincount(codes)
+    codes, counts = d._datasets, d._counts
     k = counts.size
     if k < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
     # The t statistic is the same at any scale of the differences.
-    exclusion_means, _ = _rescaled(lambda arr: _exclusion_means(arr, codes, counts), d._values)
+    if d._peak < _PEAK_LIMIT:
+        exclusion_means = _exclusion_means(d._values, codes, counts)
+    else:
+        exclusion_means, _ = _rescaled(
+            lambda arr: _exclusion_means(arr, codes, counts), d._values
+        )
     constant = f"leave-one-dataset-out t-test is undefined: all {k} exclusion means are equal"
-    return _t_test(_mean_sd_scale(exclusion_means), k, alternative, "lodo-t", constant)
+    low, high = float(exclusion_means.min()), float(exclusion_means.max())
+    if low == high:
+        raise DegenerateInputError(constant)
+    moments = _mean_sd(exclusion_means, max(-low, high))
+    return _t_test(moments, k, alternative, "lodo-t", constant)
 
 
 def _exclusion_means(arr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:

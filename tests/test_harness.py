@@ -42,6 +42,7 @@ from ordsim import (
     paired_t_test,
     recos,
     save_pairs,
+    save_results,
     sign_test,
     similarity,
     spearman_rho,
@@ -808,7 +809,9 @@ class TestLodoColumns:
             keys, _ = table.scores(b)
             order = [keys.index(cell) for cell in col_a.cells]
             values = col_a.scores - col_b.scores[order]
-            kept = ordsim.stats.PairedDiffs._from_columns(values, col_a.cells, col_a.datasets)
+            kept = ordsim.stats.PairedDiffs._from_columns(
+                values, col_a.cells, col_a.datasets, col_a.dataset_counts
+            )
             public = PairedDiffs(values, col_a.cells)
             assert public._datasets.tolist() == col_a.datasets.tolist()
             for alternative in ("greater", "two-sided"):
@@ -961,6 +964,84 @@ class TestLargeScores:
         compare(_scaled_table(10**100), "A", "B")
 
 
+def _method_grid(seed, shuffle):
+    """6 methods over 4 models x 5 datasets, a fifth of b's cells tied to a's;
+    rows in grid order, so every method lists its cells in one order, or
+    shuffled, so none does."""
+    rng = np.random.default_rng(seed)
+    cents = rng.integers(2000, 8000, (4, 5, 6))
+    cents[:, :, 1] = np.where(rng.random((4, 5)) < 0.2, cents[:, :, 0], cents[:, :, 1])
+    rows = [
+        ResultsRow(f"m{mo}", f"x{me}", f"D{da}", int(cents[mo, da, me]))
+        for mo in range(4)
+        for da in range(5)
+        for me in range(6)
+    ]
+    if shuffle:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    return ResultsTable(tuple(rows))
+
+
+class TestSharedCellOrder:
+    """Methods whose cells come in one order share one read-only array of
+    cell codes, and with it one of dataset codes and one of counts, so
+    compare sees one order by identity; shuffled rows take the reorder path
+    with the reference's reports, bit for bit."""
+
+    def _assert_shared(self, table):
+        columns = [table._method_columns(method) for method in table.methods()]
+        first = columns[0]
+        for column in columns:
+            assert column.cell_codes is first.cell_codes
+            assert column.datasets is first.datasets
+            assert column.dataset_counts is first.dataset_counts
+        for array in (first.cell_codes, first.datasets, first.dataset_counts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert first.dataset_counts.tolist() == np.bincount(first.datasets).tolist()
+
+    def test_one_cell_order_shares_one_array(self, tmp_path):
+        table = _method_grid(0, shuffle=False)
+        self._assert_shared(table)
+        path = tmp_path / "grid.csv"
+        save_results(table, path)
+        self._assert_shared(load_results(path))
+
+    def test_other_orders_keep_their_own(self):
+        table = _unequal_table()
+        codes = [table._method_columns(method).cell_codes for method in table.methods()]
+        assert len({id(c) for c in codes}) == len(codes)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_rows_take_the_reorder_path(self, seed):
+        table = _method_grid(seed, shuffle=True)
+        pairs = [("x0", "x1"), ("x1", "x0"), ("x2", "x5"), ("x4", "x3")]
+        for a, b in pairs:
+            assert table._method_columns(a).cell_codes is not table._method_columns(b).cell_codes
+        # The reorder path makes the pooled d with cohens_d_pooled.
+        assert TestKeptMoments()._reports(table, pairs) == 2 * len(pairs)
+
+    def test_overflowing_differences_raise_at_the_sorted_ends(self):
+        # 7.5e307 - (-1.5e308) is inf, and its negation -inf: the sorted
+        # copy's last or first value.
+        table = _table(
+            [
+                ("m", "a", "d1", 75 * 10**308),
+                ("m", "b", "d1", -15 * 10**309),
+                ("m", "a", "d2", 200),
+                ("m", "b", "d2", 100),
+                ("m", "a", "d3", 300),
+                ("m", "b", "d3", 150),
+            ]
+        )
+        for a, b in (("a", "b"), ("b", "a")):
+            for alternative in ("greater", "two-sided"):
+                want = _compare_outcome(_public_compare, table, a, b, alternative)
+                assert want == "DegenerateInputError: differences must be finite"
+                assert _compare_outcome(compare, table, a, b, alternative) == want
+
+
 class TestKeptMoments:
     """compare makes the pooled d from the mean and variance each method
     keeps, and calls cohens_d_pooled on the scores where b was reordered or
@@ -1036,7 +1117,9 @@ class TestKeptMoments:
             return column.cells
 
         values = column.scores - column.scores[::-1]
-        d = ordsim.stats.PairedDiffs._from_columns(values, labels, column.datasets)
+        d = ordsim.stats.PairedDiffs._from_columns(
+            values, labels, column.datasets, column.dataset_counts
+        )
         assert made == []
         assert d.labels == column.cells and d.labels is column.cells and made == [1]
         assert d == PairedDiffs(values, column.cells) and made == [1]

@@ -14,6 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordsim.stats
 from ordsim import (
     DegenerateInputError,
     InvalidVectorError,
@@ -260,6 +261,132 @@ class TestUnderflowingVariance:
         with pytest.raises(DegenerateInputError, match="pooled variance is zero"):
             cohens_d_pooled([c] * 7, [c] * 3)
         assert descriptive_stats(diffs(*[c] * 7)).sd == 0.0
+
+
+class TestConstantSamples:
+    """Exactly constant values have no t-test, whatever the rounding of
+    their mean: the smallest and the largest value decide, not the
+    deviations from a mean that rounds off the common value (0.1 * 3 / 3 is
+    not 0.1)."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.1] * 3, [0.1] * 5, [1 / 3] * 3, [2.0] * 3, [0.7] * 3, [-0.1] * 3],
+        ids=["0.1x3", "0.1x5", "third-x3", "2x3", "0.7x3", "-0.1x3"],
+    )
+    @pytest.mark.parametrize("alternative", ["greater", "two-sided"])
+    def test_paired_t(self, values, alternative):
+        d = PairedDiffs.from_values(values)
+        message = "^paired t-test is undefined for constant differences$"
+        with pytest.raises(DegenerateInputError, match=message):
+            paired_t_test(d, alternative)
+        # The summary keeps the sd of the deviations, as numpy computes it.
+        assert descriptive_stats(d).sd.hex() == float(np.std(values, ddof=1)).hex()
+
+    def test_rounded_mean_gives_a_nonzero_sd(self):
+        # Without the rule, [0.1] * 3 would have t = 1.02e16.
+        assert PairedDiffs.from_values([0.1] * 3)._moments[1] > 0.0
+
+    @pytest.mark.parametrize("alternative", ["greater", "two-sided"])
+    def test_lodo_equal_means_with_a_nonzero_sd(self, alternative):
+        # Each exclusion mean is (1/3 + 1/3) / 2, the same float three times,
+        # but their own mean rounds off it: without the rule, t = 8.49e15.
+        d = PairedDiffs.from_values([1 / 3] * 3, datasets=["A", "B", "C"])
+        means = ordsim.stats._exclusion_means(d._values, d._datasets, d._counts)
+        assert means.min() == means.max()
+        assert ordsim.stats._mean_var(means)[1] > 0.0
+        message = "^leave-one-dataset-out t-test is undefined: all 3 exclusion means are equal$"
+        with pytest.raises(DegenerateInputError, match=message):
+            leave_one_dataset_out(d, alternative)
+
+    def test_one_unequal_value_keeps_the_test(self):
+        values = [0.1] * 4 + [math.nextafter(0.1, 1.0)]
+        assert math.isfinite(paired_t_test(PairedDiffs.from_values(values)).statistic)
+
+
+def _old_mean_sd_scale(arr):
+    """(mean, sd, scale) as every call computed it before the peak test:
+    ``_mean_var`` at the scale ``_rescaled`` picks, then the underflow
+    rescale."""
+    stats = ordsim.stats
+    (mean, var), scale = stats._rescaled(stats._mean_var, arr)
+    if var < stats._SMALLEST_NORMAL and stats._spread(arr):
+        scale = stats._power_of_two_scale(arr)
+        mean, var = stats._mean_var(arr / scale)
+    return mean, math.sqrt(var), scale
+
+
+def _old_lodo(d, alternative):
+    """leave_one_dataset_out before the peak test, on d's codes and counts."""
+    stats = ordsim.stats
+    codes, counts = d._datasets, d._counts
+    means, _ = stats._rescaled(lambda arr: stats._exclusion_means(arr, codes, counts), d._values)
+    constant = f"leave-one-dataset-out t-test is undefined: all {counts.size} exclusion means are equal"
+    if means.min() == means.max():
+        raise DegenerateInputError(constant)
+    return stats._t_test(_old_mean_sd_scale(means), counts.size, alternative, "lodo-t", constant)
+
+
+class TestPeakLimit:
+    """Below a peak magnitude of 2**480 no sum of squares can overflow, so
+    the mean, sd and exclusion means skip ``_rescaled``; on either side of
+    that peak every value is the ``_rescaled`` path's, bit for bit."""
+
+    @pytest.mark.parametrize("exponent", [-600, -540, 0, 470, 478, 479, 480, 481, 600, 1000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_rescaled_path(self, exponent, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes in [1, 2), so the peak is 2**exponent times at most 2.
+        base = rng.uniform(1.0, 2.0, 60) * rng.choice([-1.0, 1.0], 60)
+        base[0] = math.copysign(2.0 - 2.0**-52, base[0])
+        values = base * 2.0**exponent
+        datasets = [f"D{i % 7}" for i in range(60)]
+        d = PairedDiffs.from_values(values.tolist(), datasets=datasets)
+        assert (d._peak < ordsim.stats._PEAK_LIMIT) == (exponent < 480)
+        assert _bits(d._moments) == _bits(_old_mean_sd_scale(d._values))
+        for alternative in ("greater", "two-sided"):
+            want = _outcome_bits(_old_lodo, d, alternative)
+            assert _outcome_bits(leave_one_dataset_out, d, alternative) == want
+
+    def test_rescaled_runs_only_at_or_above_the_peak_limit(self):
+        calls = []
+        real = ordsim.stats._rescaled
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        values = np.array([1.0, -0.5, 1.5, 0.25])
+        for exponent, rescaled in ((478, False), (480, True)):
+            calls.clear()
+            d = PairedDiffs.from_values((values * 2.0**exponent).tolist(), datasets="ABAB")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ordsim.stats, "_rescaled", counted)
+                paired_t_test(d)
+                leave_one_dataset_out(d)
+            assert bool(calls) == rescaled, exponent
+
+
+def _two_pass_encode(values):
+    """The encoder as it was: the distinct values, then a lookup per value."""
+    names = tuple(dict.fromkeys(values))
+    code_of = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
+
+
+class TestEncode:
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(st.text(max_size=3), st.integers(-3, 3), st.sampled_from(["A", "B", ""])),
+            max_size=80,
+        )
+    )
+    def test_one_pass_equals_two_passes(self, values):
+        names, codes = ordsim.stats._encode(values)
+        want_names, want_codes = _two_pass_encode(values)
+        assert names == want_names and type(names) is tuple
+        assert codes.dtype == np.intp and codes.tolist() == want_codes.tolist()
 
 
 class TestDescriptiveStats:
@@ -907,6 +1034,25 @@ class TestBenjaminiHochberg:
             ps = rng.uniform(0, 1, m).tolist()
             expected = scipy.stats.false_discovery_control(ps, method="bh")
             assert benjamini_hochberg(ps) == pytest.approx(expected.tolist(), abs=1e-13)
+
+    @given(
+        st.lists(
+            st.floats(0, 1) | st.sampled_from([0.0, 5e-324, 0.05, 1.0]), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=300)
+    def test_bit_identical_to_a_per_element_conversion(self, ps):
+        # The range check by min and max, and out.tolist(), as the earlier
+        # elementwise mask and float() per element.
+        p = np.asarray(ps, dtype=np.float64)
+        m = p.size
+        order = np.argsort(p, kind="stable")
+        adjusted = np.minimum(np.minimum.accumulate((p[order] * m / np.arange(1, m + 1))[::-1])[::-1], 1.0)
+        out = np.empty(m)
+        out[order] = adjusted
+        got = benjamini_hochberg(ps)
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [float(x).hex() for x in out]
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=12))
     @settings(max_examples=300)
