@@ -1,5 +1,6 @@
 """The public API: what ``import ordsim`` exports, and the typed-error base."""
 
+import ast
 import importlib
 import pkgutil
 import warnings
@@ -186,3 +187,49 @@ def test_the_suite_fails_on_a_warning_from_any_module(module, category):
     else:
         with pytest.raises(category, match="injected"):
             warn()
+
+
+def _private_definitions(tree):
+    """(name, node) for each private top-level name a module defines: a
+    function, a class or an assignment whose name starts with one "_" and is
+    not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _uses(node, skip):
+    """The names that ``node`` reads, imports or looks up as an attribute,
+    outside the node ``skip``."""
+    if node is skip:
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (alias.name for alias in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, skip)
+
+
+def test_every_private_top_level_name_is_used():
+    # A helper that a refactor leaves behind is a private top-level name
+    # that nothing in the package reads outside its own definition.
+    package = Path(ordsim.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if not any(name in set(_uses(other, node)) for other in trees.values())
+    ]
+    assert unused == []
