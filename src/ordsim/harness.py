@@ -17,7 +17,7 @@ from .stats import (
     DescriptiveStats,
     PairedDiffs,
     TestResult,
-    _all_finite,
+    _PEAK_LIMIT,
     _gap_and_pooled_var,
     _micro_average,
     _pooled_d,
@@ -119,18 +119,20 @@ def compare(
     when every cell is tied.
 
     The comparison reads the columns the table built once per method: cell
-    codes, the score array, dataset codes and counts and the micro-average,
-    and the mean and variance of the scores that each method keeps once
-    computed.  The tests run in a's cell order.  Methods in one cell order
-    share one cell codes array, so b's scores are reordered to a's cells
-    exactly when the two arrays are not the same object.  The diffs are
-    sorted once, when they are made, and a non-finite difference (two
-    scores above about 9e307 apart) shows at the sorted copy's ends.  The
-    leave-one-dataset-out test sums the differences over a's dataset codes,
-    with a's dataset counts.  The pooled d comes from the two kept means and
-    variances, unless b was reordered or the gap or pooled variance made
-    from them is not finite; then ``cohens_d_pooled`` computes it from the
-    scores.
+    codes, the score array and its peak magnitude, dataset codes and counts
+    and the micro-average, and the mean and variance of the scores that
+    each method keeps once computed.  The tests run in a's cell order.
+    Methods in one cell order share one cell codes array, so b's scores are
+    reordered to a's cells exactly when the two arrays are not the same
+    object.  The diffs are sorted once, when they are made, and a
+    non-finite difference (two scores above about 9e307 apart) shows at the
+    sorted copy's ends.  The leave-one-dataset-out test sums the
+    differences over a's dataset codes, with a's dataset counts.  Every
+    sum is taken at the scale that its values' peak decides (see
+    ``ordsim.stats``).  The pooled d comes from the two kept means and
+    variances where b was not reordered and both peaks are below the
+    limit from which sums are rescaled; else ``cohens_d_pooled`` computes
+    it from the scores.
     """
     col_a = results._method_columns(a)
     col_b = results._method_columns(b)
@@ -158,7 +160,7 @@ def compare(
             )
         # The same cells in another order: line b's scores up with a's cells.
         scores_b = scores_b[order]
-        micro_avg_b = _micro_average(scores_b)
+        micro_avg_b = _micro_average(scores_b, col_b.peak)
     # Scores above about 9e307 can differ by more than float64 holds; the
     # inf that makes is rejected by _from_columns as a typed error.
     with np.errstate(over="ignore"):
@@ -193,18 +195,17 @@ def _pooled_d_of_columns(
     col_a: _MethodColumns, col_b: _MethodColumns, scores_b: np.ndarray, reordered: bool
 ) -> float:
     """``cohens_d_pooled(col_a.scores, scores_b)`` bit for bit, where
-    ``scores_b`` are b's scores in a's cell order.
+    ``scores_b`` are b's scores in a's cell order, for the at least 2
+    differences, not all equal, that ``paired_t_test`` has accepted.
 
-    Where b's scores were not reordered, the call's means and variances are
-    the ones the two methods keep.  If the gap and pooled variance made from
-    them are finite, so are they, and the call would not rescale: d is made
-    from them here.  Scores in hundredths give a pooled variance of exactly
-    0 or far above the smallest normal float, so the call's underflow
-    rescaling never applies.
+    Where b's scores were not reordered and both peaks are below
+    ``_PEAK_LIMIT``, the call would take the means and variances at scale
+    1.0, and those are the ones the two methods keep: d is made from them
+    here.  Scores in hundredths give a pooled variance of exactly 0 or far
+    above the smallest normal float, so the call's underflow rescaling
+    never applies.
     """
-    n = col_a.scores.size
-    if not reordered and n >= 2:
-        gap_and_pooled = _gap_and_pooled_var(col_a.mean_var, n, col_b.mean_var, n)
-        if _all_finite(gap_and_pooled):
-            return _pooled_d(*gap_and_pooled)
+    if not reordered and max(col_a.peak, col_b.peak) < _PEAK_LIMIT:
+        n = col_a.scores.size
+        return _pooled_d(*_gap_and_pooled_var(col_a.mean_var, n, col_b.mean_var, n))
     return cohens_d_pooled(col_a.scores, scores_b)

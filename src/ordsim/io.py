@@ -550,9 +550,10 @@ class ResultsRow:
 
 class _MethodColumns:
     """One method's rows of a table, in file order, as columns: read-only
-    cell codes, scores, dataset codes and dataset counts, and the
-    micro-average of the scores.  ``cells`` and ``mean_var`` are made on
-    first use and kept.
+    cell codes, scores, dataset codes and dataset counts, the scores' peak
+    (their largest magnitude), which decides the scale of every sum of
+    them (see ``ordsim.stats``), and their micro-average.  ``cells`` and
+    ``mean_var`` are made on first use and kept.
 
     Methods of one table whose cell codes are equal share one cell codes
     array, and with it one dataset codes and one counts array: the same
@@ -588,7 +589,8 @@ class _MethodColumns:
         self.cell_codes, self.datasets, self.dataset_counts = layout
         self.scores = scores[rows]  # read-only float64, ResultsRow.score bit for bit
         self.scores.setflags(write=False)
-        self.micro_average = _micro_average(self.scores)
+        self.peak = float(np.abs(self.scores).max())
+        self.micro_average = _micro_average(self.scores, self.peak)
 
     @cached_property
     def cells(self) -> tuple[tuple[str, str], ...]:
@@ -599,9 +601,9 @@ class _MethodColumns:
 
     @cached_property
     def mean_var(self) -> tuple[float, float]:
-        """``stats._mean_var`` of the scores, which may overflow to inf."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _mean_var(self.scores)
+        """``stats._mean_var`` of the scores, at scale 1.0: for a peak below
+        ``stats._PEAK_LIMIT``, where no sum of them overflows."""
+        return _mean_var(self.scores)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,17 @@ Conventions shared by every test in this module:
   with numpy's own arithmetic for it, on the sorted differences.
 - A ``PairedDiffs`` sorts its differences once; the quartiles, the extremes,
   the win/tie/loss counts and both rank tests read that one sorted copy.
+- Every sum is taken at one scale, decided from the peak (the largest
+  magnitude) of its values, which each caller already holds:
+  ``_scale(peak)`` is 1.0 below ``_PEAK_LIMIT`` (2**480), where no sum or
+  sum of squares overflows, and the power of two just above the peak from
+  there on.  Dividing by a power of two is exact, except for a value that
+  it makes subnormal: where values of at least 2**480 cancel exactly and a
+  sum is carried by values below 2**-1022 times the scale, their low bits
+  are lost, as they are for the same values times any power of two above
+  the limit.  Where values differ but their variance is below the smallest
+  normal float, their squared deviations may have underflowed, and the
+  variance is taken again at the power of two just above the peak.
 - Exactly constant values (the smallest equals the largest) have no t-test:
   "constant differences", or "all K exclusion means are equal" for
   leave-one-dataset-out, whatever the rounding of their mean.
@@ -65,25 +76,22 @@ class PairedDiffs:
 
     The constructor takes the differences as any 1-d sequence or array of
     finite numbers and stores them as a tuple of floats, and the labels as
-    a tuple of (model, dataset) pairs of str.  It also keeps one read-only
-    float64 copy of the differences, which every test in this module reads,
-    and a read-only array of the labels' dataset codes, numbered in order
-    of first appearance, with their counts, from which
-    ``leave_one_dataset_out`` takes its per-dataset sums.  On first use it
-    computes a read-only sorted copy of the differences with the bounds of
-    its zeros, which ``descriptive_stats``, ``sign_test`` and
-    ``wilcoxon_signed_rank`` share; the smallest and the largest difference,
-    from which the t-tests tell a constant sample and the largest
-    magnitude, which decides whether a sum may overflow (see ``_mean_sd``);
-    and the mean and sd, for all the tests.  None of these is a field, so
-    they take no part in ``==``, ``hash`` or ``repr``.
+    a tuple of (model, dataset) pairs of str.  ``compare`` builds its diffs
+    from a results table's columns instead (``_from_columns``), with the
+    dataset codes and counts the table keeps for the method, and makes the
+    diffs tuple, and the labels, on first use.
 
-    ``compare`` builds its diffs from a results table's columns instead
-    (``_from_columns``), with the dataset codes and counts the table keeps
-    for the method.  They are sorted when built: the sorted copy's two ends
-    are the smallest and the largest difference, and the check that every
-    difference is finite.  The diffs and labels tuples are made on first
-    use.
+    Both ways end in ``_set_values``, which keeps, read-only: the float64
+    differences, which every test in this module reads; the labels'
+    dataset codes, numbered in order of first appearance, and their
+    counts, from which ``leave_one_dataset_out`` takes its per-dataset
+    sums; the differences sorted, with the bounds of their zeros, which
+    ``descriptive_stats``, ``sign_test`` and ``wilcoxon_signed_rank``
+    share; and the sorted copy's two ends, the smallest and the largest
+    difference, from which the t-tests tell a constant sample and take the
+    peak that decides the scale (see ``_mean_sd``).  The mean and sd are
+    made on first use.  None of these is a field, so they take no part in
+    ``==``, ``hash`` or ``repr``.
     """
 
     diffs: tuple[float, ...]
@@ -95,7 +103,7 @@ class PairedDiffs:
         if values.size != len(labels):
             raise DegenerateInputError(f"{values.size} diffs but {len(labels)} labels")
         _, codes = _encode([ds for _, ds in labels])
-        self._set_values(values, codes)
+        self._set_values(values, codes, np.bincount(codes))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "diffs", tuple(values.tolist()))
 
@@ -111,28 +119,36 @@ class PairedDiffs:
         # labels that are already a tuple of (model, dataset) pairs of str,
         # or a function of no arguments that returns one, the labels'
         # dataset codes, numbered in order of first appearance, and their
-        # read-only np.bincount.  The diffs tuple, and the labels of a
-        # function, are made on first access.
+        # np.bincount.  The diffs tuple, and the labels of a function, are
+        # made on first access.
         diffs = cls.__new__(cls)
-        diffs._set_values(values, datasets)
-        object.__setattr__(diffs, "_counts", counts)
-        ascending = diffs._sorted[0]
-        ends = float(ascending[0]), float(ascending[-1])
-        # np.sort puts -inf first, and inf and NaN last.
-        if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
-            raise DegenerateInputError("differences must be finite")
-        object.__setattr__(diffs, "_ends", ends)
+        diffs._set_values(values, datasets, counts)
         if callable(labels):
             object.__setattr__(diffs, "_make_labels", labels)
         else:
             object.__setattr__(diffs, "labels", labels)
         return diffs
 
-    def _set_values(self, values: np.ndarray, datasets: np.ndarray) -> None:
-        values.setflags(write=False)
-        datasets.setflags(write=False)
+    def _set_values(self, values: np.ndarray, datasets: np.ndarray, counts: np.ndarray) -> None:
+        """Keep the differences, their dataset codes and counts, their
+        sorted copy with the bounds of its zeros, and its two ends; raises
+        DegenerateInputError where a difference is not finite."""
+        ascending = np.sort(values)
+        ends = float(ascending[0]), float(ascending[-1])
+        # np.sort puts -inf first, and inf and NaN last.
+        if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
+            raise DegenerateInputError("differences must be finite")
+        neg = int(ascending.searchsorted(0.0))
+        pos = int(ascending.searchsorted(0.0, "right"))
+        for array in (values, datasets, counts, ascending):
+            array.setflags(write=False)
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_datasets", datasets)
+        object.__setattr__(self, "_counts", counts)
+        # (ascending, neg, pos): the zeros, of either sign, are ascending[neg:pos].
+        object.__setattr__(self, "_sorted", (ascending, neg, pos))
+        # (low, high): the smallest and the largest difference.
+        object.__setattr__(self, "_ends", ends)
 
     def __getattr__(self, name: str) -> tuple:
         # Python calls this only for an attribute the instance lacks: the
@@ -148,40 +164,10 @@ class PairedDiffs:
         return value
 
     @cached_property
-    def _counts(self) -> np.ndarray:
-        """``np.bincount`` of the dataset codes, read-only."""
-        counts = np.bincount(self._datasets)
-        counts.setflags(write=False)
-        return counts
-
-    @cached_property
-    def _sorted(self) -> tuple[np.ndarray, int, int]:
-        """(ascending, neg, pos): ``np.sort`` of the differences, read-only,
-        whose zeros (of either sign) are ``ascending[neg:pos]``."""
-        ascending = np.sort(self._values)
-        neg = int(ascending.searchsorted(0.0))
-        pos = int(ascending.searchsorted(0.0, "right"))
-        ascending.setflags(write=False)
-        return ascending, neg, pos
-
-    @cached_property
-    def _ends(self) -> tuple[float, float]:
-        """(low, high): the smallest and the largest difference, which
-        ``_from_columns`` reads off the sorted copy."""
-        return float(self._values.min()), float(self._values.max())
-
-    @property
-    def _peak(self) -> float:
-        """The largest magnitude of the differences."""
-        low, high = self._ends
-        return max(-low, high)
-
-    @cached_property
     def _moments(self) -> tuple[float, float, float]:
         """(mean, sd, scale): the mean and sample sd of the differences
-        divided by ``scale``, which is 1.0 unless the squares overflow or
-        may underflow (see ``_mean_sd``)."""
-        return _mean_sd(self._values, self._peak)
+        divided by ``scale`` (see ``_mean_sd``)."""
+        return _mean_sd(self._values, *self._ends)
 
     @classmethod
     def from_values(
@@ -262,49 +248,15 @@ def _mean_var(arr: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.add.reduce(dev * dev) / (n - 1))
 
 
-def _power_of_two_scale(*arrays: np.ndarray) -> float:
-    """The power of two just above the largest magnitude in the arrays, at
-    most 2**1023 (the largest finite one).
+def _power_of_two_scale(peak: float) -> float:
+    """The power of two just above ``peak``, a largest magnitude, at most
+    2**1023 (the largest finite one).
 
-    Dividing by it is exact, except for values so small that they are
-    below the rounding of any sum that holds the largest one, and it leaves
-    every magnitude below 2, so no square or sum of them overflows.
+    Dividing by it is exact, except for values that are subnormal once
+    divided, and it leaves every magnitude below 2, so no square or sum of
+    them overflows.
     """
-    peak = max(float(np.abs(arr).max()) for arr in arrays)
     return math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
-
-
-def _rescaled(compute: Callable, *arrays: np.ndarray) -> tuple:
-    """(result, scale): ``compute(*arrays)`` and 1.0, unless a value of that
-    result (a float, a tuple of floats or an array) is not finite; then
-    ``compute`` of the arrays divided by ``_power_of_two_scale(*arrays)``,
-    and that scale."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = compute(*arrays)
-    if _all_finite(result):
-        return result, 1.0
-    scale = _power_of_two_scale(*arrays)
-    return compute(*(arr / scale for arr in arrays)), scale
-
-
-def _spread(*arrays: np.ndarray) -> bool:
-    """Whether some array holds two different values.
-
-    Where one does, a variance below the smallest normal float may be made
-    of squared deviations that underflowed, so it is computed again on the
-    values divided by ``_power_of_two_scale``.  Values that are all equal
-    are not rescaled, so exactly constant samples give the variance they
-    give unscaled."""
-    return any(arr.min() < arr.max() for arr in arrays)
-
-
-def _all_finite(result: float | tuple[float, ...] | np.ndarray) -> bool:
-    """Whether every value of a float, a tuple of floats or an array is finite."""
-    if isinstance(result, np.ndarray):
-        return bool(np.isfinite(result).all())
-    if isinstance(result, tuple):
-        return all(map(math.isfinite, result))
-    return math.isfinite(result)
 
 
 # Below this peak magnitude, n values with n < 2**60 have a finite sum and
@@ -312,27 +264,34 @@ def _all_finite(result: float | tuple[float, ...] | np.ndarray) -> bool:
 _PEAK_LIMIT = 2.0**480
 
 
-def _mean_sd(arr: np.ndarray, peak: float) -> tuple[float, float, float]:
-    """(mean, sd, scale): ``_mean_var`` of values whose largest magnitude is
-    ``peak``, with the sd, at scale 1.0 below ``_PEAK_LIMIT``, where no sum
-    overflows, and else at the scale ``_rescaled`` picks; or where the
-    variance may have underflowed (see ``_spread``) at
-    ``_power_of_two_scale(arr)``."""
-    if peak < _PEAK_LIMIT:
-        (mean, var), scale = _mean_var(arr), 1.0
-    else:
-        (mean, var), scale = _rescaled(_mean_var, arr)
-    if var < _SMALLEST_NORMAL and _spread(arr):
-        scale = _power_of_two_scale(arr)
+def _scale(peak: float) -> float:
+    """The scale at which values whose largest magnitude is ``peak`` are
+    summed: 1.0 below ``_PEAK_LIMIT``, else ``_power_of_two_scale(peak)``."""
+    return 1.0 if peak < _PEAK_LIMIT else _power_of_two_scale(peak)
+
+
+def _mean_sd(arr: np.ndarray, low: float, high: float) -> tuple[float, float, float]:
+    """(mean, sd, scale): ``_mean_var`` of ``arr / scale``, with the sd, for
+    values whose smallest and largest are ``low`` and ``high``.  The scale
+    is ``_scale`` of their peak; or, where the values differ but that
+    variance is below the smallest normal float, so that squared deviations
+    may have underflowed, ``_power_of_two_scale`` of it.  Values that are
+    all equal keep the variance they give unscaled."""
+    peak = max(-low, high)
+    scale = _scale(peak)
+    mean, var = _mean_var(arr / scale)
+    if var < _SMALLEST_NORMAL and low < high:
+        scale = _power_of_two_scale(peak)
         mean, var = _mean_var(arr / scale)
     return mean, math.sqrt(var), scale
 
 
-def _micro_average(scores: np.ndarray) -> float:
-    """The mean of the scores by Python's left-to-right sum in their order
-    (np.sum adds pairwise), at the scale ``_rescaled`` picks."""
-    total, scale = _rescaled(lambda arr: sum(arr.tolist()), scores)
-    return total / scores.size * scale
+def _micro_average(scores: np.ndarray, peak: float) -> float:
+    """The mean of the scores, whose largest magnitude is ``peak``, by
+    Python's left-to-right sum in their order (np.sum adds pairwise), at
+    ``_scale(peak)``."""
+    scale = _scale(peak)
+    return sum((scores / scale).tolist()) / scores.size * scale
 
 
 @dataclass(frozen=True)
@@ -748,15 +707,28 @@ def _t_test(
 
 
 def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
-    """Between-groups Cohen's d with the pooled standard deviation."""
+    """Between-groups Cohen's d with the pooled standard deviation.
+
+    Raises DegenerateInputError where each sample is constant (its smallest
+    value is its largest), however their means round: the mean of
+    ``[0.1] * 3`` is not 0.1, and its deviations would make a d of 1e16.
+    """
     xa = _as_array(a, "samples", DegenerateInputError)
     xb = _as_array(b, "samples", DegenerateInputError)
     if xa.size < 2 or xb.size < 2:
         raise DegenerateInputError("cohens_d_pooled requires two samples of size >= 2")
+    low_a, high_a = float(xa.min()), float(xa.max())
+    low_b, high_b = float(xb.min()), float(xb.max())
+    if low_a == high_a and low_b == high_b:
+        raise DegenerateInputError("pooled variance is zero")
     # d is the same at any common scale of both samples.
-    (gap, pooled), _ = _rescaled(_mean_gap_and_pooled_var, xa, xb)
-    if pooled < _SMALLEST_NORMAL and _spread(xa, xb):
-        scale = _power_of_two_scale(xa, xb)
+    peak = max(-low_a, high_a, -low_b, high_b)
+    scale = _scale(peak)
+    gap, pooled = _mean_gap_and_pooled_var(xa / scale, xb / scale)
+    # A sample spreads, so a pooled variance this small may hold squared
+    # deviations that underflowed.
+    if pooled < _SMALLEST_NORMAL:
+        scale = _power_of_two_scale(peak)
         gap, pooled = _mean_gap_and_pooled_var(xa / scale, xb / scale)
     return _pooled_d(gap, pooled)
 
@@ -810,8 +782,8 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     Exclusion mean k is (total - S_k) / (n - n_k), with S_k and n_k the sum
     and count of dataset k's differences: one weighted ``np.bincount`` of
     the dataset codes, with the counts the diffs keep, so the cost is O(n)
-    whatever the number of datasets.  Below ``_PEAK_LIMIT`` no sum can
-    overflow; above it the sums are taken at the scale ``_rescaled`` picks.
+    whatever the number of datasets.  The sums are taken at ``_scale`` of
+    the differences' peak, and the t-test's at that of the exclusion means.
     """
     _check_alternative(alternative)
     codes, counts = d._datasets, d._counts
@@ -819,18 +791,13 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
     if k < 2:
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
     # The t statistic is the same at any scale of the differences.
-    if d._peak < _PEAK_LIMIT:
-        exclusion_means = _exclusion_means(d._values, codes, counts)
-    else:
-        exclusion_means, _ = _rescaled(
-            lambda arr: _exclusion_means(arr, codes, counts), d._values
-        )
+    low, high = d._ends
+    exclusion_means = _exclusion_means(d._values / _scale(max(-low, high)), codes, counts)
     constant = f"leave-one-dataset-out t-test is undefined: all {k} exclusion means are equal"
     low, high = float(exclusion_means.min()), float(exclusion_means.max())
     if low == high:
         raise DegenerateInputError(constant)
-    moments = _mean_sd(exclusion_means, max(-low, high))
-    return _t_test(moments, k, alternative, "lodo-t", constant)
+    return _t_test(_mean_sd(exclusion_means, low, high), k, alternative, "lodo-t", constant)
 
 
 def _exclusion_means(arr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:

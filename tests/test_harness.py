@@ -1045,8 +1045,8 @@ class TestSharedCellOrder:
 class TestKeptMoments:
     """compare makes the pooled d from the mean and variance each method
     keeps, and calls cohens_d_pooled on the scores where b was reordered or
-    a kept value, the gap or the pooled variance is not finite.  Either way
-    the report is _public_compare's, bit for bit."""
+    a method's peak is at or above 2**480.  Either way the report is
+    _public_compare's, bit for bit."""
 
     def _reports(self, table, pairs):
         calls = mock.Mock(wraps=cohens_d_pooled)
@@ -1073,12 +1073,15 @@ class TestKeptMoments:
         assert self._reports(_unequal_table(), [("a", "b"), ("c", "a"), ("d", "b")]) == 6
 
     def test_kept_values_that_are_not_finite_fall_back(self):
-        # Deviations near 1e306 square to inf: the kept variance is inf, and
-        # cohens_d_pooled rescales.
-        table = _scaled_table(10**305)
-        var = table._method_columns("A").mean_var[1]
-        assert math.isinf(var)
-        assert self._reports(table, [("A", "B"), ("B", "A")]) == 4
+        # Deviations near 1e306 would square to inf, and near 1e146 they
+        # would not; from a peak of 2**480 on, either way, cohens_d_pooled
+        # takes d from the scores and no kept mean or variance is made.
+        for scale in (10**145, 10**305):
+            table = _scaled_table(scale)
+            assert table._method_columns("A").peak >= ordsim.stats._PEAK_LIMIT
+            assert self._reports(table, [("A", "B"), ("B", "A")]) == 4
+            for method in ("A", "B"):
+                assert "mean_var" not in vars(table._method_columns(method))
 
     def test_a_pooled_variance_that_is_not_finite_falls_back(self):
         # Each method's variance, 1.28e308, is finite, and their sum is not.

@@ -38,7 +38,9 @@ from ordsim.stats import (
     _binomial_head_sum,
     _linear_quantile,
     _norm_sf,
+    _PEAK_LIMIT,
     _power_of_two_scale,
+    _scale,
     _student_t_sf,
 )
 
@@ -161,6 +163,20 @@ class TestPairedDiffs:
         single = PairedDiffs((1.0,), [("m", "d")])
         assert hash(single) == hash(PairedDiffs((1.0,), (("m", "d"),)))
 
+    def test_both_ways_of_building_keep_the_same_arrays(self):
+        values = [0.5, -0.0, 0.0, -1.25, 3.0, 0.5, 0.0]
+        public = PairedDiffs.from_values(values, datasets="ABACBCA")
+        codes = np.array([0, 1, 0, 2, 1, 2, 0])
+        kept = PairedDiffs._from_columns(np.array(values), public.labels, codes, np.bincount(codes))
+        assert kept == public
+        (ascending, neg, pos), (want, want_neg, want_pos) = kept._sorted, public._sorted
+        assert (ascending.tobytes(), neg, pos) == (want.tobytes(), want_neg, want_pos)
+        assert _bits(kept._ends) == _bits(public._ends)
+        assert kept._counts.tolist() == public._counts.tolist() == [3, 2, 2]
+        assert kept._datasets.tolist() == public._datasets.tolist()
+        for array in (kept._values, kept._datasets, kept._counts, ascending, want):
+            assert not array.flags.writeable
+
     @pytest.mark.parametrize(
         "labels",
         [None, 3, "md", [("m",)], [("m", "d", "x")], ["md"], [("m", 1)], [(b"m", "d")], [None]],
@@ -181,13 +197,15 @@ class TestPairedDiffs:
         d = PairedDiffs(values, tuple(("m", str(i)) for i in range(len(values))))
         mean, sd, scale = d._moments
         arr = np.array(values)
+        peak = float(np.abs(arr).max())
         if arr.size > 1 and arr.var(ddof=1) < 2.0**-1022 and arr.min() < arr.max():
             # The squared deviations may underflow: numpy's values of the
             # differences scaled by a power of two (TestUnderflowingVariance).
-            assert scale == _power_of_two_scale(arr) < 1.0
-            arr = arr / scale
+            assert scale == _power_of_two_scale(peak) < 1.0
         else:
-            assert scale == 1.0
+            # 1.0 below a peak of 2**480, a power of two from it on.
+            assert scale == _scale(peak)
+        arr = arr / scale
         assert mean.hex() == float(arr.mean()).hex()
         want_sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
         assert sd.hex() == want_sd.hex()
@@ -303,24 +321,62 @@ class TestConstantSamples:
         values = [0.1] * 4 + [math.nextafter(0.1, 1.0)]
         assert math.isfinite(paired_t_test(PairedDiffs.from_values(values)).statistic)
 
+    @pytest.mark.parametrize("a, b", [([0.1] * 3, [0.2] * 3), ([0.7] * 3, [1.7] * 5)])
+    def test_pooled_d_of_two_constant_samples(self, a, b):
+        # Without the rule, d would be -3.72e15 and -1.27e16.
+        with pytest.raises(DegenerateInputError, match="^pooled variance is zero$"):
+            cohens_d_pooled(a, b)
+
+    def test_one_unequal_value_keeps_the_pooled_d(self):
+        b = [0.2, 0.2, math.nextafter(0.2, 1.0)]
+        assert math.isfinite(cohens_d_pooled([0.1] * 3, b))
+
+
+def _all_finite(result):
+    if isinstance(result, np.ndarray):
+        return bool(np.isfinite(result).all())
+    return all(map(math.isfinite, result))
+
+
+def _rescaled(compute, arr):
+    """(result, scale) as the statistics once scaled every sum: ``compute``
+    of the values and 1.0, unless a value of its result is not finite; then
+    ``compute`` of the values divided by the power of two just above their
+    peak, and that power."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = compute(arr)
+    if _all_finite(result):
+        return result, 1.0
+    scale = _power_of_two_scale(float(np.abs(arr).max()))
+    return compute(arr / scale), scale
+
 
 def _old_mean_sd_scale(arr):
-    """(mean, sd, scale) as every call computed it before the peak test:
-    ``_mean_var`` at the scale ``_rescaled`` picks, then the underflow
-    rescale."""
+    """(mean, sd, scale) as the statistics once computed them: ``_mean_var``
+    at the scale ``_rescaled`` picks, then the underflow rescale."""
     stats = ordsim.stats
-    (mean, var), scale = stats._rescaled(stats._mean_var, arr)
-    if var < stats._SMALLEST_NORMAL and stats._spread(arr):
-        scale = stats._power_of_two_scale(arr)
+    (mean, var), scale = _rescaled(stats._mean_var, arr)
+    if var < stats._SMALLEST_NORMAL and arr.min() < arr.max():
+        scale = _power_of_two_scale(float(np.abs(arr).max()))
         mean, var = stats._mean_var(arr / scale)
     return mean, math.sqrt(var), scale
 
 
+def _old_paired_t(d, alternative):
+    """paired_t_test on ``_old_mean_sd_scale`` of the differences."""
+    constant = "paired t-test is undefined for constant differences"
+    if d._ends[0] == d._ends[1]:
+        raise DegenerateInputError(constant)
+    moments = _old_mean_sd_scale(d._values)
+    return ordsim.stats._t_test(moments, d.n, alternative, "paired-t", constant)
+
+
 def _old_lodo(d, alternative):
-    """leave_one_dataset_out before the peak test, on d's codes and counts."""
+    """leave_one_dataset_out with the sums ``_rescaled`` scales, on d's
+    codes and counts."""
     stats = ordsim.stats
     codes, counts = d._datasets, d._counts
-    means, _ = stats._rescaled(lambda arr: stats._exclusion_means(arr, codes, counts), d._values)
+    means, _ = _rescaled(lambda arr: stats._exclusion_means(arr, codes, counts), d._values)
     constant = f"leave-one-dataset-out t-test is undefined: all {counts.size} exclusion means are equal"
     if means.min() == means.max():
         raise DegenerateInputError(constant)
@@ -328,11 +384,16 @@ def _old_lodo(d, alternative):
 
 
 class TestPeakLimit:
-    """Below a peak magnitude of 2**480 no sum of squares can overflow, so
-    the mean, sd and exclusion means skip ``_rescaled``; on either side of
-    that peak every value is the ``_rescaled`` path's, bit for bit."""
+    """Every sum is taken at scale 1.0 below a peak magnitude of 2**480,
+    where none can overflow, and at the power of two just above the peak
+    from it on.  On either side of that peak, on values whose mean is not
+    carried by a value subnormal at that scale, the public results are
+    those of scaling only the sums that overflow (``_rescaled``), bit for
+    bit, also between 2**480 and 2**512, where no sum overflows."""
 
-    @pytest.mark.parametrize("exponent", [-600, -540, 0, 470, 478, 479, 480, 481, 600, 1000])
+    @pytest.mark.parametrize(
+        "exponent", [-600, -540, 0, 470, 478, 479, 480, 481, 490, 505, 511, 600, 1000]
+    )
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_the_rescaled_path(self, exponent, seed):
         rng = np.random.default_rng(seed)
@@ -342,29 +403,43 @@ class TestPeakLimit:
         values = base * 2.0**exponent
         datasets = [f"D{i % 7}" for i in range(60)]
         d = PairedDiffs.from_values(values.tolist(), datasets=datasets)
-        assert (d._peak < ordsim.stats._PEAK_LIMIT) == (exponent < 480)
-        assert _bits(d._moments) == _bits(_old_mean_sd_scale(d._values))
+        s = descriptive_stats(d)
+        mean, sd, scale = _old_mean_sd_scale(d._values)
+        assert (s.mean.hex(), s.sd.hex()) == ((mean * scale).hex(), (sd * scale).hex())
         for alternative in ("greater", "two-sided"):
-            want = _outcome_bits(_old_lodo, d, alternative)
-            assert _outcome_bits(leave_one_dataset_out, d, alternative) == want
+            for test, old in ((paired_t_test, _old_paired_t), (leave_one_dataset_out, _old_lodo)):
+                want = _outcome_bits(old, d, alternative)
+                assert _outcome_bits(test, d, alternative) == want, test
 
-    def test_rescaled_runs_only_at_or_above_the_peak_limit(self):
-        calls = []
-        real = ordsim.stats._rescaled
+    @pytest.mark.parametrize("alternative", ["greater", "two-sided"])
+    def test_results_are_power_of_two_equivariant_across_the_limit(self, alternative):
+        # x's squares sum below 2**1024 and x * 2**20's do not; both are
+        # taken at the power of two just above their peak, where 2**-600
+        # and 2**-580 are both below the smallest subnormal.
+        x = np.array([2.0**500, -(2.0**500), 2.0**-600])
+        y = np.array([1.0, 2.0, 4.0])
+        k = 2.0**20
+        d, dk = (PairedDiffs.from_values(v, datasets="ABC") for v in (x, x * k))
+        s, sk = descriptive_stats(d), descriptive_stats(dk)
+        for field in ("mean", "sd", "se", "median", "q1", "q3", "iqr", "min", "max"):
+            assert getattr(sk, field).hex() == (getattr(s, field) * k).hex(), field
+        for test in (paired_t_test, leave_one_dataset_out):
+            assert _outcome_bits(test, dk, alternative) == _outcome_bits(test, d, alternative)
+        assert cohens_d_pooled(x * k, y * k).hex() == cohens_d_pooled(x, y).hex()
 
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        values = np.array([1.0, -0.5, 1.5, 0.25])
-        for exponent, rescaled in ((478, False), (480, True)):
-            calls.clear()
-            d = PairedDiffs.from_values((values * 2.0**exponent).tolist(), datasets="ABAB")
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ordsim.stats, "_rescaled", counted)
-                paired_t_test(d)
-                leave_one_dataset_out(d)
-            assert bool(calls) == rescaled, exponent
+    @pytest.mark.parametrize("exponent", [-1074, -600, 0, 479, 480, 481, 600, 1022, 1023])
+    def test_the_scale_is_one_below_the_limit_and_a_power_of_two_above(self, exponent):
+        for peak in (2.0**exponent, math.nextafter(2.0**exponent, 0.0)):
+            scale = _scale(peak)
+            if peak < _PEAK_LIMIT:
+                assert scale == 1.0
+            else:
+                # The power of two just above the peak, at most 2**1023.
+                assert math.frexp(scale)[0] == 0.5
+                assert peak < scale <= 2.0 * peak or scale == 2.0**1023
+            if exponent >= 0:  # a variance too large to have underflowed
+                d = PairedDiffs.from_values([peak, -peak / 2, 0.0], datasets="ABC")
+                assert d._moments[2] == scale
 
 
 def _two_pass_encode(values):
