@@ -42,9 +42,9 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
-from .metrics import DenseVector, _RowValues
+from .metrics import DenseVector, VectorLike, _RowValues, _vector
 from .ranks import _centered_ranks
-from .stats import _encode, _first_appearance_codes, _mean_var, _micro_average
+from .stats import _encode, _mean_var, _micro_average
 
 __all__ = [
     "PairRecord",
@@ -88,9 +88,10 @@ def parse_vector(text: str) -> DenseVector:
     return DenseVector(values)
 
 
-def format_vector(v: DenseVector) -> str:
-    """Inverse of parse_vector; components in shortest round-trip form."""
-    return _format_components(v.components)
+def format_vector(v: VectorLike) -> str:
+    """Inverse of parse_vector; components in shortest round-trip form.
+    Takes what the metrics take, checked as they check it."""
+    return _format_components(_vector(v))
 
 
 def _format_components(components: np.ndarray) -> str:
@@ -582,7 +583,7 @@ class _MethodColumns:
         layout = layouts.get(key)
         if layout is None:
             # Dataset codes numbered in the method's order of first appearance.
-            codes = _first_appearance_codes(dataset_codes[rows])
+            _, codes = _encode(dataset_codes[rows].tolist())
             layout = layouts[key] = (cells, codes, np.bincount(codes))
             for column in layout:
                 column.setflags(write=False)

@@ -14,7 +14,9 @@ Conventions shared by every test in this module:
 - The t-tests evaluate their tail by the finite series of Student's t for
   an integer df (Abramowitz & Stegun 26.7.3-26.7.4), with numpy only: within
   1e-14 absolute of 40-digit mpmath for df <= 1000, and within 1e-12
-  relative where p <= 1e-3 (see ``_t_two_sided``).
+  relative where p <= 1e-3 (see ``_t_two_sided``); within 1e-11 relative
+  for df from 65,535 to 10**6 at t from 2 to 7.5, where the sums run past
+  one block of ``_T_BLOCK`` terms.
 - Quartiles interpolate linearly between order statistics (the default
   linear/"type 7" convention; see the file-format notes in the README),
   with numpy's own arithmetic for it, on the sorted differences.
@@ -41,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -75,23 +76,24 @@ class PairedDiffs:
     """Paired differences with a (model, dataset) label per entry.
 
     The constructor takes the differences as any 1-d sequence or array of
-    finite numbers and stores them as a tuple of floats, and the labels as
-    a tuple of (model, dataset) pairs of str.  ``compare`` builds its diffs
-    from a results table's columns instead (``_from_columns``), with the
-    dataset codes and counts the table keeps for the method, and makes the
-    diffs tuple, and the labels, on first use.
+    finite numbers and stores them as a tuple of floats, and the labels,
+    each a tuple or list of two str, as a tuple of (model, dataset) pairs;
+    it numbers their datasets with ``_encode``.  ``compare`` builds its
+    diffs from a results table's columns instead (``_from_columns``), with
+    the dataset codes and counts the table keeps for the method, numbered
+    by the same ``_encode``, and a function that makes the labels; the
+    diffs tuple and the labels are made on first use.
 
     Both ways end in ``_set_values``, which keeps, read-only: the float64
-    differences, which every test in this module reads; the labels'
-    dataset codes, numbered in order of first appearance, and their
-    counts, from which ``leave_one_dataset_out`` takes its per-dataset
-    sums; the differences sorted, with the bounds of their zeros, which
-    ``descriptive_stats``, ``sign_test`` and ``wilcoxon_signed_rank``
-    share; and the sorted copy's two ends, the smallest and the largest
-    difference, from which the t-tests tell a constant sample and take the
-    peak that decides the scale (see ``_mean_sd``).  The mean and sd are
-    made on first use.  None of these is a field, so they take no part in
-    ``==``, ``hash`` or ``repr``.
+    differences, which every test in this module reads; the dataset codes,
+    in order of first appearance, and their counts, from which
+    ``leave_one_dataset_out`` takes its per-dataset sums; the differences
+    sorted, with the bounds of their zeros, which ``descriptive_stats``,
+    ``sign_test`` and ``wilcoxon_signed_rank`` share; and the sorted copy's
+    two ends, the smallest and the largest difference, from which the
+    t-tests tell a constant sample and take the peak that decides the scale
+    (see ``_mean_sd``).  The mean and sd are made on first use.  None of
+    these is a field, so they take no part in ``==``, ``hash`` or ``repr``.
     """
 
     diffs: tuple[float, ...]
@@ -111,22 +113,18 @@ class PairedDiffs:
     def _from_columns(
         cls,
         values: np.ndarray,
-        labels: tuple[tuple[str, str], ...] | Callable[[], tuple[tuple[str, str], ...]],
+        labels: Callable[[], tuple[tuple[str, str], ...]],
         datasets: np.ndarray,
         counts: np.ndarray,
     ) -> PairedDiffs:
-        # For a non-empty 1-d float64 array that the caller hands over,
-        # labels that are already a tuple of (model, dataset) pairs of str,
-        # or a function of no arguments that returns one, the labels'
-        # dataset codes, numbered in order of first appearance, and their
-        # np.bincount.  The diffs tuple, and the labels of a function, are
-        # made on first access.
+        # For a non-empty 1-d float64 array that the caller hands over, a
+        # function of no arguments that returns the labels as a tuple of
+        # (model, dataset) pairs of str, their dataset codes, numbered in
+        # order of first appearance, and their np.bincount.  The diffs tuple
+        # and the labels are made on first access.
         diffs = cls.__new__(cls)
         diffs._set_values(values, datasets, counts)
-        if callable(labels):
-            object.__setattr__(diffs, "_make_labels", labels)
-        else:
-            object.__setattr__(diffs, "labels", labels)
+        object.__setattr__(diffs, "_make_labels", labels)
         return diffs
 
     def _set_values(self, values: np.ndarray, datasets: np.ndarray, counts: np.ndarray) -> None:
@@ -191,14 +189,6 @@ def _checked_labels(labels: Sequence[Sequence[str]]) -> tuple[tuple[str, str], .
         pairs = tuple(labels)
     except TypeError:
         raise DegenerateInputError(f"labels must be a sequence, got {labels!r}") from None
-    # Tuples of two exact str, the common case, are checked by three passes
-    # that run in C and kept as they are.
-    if (
-        set(map(type, pairs)) <= {tuple}
-        and set(map(len, pairs)) <= {2}
-        and set(map(type, chain.from_iterable(pairs))) <= {str}
-    ):
-        return pairs
     for label in pairs:
         if not (
             isinstance(label, (tuple, list))
@@ -226,15 +216,6 @@ def _encode(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
     code_of = _Numbering()
     codes = np.fromiter(map(code_of.__getitem__, values), np.intp, len(values))
     return tuple(code_of), codes
-
-
-def _first_appearance_codes(codes: np.ndarray) -> np.ndarray:
-    """Non-negative integer codes renumbered in order of first appearance:
-    the codes ``_encode`` gives the same values."""
-    distinct, first = np.unique(codes, return_index=True)
-    renumber = np.empty(distinct[-1] + 1 if distinct.size else 0, np.intp)
-    renumber[distinct[first.argsort()]] = np.arange(distinct.size)
-    return renumber[codes]
 
 
 def _mean_var(arr: np.ndarray) -> tuple[float, float]:
@@ -428,8 +409,9 @@ def _student_t_sf(t: float, df: int) -> float:
 # relative accuracy where the head's difference cancels.
 #
 # For each parity of df, _T_RATIOS holds r_k for k < _T_BLOCK, made on first
-# use, and _T_COEFFICIENTS holds c_k for k = 0, 1, ..., grown on demand: the
-# long-double product of the ratios, rounded once.  Neither is keyed by df.
+# use, which every block of a sum inside it reads, and _T_COEFFICIENTS holds
+# c_k for k = 0, 1, ..., grown on demand: the long-double product of the
+# ratios, rounded once.  Neither is keyed by df.
 _T_RATIOS = [np.empty(0), np.empty(0)]
 _T_COEFFICIENTS = [np.empty(0), np.empty(0)]
 _HALF_PI = math.pi / 2
@@ -438,9 +420,8 @@ _HALF_PI = math.pi / 2
 _T_HEAD_MIN = 1.0 / 512
 # Sums of at most this many terms are added by a loop.
 _T_LOOP_TERMS = 48
-# The ratio tables' length.  A sum that reaches past it takes one cumulative
-# product per block of this many terms, so that a call's arrays stay small
-# at any df.
+# The ratio tables' length, and the most terms of one block of ``_t_sum``,
+# so that a call's arrays stay small at any df.
 _T_BLOCK = 1 << 16
 # Veltkamp's splitter for float64, 2^27 + 1.
 _SPLIT = 134217729.0
@@ -463,55 +444,53 @@ def _t_coefficients(odd: int, n: int) -> np.ndarray:
 
 def _t_sum(odd: int, x: float, start: int, n: int) -> float:
     """Σ_{k=start..start+n} c_k x^(k-start) / c_start, that is
-    1 + Σ_{j=1..n} Π_{i<j} r_{start+i}·x: by one cumulative product
-    (``np.multiply.accumulate``, the ufunc behind ``np.cumprod``), or by a
-    loop for a short sum, where three numpy calls cost more."""
+    1 + Σ_{j=1..n} Π_{i<j} r_{start+i}·x: by a loop for a short sum inside
+    the ratio table, where numpy calls cost more, else by blocks of at most
+    ``_T_BLOCK`` terms from ``start``, each a cumulative product
+    (``np.multiply.accumulate``) scaled by the last term of the blocks
+    before it, which reads its ratios from the table if it lies inside."""
     stop = start + n
-    if stop > _T_BLOCK:
-        return _t_long_sum(odd, x, start, stop)
     ratios = _T_RATIOS[odd]
     if ratios.size == 0:
         ratios = _T_RATIOS[odd] = _t_ratio(odd, np.arange(_T_BLOCK, dtype=np.float64))
-    if n > _T_LOOP_TERMS:
-        return 1.0 + float(np.add.reduce(np.multiply.accumulate(ratios[start:stop] * x)))
-    term = total = 1.0
-    for ratio in ratios[start:stop].tolist():
-        term *= ratio * x
-        total += term
-    return total
-
-
-def _t_long_sum(odd: int, x: float, start: int, stop: int) -> float:
-    """``_t_sum`` past the ratio table: one block at a time, with its ratios
-    made for it and its terms scaled by the last term of the blocks before."""
+    if n <= _T_LOOP_TERMS and stop <= _T_BLOCK:
+        term = total = 1.0
+        for ratio in ratios[start:stop].tolist():
+            term *= ratio * x
+            total += term
+        return total
     total = carry = 1.0
     for lo in range(start, stop, _T_BLOCK):
-        k = np.arange(lo, min(lo + _T_BLOCK, stop), dtype=np.float64)
-        terms = np.multiply.accumulate(_t_ratio(odd, k) * x)
+        hi = min(lo + _T_BLOCK, stop)
+        block = ratios[lo:hi] if hi <= _T_BLOCK else _t_ratio(odd, np.arange(lo, hi, 1.0))
+        terms = np.multiply.accumulate(block * x)
         total += carry * float(np.add.reduce(terms))
         carry *= float(terms[-1])
     return total
 
 
+def _product_error(x: float, y: float, p: float) -> float:
+    """x·y - p exactly, for p = fl(x·y): Dekker's product after Veltkamp's
+    split of each factor, which needs |x| and |y| below 2^996 and an error
+    that is a double.  Plain operators, so it works elementwise on arrays."""
+    t = x * _SPLIT
+    xh = t - (t - x)
+    xl = x - xh
+    t = y * _SPLIT
+    yh = t - (t - y)
+    yl = y - yh
+    return ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
 def _rounding_of_x(a: float, a2: float, d: float, x: float, df: int) -> float:
     """δ such that df/(df + a²) = x·(1 + δ) to first order, for a2 = fl(a²),
     d = fl(df + a2) and x = fl(df/d): each of the three roundings is
-    recovered exactly (Dekker's product after Veltkamp's split, and Knuth's
-    sum), which needs d < 2^996."""
-    p = a * _SPLIT
-    hi = p - (p - a)
-    lo = a - hi
-    a2_err = ((hi * hi - a2) + 2.0 * hi * lo) + lo * lo
+    recovered exactly (``_product_error`` and Knuth's sum), which needs
+    d < 2^996."""
+    a2_err = _product_error(a, a, a2)
     d_err = (df - d) + a2 if df >= a2 else (a2 - d) + df
-    p = x * _SPLIT
-    xh = p - (p - x)
-    xl = x - xh
-    p = d * _SPLIT
-    dh = p - (p - d)
-    dl = d - dh
     p = x * d
-    p_err = ((xh * dh - p) + xh * dl + xl * dh) + xl * dl
-    return ((df - p) - p_err - x * (d_err + a2_err)) / df
+    return ((df - p) - _product_error(x, d, p) - x * (d_err + a2_err)) / df
 
 
 def _t_two_sided(a: float, df: int) -> float:

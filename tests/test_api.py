@@ -137,6 +137,7 @@ NUMBER_TAKERS = [
     ("dot", lambda z: ordsim.dot(z, REAL), InvalidVectorError),
     ("norm", ordsim.norm, InvalidVectorError),
     ("DenseVector", DenseVector, InvalidVectorError),
+    ("format_vector", ordsim.format_vector, InvalidVectorError),
     ("bound_chain", lambda z: ordsim.bound_chain(z, REAL), InvalidVectorError),
     ("rearrangement_bound", lambda z: ordsim.rearrangement_bound(REAL, z), InvalidVectorError),
     ("is_similarly_ordered", lambda z: ordsim.is_similarly_ordered(z, REAL), InvalidVectorError),

@@ -1,6 +1,7 @@
 """Evaluation and comparison harness mechanics."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -810,7 +811,7 @@ class TestLodoColumns:
             order = [keys.index(cell) for cell in col_a.cells]
             values = col_a.scores - col_b.scores[order]
             kept = ordsim.stats.PairedDiffs._from_columns(
-                values, col_a.cells, col_a.datasets, col_a.dataset_counts
+                values, lambda: col_a.cells, col_a.datasets, col_a.dataset_counts
             )
             public = PairedDiffs(values, col_a.cells)
             assert public._datasets.tolist() == col_a.datasets.tolist()
@@ -820,25 +821,33 @@ class TestLodoColumns:
                 assert want[1] == _report_bits(_compare_lodo, table, a, b, alternative)
 
     def test_table_builds_codes_once_per_method(self):
-        # compare hands the table's codes to its diffs: it never renumbers
-        # them, and never encodes the dataset names of the labels.
+        # A table numbers its models, methods and datasets once each, and
+        # each distinct cell order's dataset codes once; compare hands the
+        # table's codes to its diffs: it never numbers them again, and never
+        # encodes the dataset names of the labels.
         methods = ("a", "b", "c", "d")
         pairs = [(a, b) for a in methods for b in methods if a != b]
-        renumber = ordsim.io._first_appearance_codes
         encode = ordsim.stats._encode
-        with mock.patch.object(
-            ordsim.io, "_first_appearance_codes", wraps=renumber
-        ) as renumbered, mock.patch.object(ordsim.stats, "_encode", wraps=encode) as encoded:
+        with mock.patch.object(ordsim.io, "_encode", wraps=encode) as numbered, mock.patch.object(
+            ordsim.stats, "_encode", wraps=encode
+        ) as encoded:
+            # Each method lists its cells in its own order.
             table = _unequal_table(methods)
+            assert numbered.call_count == 3 + len(methods)
             for a, b in pairs:
                 for alternative in ("greater", "two-sided"):
                     compare(table, a, b, alternative)
-            assert renumbered.call_count == len(methods)
+            assert numbered.call_count == 3 + len(methods)
             assert encoded.call_count == 0
+            # Methods that list their cells in one order share one numbering:
+            # this table's columns, and its one cell order.
+            rows = itertools.product(methods, ("m0", "m1"), ("D1", "D0", "D2"))
+            _table([(model, method, ds, 10 * i) for i, (method, model, ds) in enumerate(rows)])
+            assert numbered.call_count == 3 + len(methods) + 3 + 1
             d = PairedDiffs.from_values([1.0, 2.0, 4.0], datasets=["A", "B", "A"])
             leave_one_dataset_out(d)
             leave_one_dataset_out(d)
-            assert (renumbered.call_count, encoded.call_count) == (len(methods), 1)
+            assert (numbered.call_count, encoded.call_count) == (3 + len(methods) + 4, 1)
 
     def test_codes_are_read_only_and_outside_the_value(self):
         table = _unequal_table()

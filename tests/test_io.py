@@ -69,6 +69,14 @@ class TestParseVector:
         with pytest.raises(InvalidVectorError):
             parse_vector("inf")
 
+    def test_format_vector_takes_what_the_metrics_take(self):
+        assert format_vector([1.0, 2.5]) == "1.0,2.5"
+        assert format_vector((3, 4)) == "3.0,4.0"
+        assert format_vector(np.array([0.1, -0.0, 1e300])) == "0.1,-0.0,1e+300"
+        for junk in ("1,2", [], [[1.0]], [1.0, math.nan], None, [1.0, "x"]):
+            with pytest.raises(InvalidVectorError):
+                format_vector(junk)
+
     @given(st.lists(component, min_size=1, max_size=20))
     @settings(max_examples=300)
     def test_format_parse_round_trip_is_exact(self, comps):

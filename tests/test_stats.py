@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ordsim.stats
@@ -40,6 +40,7 @@ from ordsim.stats import (
     _norm_sf,
     _PEAK_LIMIT,
     _power_of_two_scale,
+    _product_error,
     _scale,
     _student_t_sf,
 )
@@ -167,7 +168,9 @@ class TestPairedDiffs:
         values = [0.5, -0.0, 0.0, -1.25, 3.0, 0.5, 0.0]
         public = PairedDiffs.from_values(values, datasets="ABACBCA")
         codes = np.array([0, 1, 0, 2, 1, 2, 0])
-        kept = PairedDiffs._from_columns(np.array(values), public.labels, codes, np.bincount(codes))
+        kept = PairedDiffs._from_columns(
+            np.array(values), lambda: public.labels, codes, np.bincount(codes)
+        )
         assert kept == public
         (ascending, neg, pos), (want, want_neg, want_pos) = kept._sorted, public._sorted
         assert (ascending.tobytes(), neg, pos) == (want.tobytes(), want_neg, want_pos)
@@ -1018,6 +1021,15 @@ class TestPairedT:
             assert abs(p - float(scipy.stats.t.sf(t, df))) <= 1e-12, t
         assert _student_t_sf(0.0, df) == 0.5
 
+    def test_tail_function_past_one_ratio_block_against_mpmath(self):
+        # Here the series runs past the 65,536-term ratio table, in blocks
+        # of that many terms (the tail form at every df, the head form from
+        # df = 131,076 on); worst relative error 5.4e-12, at (3, 200,001).
+        for df in (65_535, 65_536, 131_073, 200_001, 1_000_000):
+            for t in (2.0, 3.0, 4.5, 5.0, 7.5):
+                expected = self._mpmath_sf(t, df)
+                assert abs(_student_t_sf(t, df) - expected) <= 1e-11 * expected, (t, df)
+
     def test_tail_function_cost_at_df_100000(self):
         # The series has df / 2 terms at most near t = 0 (0.2-0.3 ms); the
         # first call grows the coefficient tables, so it is left out.
@@ -1041,6 +1053,46 @@ class TestPairedT:
                     else:
                         expected = min(1, 2 * self._mpmath_sf(abs(t), df))
                     assert abs(result.p_value - expected) <= 1e-15 * expected, (a, b, alternative)
+
+
+_SPLITTER = 2.0**27 + 1
+_FACTORS = st.one_of(
+    st.floats(min_value=-(2.0**996), max_value=2.0**996, exclude_min=True, exclude_max=True),
+    # Powers of two, and Veltkamp's splitter and its neighbours, scaled.
+    st.builds(
+        lambda base, k, sign: sign * math.ldexp(base, k),
+        st.sampled_from([1.0, _SPLITTER, math.nextafter(_SPLITTER, 0.0),
+                         math.nextafter(_SPLITTER, math.inf), 1 + 2.0**-52, 2 - 2.0**-52]),
+        st.integers(-900, 900),
+        st.sampled_from([1.0, -1.0]),
+    ),
+)
+
+
+class TestProductError:
+    # x·y - fl(x·y) is a multiple of ulp(x)·ulp(y), so a double once the
+    # product is at least 2^-968; a normal product nearer the underflow can
+    # have an error below 2^-1074.
+    @staticmethod
+    def _check(x, y):
+        p = x * y
+        assume(math.isfinite(p) and abs(p) >= 2.0**-968)
+        assert Fraction(x) * Fraction(y) - Fraction(p) == Fraction(_product_error(x, y, p))
+
+    @given(_FACTORS, _FACTORS)
+    @example(_SPLITTER, math.nextafter(_SPLITTER, 0.0))
+    @example(-math.nextafter(_SPLITTER, math.inf), 0.1)
+    @example(2.0**500, 2.0**-700)
+    @settings(max_examples=500)
+    def test_is_the_exact_error_of_the_product(self, x, y):
+        self._check(x, y)
+
+    @given(_FACTORS)
+    @example(_SPLITTER)
+    @example(math.nextafter(_SPLITTER, math.inf) * 2.0**400)
+    @settings(max_examples=300)
+    def test_is_the_exact_error_of_a_square(self, a):
+        self._check(a, a)
 
 
 class TestCohensD:
