@@ -324,7 +324,9 @@ class _RowValues:
     """u.v, the pair (|u|^2, |v|^2) and recos' sorted dot of each row pair
     u_i, v_i of two (n, d) arrays that must never change.  Each is computed
     by ``_row_dots``, as the scalar metric's dot, on first use by a kind
-    whose formula reads it, and kept read-only; overflow does not warn."""
+    whose formula reads it, and kept read-only; overflow does not warn.
+    ``harness.evaluate`` takes ``similarities`` as its scores; it rescores
+    branch rows, and clips, only where the sorted ends call for it."""
 
     def __init__(self, U: np.ndarray, V: np.ndarray) -> None:
         self._U, self._V = U, V
@@ -358,25 +360,16 @@ class _RowValues:
         return _frozen(out)
 
     @np.errstate(all="ignore")
-    def similarities(self, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
-        """``similarity(kind, u_i, v_i)`` for every row i, bit for bit, with
-        the scalar metric's float operations in its order; and the indices
-        of the branch rows, where u.v == 0 or the unclipped quotient is not
-        finite, whose values mean nothing: score them with ``similarity``.
-        Every other value is finite.  No other row takes a scalar branch: a
-        zero, inf or NaN denominator over a nonzero u.v makes the quotient
-        inf or NaN, except a finite u.v over inf, whose +/-0.0 is the scalar
-        value.  u.v == 0 is a branch row under every kind because np.dot of
-        one-component vectors is the bare product, whose sign a zero keeps,
-        while the matmul adds it to +0.0.
-        """
-        d = self.dots
+    def similarities(self, kind: MetricKind) -> tuple[np.ndarray, bool]:
+        """u.v / den of every row i, in a new array, with the scalar metric's
+        float operations in its order, and whether ``kind`` clips it to
+        [-1, 1].  Clipped, it is ``similarity(kind, u_i, v_i)`` bit for bit
+        but on branch rows.  Those have u.v == 0 (np.dot of one-component
+        vectors keeps a zero's sign, the matmul adds it to +0.0) or a
+        quotient that is not finite (a zero, inf or NaN denominator over a
+        nonzero u.v; a finite u.v over inf gives the scalar +/-0.0)."""
         denominator, clip = _ROW_FORMULAS[kind]
-        sims = d / denominator(self)
-        branch = np.flatnonzero((d == 0.0) | ~np.isfinite(sims))
-        if clip:
-            np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)
-        return sims, branch
+        return self.dots / denominator(self), clip
 
 
 # Each kind's denominator, read off a ``_RowValues`` with the float

@@ -70,35 +70,31 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
         raise DegenerateInputError(f"length mismatch: {ax.size} vs {ay.size}")
     if ax.size < 2:
         raise DegenerateInputError("spearman_rho requires at least 2 observations")
-    return _rank_correlation(_sorted_centered_ranks(ax), _centered_ranks(ay))
+    return _rank_correlation(*_sorted_centered_ranks(ax), _centered_ranks(ay))
 
 
 def _sorted_centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, centered): ``np.argsort(arr)`` of a 1-d, non-empty float64
-    array, and for each sorted position its average rank minus the mean rank
-    (n + 1) / 2, a multiple of 1/2.
+    """(order, centered): ``np.argsort`` of a checked array (see
+    ``_as_array``) and its ``_sorted_centered`` ranks."""
+    order = arr.argsort()
+    return order, _sorted_centered(arr[order])
 
-    Raises InvalidVectorError if a value is not finite.  That takes no pass
-    of its own: the sort puts -inf first and inf and NaN last.
-    """
-    n = arr.size
-    order = np.argsort(arr)
-    sorted_vals = arr[order]
-    if not (math.isfinite(sorted_vals[0]) and math.isfinite(sorted_vals[-1])):
-        raise InvalidVectorError("x must be finite")
+
+def _sorted_centered(sorted_vals: np.ndarray) -> np.ndarray:
+    """For each position of a sorted, finite, non-empty float64 array, its
+    average rank minus the mean rank (n + 1) / 2, a multiple of 1/2."""
+    n = sorted_vals.size
     ties = sorted_vals[1:] == sorted_vals[:-1]
-    if ties.any():
+    if np.count_nonzero(ties):
         boundaries = np.concatenate(([True], ~ties))
         starts = np.flatnonzero(boundaries)
         counts = np.diff(np.append(starts, n))
         # Group occupying 1-based positions start+1 .. start+count averages to
         # start + (count + 1) / 2.
         group_rank = starts + (counts + 1) / 2.0
-        centered = (group_rank - (n + 1) / 2.0)[np.cumsum(boundaries) - 1]
-    else:
-        # Position i, rank i + 1, is centered to i - (n - 1) / 2.
-        centered = np.arange(-(n - 1) / 2.0, (n + 1) / 2.0)
-    return order, centered
+        return (group_rank - (n + 1) / 2.0)[np.cumsum(boundaries) - 1]
+    # Position i, rank i + 1, is centered to i - (n - 1) / 2.
+    return np.arange(-(n - 1) / 2.0, (n + 1) / 2.0)
 
 
 def _centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, float]:
@@ -110,14 +106,12 @@ def _centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, float]:
     return dr, float(np.dot(centered, centered))
 
 
-def _rank_correlation(
-    x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, float]
-) -> float:
-    """Spearman's rho from the ``_sorted_centered_ranks`` of x and the
-    ``_centered_ranks`` of y (see ``spearman_rho`` for its exactness)."""
-    (order, dx), (dy, ssy) = x, y
-    ssx = float(np.dot(dx, dx))
+def _rank_correlation(order: np.ndarray, dx: np.ndarray, y: tuple[np.ndarray, float]) -> float:
+    """Spearman's rho from x's ``_sorted_centered_ranks`` (order, dx) and
+    the ``_centered_ranks`` of y (see ``spearman_rho`` for its exactness)."""
+    dy, ssy = y
+    ssx = float(dx.dot(dx))
     if ssx == 0.0 or ssy == 0.0:
         raise DegenerateInputError("spearman_rho is undefined for a constant sequence")
-    rho = float(np.dot(dx, dy[order])) / math.sqrt(ssx * ssy)
+    rho = float(dx.dot(dy[order])) / math.sqrt(ssx * ssy)
     return float(min(1.0, max(-1.0, rho)))

@@ -213,15 +213,18 @@ def _per_pair(ds, kind):
 
 
 def _evaluated(ds, kind):
-    """``evaluate``'s report, with the scores it ranked."""
+    """``evaluate``'s report, with the scores it ranked, in row order, as
+    ``_sorted_scores`` hands them over before evaluate checks that they are
+    finite."""
     seen = []
-    real = ordsim.harness._sorted_centered_ranks
+    real = ordsim.harness._sorted_scores
 
-    def spy(x):
-        seen.append(np.array(x, dtype=np.float64))
-        return real(x)
+    def spy(dataset, kind):
+        out = real(dataset, kind)
+        seen.append(np.array(out[0], dtype=np.float64))
+        return out
 
-    with mock.patch.object(ordsim.harness, "_sorted_centered_ranks", spy):
+    with mock.patch.object(ordsim.harness, "_sorted_scores", spy):
         report = _outcome(lambda: evaluate(ds, kind))
     return (seen[0] if seen else None), report
 
@@ -383,15 +386,22 @@ class TestBlockParity:
 
         ranked = []
         real_ranks = ordsim.ranks._sorted_centered_ranks
+        real_scores = ordsim.harness._sorted_scores
 
         def counted_ranks(x):
             ranked.append(x)
             return real_ranks(x)
 
+        def counted_scores(dataset, kind):
+            out = real_scores(dataset, kind)
+            ranked.append(out[0])
+            return out
+
         monkeypatch.setattr(ordsim.metrics, "_row_dots", counted)
-        # Gold is ranked through ranks._centered_ranks, the scores by evaluate.
+        # Gold is ranked through ranks._centered_ranks, the scores by evaluate
+        # from the sort that _sorted_scores makes.
         monkeypatch.setattr(ordsim.ranks, "_sorted_centered_ranks", counted_ranks)
-        monkeypatch.setattr(ordsim.harness, "_sorted_centered_ranks", counted_ranks)
+        monkeypatch.setattr(ordsim.harness, "_sorted_scores", counted_scores)
         for _ in range(2):
             for kind in MetricKind:
                 evaluate(ds, kind)
@@ -447,6 +457,83 @@ class TestBlockParity:
         kind, u, v = calls.call_args.args
         assert kind is MetricKind.RECOS
         assert np.array_equal(u, U[80]) and np.array_equal(v, V[80])
+
+
+def _past_unit_row(kind, sign):
+    """A row (u, v = sign * u) whose row quotient under ``kind`` is a few
+    ulps past sign * 1, so that only the clip makes it the score.  decos'
+    u = v quotient is exactly 1, so its v is scaled by 1 + 2^-52 as well."""
+    U = np.random.default_rng(59).standard_normal((64, 4))
+    V = sign * U * (1.0 + 2.0**-52 if kind is MetricKind.DECOS else 1.0)
+    quotients, clip = ordsim.metrics._RowValues(U, V).similarities(kind)
+    i = int(np.flatnonzero(sign * quotients > 1.0)[0])
+    assert clip and sign * quotients[i] - 1.0 < 1e-14
+    return U[i], V[i]
+
+
+_WIDE = [1e200, 2e200, -1e200, 1e200]
+
+# (case, dimension, row, whether it is a branch row): each dataset is
+# _seeded_columns(61, 80, d) with row 50 replaced.  A branch row (u.v == 0
+# or a quotient that is not finite) is scored by _repair under every kind;
+# a quotient past +/-1 is clipped without it.
+_GATE_CASES = [
+    *[
+        (f"{kind.value} past {sign:+.0f}", 4, _past_unit_row(kind, sign), False)
+        for kind in (MetricKind.RECOS, MetricKind.COS, MetricKind.DECOS)
+        for sign in (1.0, -1.0)
+    ],
+    ("zero row, quotient NaN", 4, ([0.0] * 4, [0.0] * 4), True),
+    ("u.v = inf", 4, (_WIDE, _WIDE), True),
+    ("u.v = -inf", 4, (_WIDE, [-x for x in _WIDE]), True),
+    ("finite quotient over u.v == 0", 4, ([1.0, 2.0, 0.0, 3.0], [2.0, -1.0, 5.0, 0.0]), True),
+    # np.dot gives -3 * 0 = -0.0, the matmul +0.0: only the zero test keeps the sign.
+    ("finite quotient over u.v == -0.0", 1, ([-3.0], [0.0]), True),
+]
+
+
+class TestEndsGate:
+    """evaluate takes the row quotients as its scores when every u.v is
+    nonzero and the sorted ends are finite and, for a clipped kind, inside
+    [-1, 1].  Any other dataset is repaired or clipped, and gets the
+    per-pair loop's scores and report or error."""
+
+    @staticmethod
+    def _dataset(d, row):
+        gold, U, V = _seeded_columns(61, 80, d)
+        U[50], V[50] = row
+        return _columns_dataset(gold, U, V)
+
+    @staticmethod
+    def _repairs(ds, kind):
+        spy = mock.Mock(wraps=ordsim.harness._repair)
+        with mock.patch.object(ordsim.harness, "_repair", spy):
+            _outcome(lambda: evaluate(ds, kind))
+        return spy.call_count
+
+    @pytest.mark.parametrize("case, d, row, branch", _GATE_CASES, ids=[c[0] for c in _GATE_CASES])
+    def test_a_dataset_that_fails_the_gate_gets_the_per_pair_scores(self, case, d, row, branch):
+        ds = self._dataset(d, row)
+        _assert_parity(ds)
+        for kind in MetricKind:
+            fresh = PairDataset._from_columns(ds.name, ds.gold, ds.U, ds.V)
+            assert self._repairs(fresh, kind) == int(branch), kind
+
+    def test_the_zero_test_alone_catches_a_finite_quotient_over_a_zero_dot(self):
+        ds = self._dataset(1, ([-3.0], [0.0]))
+        for kind in (MetricKind.DECOS, MetricKind.TANIMOTO):
+            quotients, _ = ds._rows.similarities(kind)
+            assert np.isfinite(quotients).all() and np.abs(quotients).max() <= 1.0
+            assert quotients[50].hex() == "0x0.0p+0"
+            assert similarity(kind, ds.U[50], ds.V[50]).hex() == "-0x0.0p+0"
+
+    def test_a_dataset_without_branch_rows_is_never_repaired(self):
+        # Rows scaled by up to 2^30 against unit noise put quotients a few
+        # ulps past +/-1 under the clipped kinds; the clip needs no repair.
+        ds = _columns_dataset(*_seeded_columns(19, 150, 50))
+        assert [self._repairs(ds, kind) for kind in MetricKind for _ in range(2)] == [0] * 8
+        past = [kind for kind in MetricKind if np.abs(ds._rows.similarities(kind)[0]).max() > 1.0]
+        assert past == [MetricKind.RECOS, MetricKind.COS, MetricKind.DECOS]
 
 
 def _table(rows):
