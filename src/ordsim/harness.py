@@ -47,21 +47,35 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
     """Score every pair in row order, then rank-correlate with gold.
 
     Every score equals ``similarity(kind, u, v)`` of its pair bit for bit,
-    and the report equals ``spearman_rho`` of those scores and gold.  A
-    call divides row values the dataset keeps (u.v, |u|^2 and |v|^2, recos'
-    sorted dots: see ``PairDataset``), sorts the quotients once and tests
-    the sorted ends.  Only a zero u.v or a failed test repairs or clips
-    the scores, and a clip keeps the sort (see ``_sorted_scores``).  A
-    score that is not finite cannot be ranked: InvalidVectorError names
-    its row and value.
+    and the report equals ``spearman_rho`` of those scores and gold.  The
+    dataset computes the row values its kind reads (row dots u.v, squared
+    norms |u|^2 and |v|^2, recos' sorted dots) and gold's centered ranks
+    once, on first use by a kind that needs them, 5n floats kept with it
+    (its columns cannot be written, so they cannot go stale); each call
+    divides them into the row quotients, sorts those once and tests the
+    sorted ends, which makes no pass over the vectors once the values its
+    kind needs are kept.  A branch row, where ``u.v == 0`` or the quotient
+    is not finite, is scored by ``similarity`` itself, so it gets the same
+    value or raises the same error as a per-pair loop would, before any
+    error about gold.  Only a dataset with a branch row runs that repair,
+    and only ends past +/-1 clip; clipping is monotone, so it keeps the
+    sort (see ``_RowValues.sorted_scores``).  A score that is not finite
+    cannot be ranked: InvalidVectorError names its row and value.
 
-    The numerator of rho is the scores' centered ranks in sorted order
-    dotted with gold's kept centered ranks gathered into that order.  For
-    n <= 2^18 pairs every sum of it is exact, so the report is bit-identical
-    to one from ranks in row order; above that it agrees to within rounding
-    (see ``spearman_rho``).  Deterministic."""
+    The scores are never ranked in row order: the numerator of rho is
+    their centered ranks in sorted order dotted with gold's kept centered
+    ranks gathered into that order.  For n <= 2^18 pairs every sum of it
+    is exact, so the report is bit-identical to one from ranks in row
+    order; above that it agrees to within rounding (see ``spearman_rho``).
+
+    Deterministic: same dataset and metric always give the same report.
+    """
     kind = MetricKind(metric)
-    sims, order, ordered = _sorted_scores(dataset, kind)
+    # Branch rows are rescored through this module's ``similarity``, the
+    # name perfbench/tracing.py wraps.
+    sims, order, ordered = dataset._rows.sorted_scores(
+        kind, lambda i: similarity(kind, dataset.U[i], dataset.V[i])
+    )
     if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
         # The sort puts -inf first and inf and NaN last; name the first row.
         i = int(np.argmin(np.isfinite(sims)))
@@ -70,37 +84,12 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
             f"is not finite: {float(sims[i])!r}"
         )
     rho = _rank_correlation(order, _sorted_centered(ordered), dataset._gold_ranks)
-    return EvalReport(dataset=dataset.name, metric=kind, rho_x100=100.0 * rho, n_pairs=dataset.n)
-
-
-def _sorted_scores(dataset: PairDataset, kind: MetricKind) -> tuple[np.ndarray, ...]:
-    """The scores in row order, their ``argsort`` and the sorted scores.
-
-    The row quotients are the scores when every u.v is nonzero and the
-    sorted ends are finite and, for a clipped kind, inside [-1, 1].  A zero
-    u.v or a non-finite end sends them to ``_repair``, and they are sorted
-    again.  Ends past +/-1 then clip every score: clipping is monotone, so
-    it never reorders, and the sort stands."""
-    rows = dataset._rows
-    sims, clip = rows.similarities(kind)
-    order = sims.argsort()
-    ordered = sims[order]
-    finite = math.isfinite(ordered[0]) and math.isfinite(ordered[-1])
-    if not finite or np.count_nonzero(rows.dots) < sims.size:
-        _repair(dataset, kind, sims)
-        order = sims.argsort()
-        ordered = sims[order]
-    if clip and not (-1.0 <= ordered[0] and ordered[-1] <= 1.0):
-        np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)
-        ordered = sims[order]
-    return sims, order, ordered
-
-
-def _repair(dataset: PairDataset, kind: MetricKind, sims: np.ndarray) -> None:
-    """Score each branch row (u.v == 0 or a quotient that is not finite) by
-    ``similarity`` itself, in place: the per-pair loop's value or error."""
-    for i in np.flatnonzero((dataset._rows.dots == 0.0) | ~np.isfinite(sims)).tolist():
-        sims[i] = similarity(kind, dataset.U[i], dataset.V[i])
+    return EvalReport(
+        dataset=dataset.name,
+        metric=kind,
+        rho_x100=100.0 * rho,
+        n_pairs=dataset.n,
+    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -324,9 +324,7 @@ class _RowValues:
     """u.v, the pair (|u|^2, |v|^2) and recos' sorted dot of each row pair
     u_i, v_i of two (n, d) arrays that must never change.  Each is computed
     by ``_row_dots``, as the scalar metric's dot, on first use by a kind
-    whose formula reads it, and kept read-only; overflow does not warn.
-    ``harness.evaluate`` takes ``similarities`` as its scores; it rescores
-    branch rows, and clips, only where the sorted ends call for it."""
+    whose formula reads it, and kept read-only; overflow does not warn."""
 
     def __init__(self, U: np.ndarray, V: np.ndarray) -> None:
         self._U, self._V = U, V
@@ -359,17 +357,44 @@ class _RowValues:
             out[rows] = _row_dots(sa, sb)
         return _frozen(out)
 
-    @np.errstate(all="ignore")
-    def similarities(self, kind: MetricKind) -> tuple[np.ndarray, bool]:
-        """u.v / den of every row i, in a new array, with the scalar metric's
-        float operations in its order, and whether ``kind`` clips it to
-        [-1, 1].  Clipped, it is ``similarity(kind, u_i, v_i)`` bit for bit
-        but on branch rows.  Those have u.v == 0 (np.dot of one-component
-        vectors keeps a zero's sign, the matmul adds it to +0.0) or a
-        quotient that is not finite (a zero, inf or NaN denominator over a
-        nonzero u.v; a finite u.v over inf gives the scalar +/-0.0)."""
+    def sorted_scores(
+        self, kind: MetricKind, rescore: Callable[[int], float]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``similarity(kind, u_i, v_i)`` of every row i, bit for bit, in a
+        new array; its ``argsort``; and the sorted scores.
+
+        A score is u.v / den, read off ``_ROW_FORMULAS`` with the scalar
+        metric's float operations in its order, but on a branch row, which
+        ``rescore(i)`` scores: u.v == 0 (np.dot of one-component vectors
+        keeps a zero's sign, the matmul adds it to +0.0) or a quotient that
+        is not finite (a zero, inf or NaN denominator over a nonzero u.v; a
+        finite u.v over inf gives the scalar +/-0.0).  A zero dot, counted
+        before the sort, or else a non-finite sorted end calls ``_repair``;
+        only the latter sorts again.  A clipped kind clips to [-1, 1] when
+        a sorted end lies past it: clipping is monotone, so the sort stands.
+        """
+        d = self.dots
         denominator, clip = _ROW_FORMULAS[kind]
-        return self.dots / denominator(self), clip
+        with np.errstate(all="ignore"):
+            sims = d / denominator(self)
+        repaired = np.count_nonzero(d) < d.size
+        if repaired:
+            self._repair(sims, rescore)
+        order = sims.argsort()
+        ordered = sims[order]
+        if not (repaired or math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+            self._repair(sims, rescore)
+            order = sims.argsort()
+            ordered = sims[order]
+        if clip and not (-1.0 <= ordered[0] and ordered[-1] <= 1.0):
+            np.minimum(np.maximum(sims, -1.0, out=sims), 1.0, out=sims)
+            ordered = sims[order]
+        return sims, order, ordered
+
+    def _repair(self, sims: np.ndarray, rescore: Callable[[int], float]) -> None:
+        # Rescore every branch row in place: the per-pair loop's value or error.
+        for i in np.flatnonzero((self.dots == 0.0) | ~np.isfinite(sims)).tolist():
+            sims[i] = rescore(i)
 
 
 # Each kind's denominator, read off a ``_RowValues`` with the float

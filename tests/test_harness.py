@@ -214,17 +214,17 @@ def _per_pair(ds, kind):
 
 def _evaluated(ds, kind):
     """``evaluate``'s report, with the scores it ranked, in row order, as
-    ``_sorted_scores`` hands them over before evaluate checks that they are
-    finite."""
+    ``_RowValues.sorted_scores`` hands them over before evaluate checks
+    that they are finite."""
     seen = []
-    real = ordsim.harness._sorted_scores
+    real = ordsim.metrics._RowValues.sorted_scores
 
-    def spy(dataset, kind):
-        out = real(dataset, kind)
+    def spy(rows, kind, rescore):
+        out = real(rows, kind, rescore)
         seen.append(np.array(out[0], dtype=np.float64))
         return out
 
-    with mock.patch.object(ordsim.harness, "_sorted_scores", spy):
+    with mock.patch.object(ordsim.metrics._RowValues, "sorted_scores", spy):
         report = _outcome(lambda: evaluate(ds, kind))
     return (seen[0] if seen else None), report
 
@@ -386,22 +386,22 @@ class TestBlockParity:
 
         ranked = []
         real_ranks = ordsim.ranks._sorted_centered_ranks
-        real_scores = ordsim.harness._sorted_scores
+        real_scores = ordsim.metrics._RowValues.sorted_scores
 
         def counted_ranks(x):
             ranked.append(x)
             return real_ranks(x)
 
-        def counted_scores(dataset, kind):
-            out = real_scores(dataset, kind)
+        def counted_scores(rows, kind, rescore):
+            out = real_scores(rows, kind, rescore)
             ranked.append(out[0])
             return out
 
         monkeypatch.setattr(ordsim.metrics, "_row_dots", counted)
         # Gold is ranked through ranks._centered_ranks, the scores by evaluate
-        # from the sort that _sorted_scores makes.
+        # from the sort that _RowValues.sorted_scores makes.
         monkeypatch.setattr(ordsim.ranks, "_sorted_centered_ranks", counted_ranks)
-        monkeypatch.setattr(ordsim.harness, "_sorted_scores", counted_scores)
+        monkeypatch.setattr(ordsim.metrics._RowValues, "sorted_scores", counted_scores)
         for _ in range(2):
             for kind in MetricKind:
                 evaluate(ds, kind)
@@ -459,13 +459,21 @@ class TestBlockParity:
         assert np.array_equal(u, U[80]) and np.array_equal(v, V[80])
 
 
+def _quotients(rows, kind):
+    """The row quotients u.v / den of ``rows`` under ``kind``, before any
+    rescore or clip, and whether ``kind`` clips."""
+    denominator, clip = ordsim.metrics._ROW_FORMULAS[kind]
+    with np.errstate(all="ignore"):
+        return rows.dots / denominator(rows), clip
+
+
 def _past_unit_row(kind, sign):
     """A row (u, v = sign * u) whose row quotient under ``kind`` is a few
     ulps past sign * 1, so that only the clip makes it the score.  decos'
     u = v quotient is exactly 1, so its v is scaled by 1 + 2^-52 as well."""
     U = np.random.default_rng(59).standard_normal((64, 4))
     V = sign * U * (1.0 + 2.0**-52 if kind is MetricKind.DECOS else 1.0)
-    quotients, clip = ordsim.metrics._RowValues(U, V).similarities(kind)
+    quotients, clip = _quotients(ordsim.metrics._RowValues(U, V), kind)
     i = int(np.flatnonzero(sign * quotients > 1.0)[0])
     assert clip and sign * quotients[i] - 1.0 < 1e-14
     return U[i], V[i]
@@ -475,8 +483,8 @@ _WIDE = [1e200, 2e200, -1e200, 1e200]
 
 # (case, dimension, row, whether it is a branch row): each dataset is
 # _seeded_columns(61, 80, d) with row 50 replaced.  A branch row (u.v == 0
-# or a quotient that is not finite) is scored by _repair under every kind;
-# a quotient past +/-1 is clipped without it.
+# or a quotient that is not finite) is rescored by _RowValues._repair under
+# every kind; a quotient past +/-1 is clipped without it.
 _GATE_CASES = [
     *[
         (f"{kind.value} past {sign:+.0f}", 4, _past_unit_row(kind, sign), False)
@@ -506,10 +514,16 @@ class TestEndsGate:
 
     @staticmethod
     def _repairs(ds, kind):
-        spy = mock.Mock(wraps=ordsim.harness._repair)
-        with mock.patch.object(ordsim.harness, "_repair", spy):
+        calls = []
+        real = ordsim.metrics._RowValues._repair
+
+        def spy(rows, sims, rescore):
+            calls.append(rows)
+            return real(rows, sims, rescore)
+
+        with mock.patch.object(ordsim.metrics._RowValues, "_repair", spy):
             _outcome(lambda: evaluate(ds, kind))
-        return spy.call_count
+        return len(calls)
 
     @pytest.mark.parametrize("case, d, row, branch", _GATE_CASES, ids=[c[0] for c in _GATE_CASES])
     def test_a_dataset_that_fails_the_gate_gets_the_per_pair_scores(self, case, d, row, branch):
@@ -519,10 +533,23 @@ class TestEndsGate:
             fresh = PairDataset._from_columns(ds.name, ds.gold, ds.U, ds.V)
             assert self._repairs(fresh, kind) == int(branch), kind
 
+    def test_one_repair_before_the_sort_rescores_every_branch_row(self):
+        # A zero u.v sends the dataset to _repair before the sort; the same
+        # pass rescores the row whose quotient is not finite, so no sorted
+        # end calls for a second one.
+        gold, U, V = _seeded_columns(61, 80, 4)
+        U[20], V[20] = [1.0, 2.0, 0.0, 3.0], [2.0, -1.0, 5.0, 0.0]
+        U[50], V[50] = _WIDE, _WIDE
+        ds = _columns_dataset(gold, U, V)
+        _assert_parity(ds)
+        for kind in MetricKind:
+            fresh = PairDataset._from_columns(ds.name, ds.gold, ds.U, ds.V)
+            assert self._repairs(fresh, kind) == 1, kind
+
     def test_the_zero_test_alone_catches_a_finite_quotient_over_a_zero_dot(self):
         ds = self._dataset(1, ([-3.0], [0.0]))
         for kind in (MetricKind.DECOS, MetricKind.TANIMOTO):
-            quotients, _ = ds._rows.similarities(kind)
+            quotients, _ = _quotients(ds._rows, kind)
             assert np.isfinite(quotients).all() and np.abs(quotients).max() <= 1.0
             assert quotients[50].hex() == "0x0.0p+0"
             assert similarity(kind, ds.U[50], ds.V[50]).hex() == "-0x0.0p+0"
@@ -532,7 +559,7 @@ class TestEndsGate:
         # ulps past +/-1 under the clipped kinds; the clip needs no repair.
         ds = _columns_dataset(*_seeded_columns(19, 150, 50))
         assert [self._repairs(ds, kind) for kind in MetricKind for _ in range(2)] == [0] * 8
-        past = [kind for kind in MetricKind if np.abs(ds._rows.similarities(kind)[0]).max() > 1.0]
+        past = [kind for kind in MetricKind if np.abs(_quotients(ds._rows, kind)[0]).max() > 1.0]
         assert past == [MetricKind.RECOS, MetricKind.COS, MetricKind.DECOS]
 
 
