@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
 from .metrics import DenseVector, VectorLike, _RowValues, _vector
-from .ranks import _centered_ranks
+from .ranks import _centered_ranks, _tie_free_centered
 from .stats import _encode, _mean_var, _micro_average
 
 __all__ = [
@@ -127,12 +127,13 @@ class PairDataset:
     fills the columns straight from the file.
 
     ``evaluate`` reads values computed from the columns on first use by a
-    kind that needs them and then kept, 5n floats in all: the row values
-    in ``_rows`` (u.v, |u|^2 and |v|^2, recos' sorted dot) and the
-    centered ranks of ``gold``.  ``==``, ``hash`` and ``repr`` ignore them.
-    They never go stale because the columns cannot change: each is a view
-    of an array made read-only, so its writes cannot be enabled again.
-    Writing through a column's ``.base`` is unsupported.
+    kind that needs them and then kept, 6n floats and one flag in all: the
+    row values in ``_rows`` (u.v and whether one is zero, |u|^2 and |v|^2,
+    recos' sorted dot), the centered ranks of ``gold``, and the centered
+    ranks of n scores without ties.  ``==``, ``hash`` and ``repr`` ignore
+    them.  They never go stale because the columns cannot change: each is
+    a view of an array made read-only, so its writes cannot be enabled
+    again.  Writing through a column's ``.base`` is unsupported.
     """
 
     name: str
@@ -187,6 +188,15 @@ class PairDataset:
         ranks, sum_sq = _centered_ranks(self.gold)
         ranks.setflags(write=False)
         return ranks, sum_sq
+
+    @cached_property
+    def _tie_free_ranks(self) -> tuple[np.ndarray, float]:
+        """``ranks._tie_free_centered(n)``, read-only, and its sum of squares:
+        the centered ranks, in sorted order, of n scores no two of which are
+        equal."""
+        ranks = _tie_free_centered(self.n)
+        ranks.setflags(write=False)
+        return ranks, float(ranks.dot(ranks))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairDataset):

@@ -298,9 +298,23 @@ _METRIC_FUNCS = {
 }
 
 
+# Each member by its value.  A member hashes and compares as its value, so
+# one lookup finds it by either.
+_KINDS = {kind.value: kind for kind in MetricKind}
+
+
+def _metric_kind(value: MetricKind | str) -> MetricKind:
+    """``MetricKind(value)``: a member or its value costs one lookup, and
+    anything else gets the Enum call's answer or error."""
+    try:
+        return _KINDS[value]
+    except (KeyError, TypeError):  # not a kind, or unhashable
+        return MetricKind(value)
+
+
 def similarity(kind: MetricKind | str, u: VectorLike, v: VectorLike) -> float:
     """Dispatch to one of the four metrics by kind."""
-    return _METRIC_FUNCS[MetricKind(kind)](u, v)
+    return _METRIC_FUNCS[_metric_kind(kind)](u, v)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,7 +338,8 @@ class _RowValues:
     """u.v, the pair (|u|^2, |v|^2) and recos' sorted dot of each row pair
     u_i, v_i of two (n, d) arrays that must never change.  Each is computed
     by ``_row_dots``, as the scalar metric's dot, on first use by a kind
-    whose formula reads it, and kept read-only; overflow does not warn."""
+    whose formula reads it, and kept read-only; overflow does not warn.
+    Beside u.v, whether any row's u.v is zero is counted once and kept."""
 
     def __init__(self, U: np.ndarray, V: np.ndarray) -> None:
         self._U, self._V = U, V
@@ -333,6 +348,10 @@ class _RowValues:
     @np.errstate(all="ignore")
     def dots(self) -> np.ndarray:
         return _frozen(_row_dots(self._U, self._V))
+
+    @cached_property
+    def has_zero_dot(self) -> bool:
+        return bool(np.count_nonzero(self.dots) < self.dots.size)
 
     @cached_property
     @np.errstate(all="ignore")
@@ -368,8 +387,8 @@ class _RowValues:
         ``rescore(i)`` scores: u.v == 0 (np.dot of one-component vectors
         keeps a zero's sign, the matmul adds it to +0.0) or a quotient that
         is not finite (a zero, inf or NaN denominator over a nonzero u.v; a
-        finite u.v over inf gives the scalar +/-0.0).  A zero dot, counted
-        before the sort, or else a non-finite sorted end calls ``_repair``;
+        finite u.v over inf gives the scalar +/-0.0).  A zero dot (see
+        ``has_zero_dot``), or else a non-finite sorted end calls ``_repair``;
         only the latter sorts again.  A clipped kind clips to [-1, 1] when
         a sorted end lies past it: clipping is monotone, so the sort stands.
         """
@@ -377,7 +396,7 @@ class _RowValues:
         denominator, clip = _ROW_FORMULAS[kind]
         with np.errstate(all="ignore"):
             sims = d / denominator(self)
-        repaired = np.count_nonzero(d) < d.size
+        repaired = self.has_zero_dot
         if repaired:
             self._repair(sims, rescore)
         order = sims.argsort()

@@ -70,7 +70,8 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
         raise DegenerateInputError(f"length mismatch: {ax.size} vs {ay.size}")
     if ax.size < 2:
         raise DegenerateInputError("spearman_rho requires at least 2 observations")
-    return _rank_correlation(*_sorted_centered_ranks(ax), _centered_ranks(ay))
+    order = ax.argsort()
+    return _sorted_rank_correlation(order, ax[order], _centered_ranks(ay))
 
 
 def _sorted_centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,11 +81,13 @@ def _sorted_centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, _sorted_centered(arr[order])
 
 
-def _sorted_centered(sorted_vals: np.ndarray) -> np.ndarray:
+def _sorted_centered(sorted_vals: np.ndarray, ties: np.ndarray | None = None) -> np.ndarray:
     """For each position of a sorted, finite, non-empty float64 array, its
-    average rank minus the mean rank (n + 1) / 2, a multiple of 1/2."""
+    average rank minus the mean rank (n + 1) / 2, a multiple of 1/2.
+    ``ties``, if given, is ``sorted_vals[1:] == sorted_vals[:-1]``."""
     n = sorted_vals.size
-    ties = sorted_vals[1:] == sorted_vals[:-1]
+    if ties is None:
+        ties = sorted_vals[1:] == sorted_vals[:-1]
     if np.count_nonzero(ties):
         boundaries = np.concatenate(([True], ~ties))
         starts = np.flatnonzero(boundaries)
@@ -93,7 +96,12 @@ def _sorted_centered(sorted_vals: np.ndarray) -> np.ndarray:
         # start + (count + 1) / 2.
         group_rank = starts + (counts + 1) / 2.0
         return (group_rank - (n + 1) / 2.0)[np.cumsum(boundaries) - 1]
-    # Position i, rank i + 1, is centered to i - (n - 1) / 2.
+    return _tie_free_centered(n)
+
+
+def _tie_free_centered(n: int) -> np.ndarray:
+    """The centered ranks of n sorted values without ties: position i, rank
+    i + 1, is centered to i - (n - 1) / 2."""
     return np.arange(-(n - 1) / 2.0, (n + 1) / 2.0)
 
 
@@ -106,12 +114,29 @@ def _centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, float]:
     return dr, float(np.dot(centered, centered))
 
 
-def _rank_correlation(order: np.ndarray, dx: np.ndarray, y: tuple[np.ndarray, float]) -> float:
-    """Spearman's rho from x's ``_sorted_centered_ranks`` (order, dx) and
-    the ``_centered_ranks`` of y (see ``spearman_rho`` for its exactness)."""
+def _sorted_rank_correlation(
+    order: np.ndarray,
+    ordered: np.ndarray,
+    y: tuple[np.ndarray, float],
+    tie_free: tuple[np.ndarray, float] | None = None,
+) -> float:
+    """Spearman's rho of x and y from x's ``argsort`` ``order``, its sorted
+    values ``ordered`` (finite, n >= 2) and the ``_centered_ranks`` of y
+    (see ``spearman_rho`` for its exactness).
+
+    ``tie_free``, if given, is ``_tie_free_centered(n)`` and its sum of
+    squares, kept by the caller: sorted values with no two neighbours equal
+    take their centered ranks and sum of squares from it.  Otherwise, and
+    always where ``tie_free`` is None, ``_sorted_centered`` builds them.
+    """
+    ties = ordered[1:] == ordered[:-1]
+    if tie_free is None or np.count_nonzero(ties):
+        dx = _sorted_centered(ordered, ties)
+        ssx = float(dx.dot(dx))
+    else:
+        dx, ssx = tie_free
     dy, ssy = y
-    ssx = float(dx.dot(dx))
     if ssx == 0.0 or ssy == 0.0:
         raise DegenerateInputError("spearman_rho is undefined for a constant sequence")
     rho = float(dx.dot(dy[order])) / math.sqrt(ssx * ssy)
-    return float(min(1.0, max(-1.0, rho)))
+    return min(1.0, max(-1.0, rho))

@@ -251,6 +251,12 @@ def _scale(peak: float) -> float:
     return 1.0 if peak < _PEAK_LIMIT else _power_of_two_scale(peak)
 
 
+def _divided(arr: np.ndarray, scale: float) -> np.ndarray:
+    """``arr / scale``; ``arr`` itself at scale 1.0, where x / 1.0 == x, so
+    never write to it."""
+    return arr if scale == 1.0 else arr / scale
+
+
 def _mean_sd(arr: np.ndarray, low: float, high: float) -> tuple[float, float, float]:
     """(mean, sd, scale): ``_mean_var`` of ``arr / scale``, with the sd, for
     values whose smallest and largest are ``low`` and ``high``.  The scale
@@ -260,7 +266,7 @@ def _mean_sd(arr: np.ndarray, low: float, high: float) -> tuple[float, float, fl
     all equal keep the variance they give unscaled."""
     peak = max(-low, high)
     scale = _scale(peak)
-    mean, var = _mean_var(arr / scale)
+    mean, var = _mean_var(_divided(arr, scale))
     if var < _SMALLEST_NORMAL and low < high:
         scale = _power_of_two_scale(peak)
         mean, var = _mean_var(arr / scale)
@@ -272,7 +278,7 @@ def _micro_average(scores: np.ndarray, peak: float) -> float:
     Python's left-to-right sum in their order (np.sum adds pairwise), at
     ``_scale(peak)``."""
     scale = _scale(peak)
-    return sum((scores / scale).tolist()) / scores.size * scale
+    return sum(_divided(scores, scale).tolist()) / scores.size * scale
 
 
 @dataclass(frozen=True)
@@ -703,7 +709,7 @@ def cohens_d_pooled(a: Sequence[float], b: Sequence[float]) -> float:
     # d is the same at any common scale of both samples.
     peak = max(-low_a, high_a, -low_b, high_b)
     scale = _scale(peak)
-    gap, pooled = _mean_gap_and_pooled_var(xa / scale, xb / scale)
+    gap, pooled = _mean_gap_and_pooled_var(_divided(xa, scale), _divided(xb, scale))
     # A sample spreads, so a pooled variance this small may hold squared
     # deviations that underflowed.
     if pooled < _SMALLEST_NORMAL:
@@ -738,11 +744,12 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     Adjustment preserves the ordering of the raw p-values.
     """
     p = _as_array(p_values, "p-values", DegenerateInputError)
-    if not (p.min() >= 0.0 and p.max() <= 1.0):
+    order = p.argsort(kind="stable")
+    ordered = p[order]
+    if not (ordered[0] >= 0.0 and ordered[-1] <= 1.0):
         raise DegenerateInputError("p-values must lie in [0, 1]")
     m = p.size
-    order = np.argsort(p, kind="stable")
-    scaled = p[order] * m / np.arange(1, m + 1)
+    scaled = ordered * m / np.arange(1, m + 1)
     adjusted_sorted = np.minimum.accumulate(scaled[::-1])[::-1]
     adjusted_sorted = np.minimum(adjusted_sorted, 1.0)
     out = np.empty(m, dtype=np.float64)
@@ -771,7 +778,9 @@ def leave_one_dataset_out(d: PairedDiffs, alternative: str = "greater") -> TestR
         raise DegenerateInputError("leave-one-dataset-out requires >= 2 datasets")
     # The t statistic is the same at any scale of the differences.
     low, high = d._ends
-    exclusion_means = _exclusion_means(d._values / _scale(max(-low, high)), codes, counts)
+    exclusion_means = _exclusion_means(
+        _divided(d._values, _scale(max(-low, high))), codes, counts
+    )
     constant = f"leave-one-dataset-out t-test is undefined: all {k} exclusion means are equal"
     low, high = float(exclusion_means.min()), float(exclusion_means.max())
     if low == high:

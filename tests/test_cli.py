@@ -14,6 +14,7 @@ from ordsim import (
     PairRecord,
     cosine,
     fixture_path,
+    load_pairs,
     load_results,
     save_pairs,
 )
@@ -216,6 +217,33 @@ class TestBench:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "name, gold, side",
+        [
+            ("same", [1.0, 2.0, 3.0], "cos scores of dataset 'same' are all equal"),
+            ("flat", [2.0, 2.0, 2.0], "cos scores of dataset 'flat' are all equal"),
+        ],
+    )
+    def test_constant_scores_are_named(self, capsys, tmp_path, name, gold, side):
+        # u = v with one component scores exactly 1.0 on every row.
+        U = np.array([[1.0], [2.0], [-3.0]])
+        path = tmp_path / f"{name}.csv"
+        save_pairs(PairDataset._from_columns(name, np.array(gold), U, U), path)
+        code, out, err = run_cli(capsys, "bench", "--pairs", str(path), "--metric", "cos")
+        assert (code, out) == (1, "")
+        assert err == f"error: {side}: spearman_rho is undefined for a constant sequence\n"
+
+    def test_constant_gold_is_named(self, capsys, tmp_path, perfect_pairs):
+        ds = load_pairs(perfect_pairs)
+        path = tmp_path / "flat.csv"
+        save_pairs(PairDataset._from_columns("flat", np.full(ds.n, 2.5), ds.U, ds.V), path)
+        code, out, err = run_cli(capsys, "bench", "--pairs", str(path), "--metric", "cos")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: gold of dataset 'flat' is constant: "
+            "spearman_rho is undefined for a constant sequence\n"
+        )
 
     def test_non_finite_score_is_data_error(self, capsys, tmp_path):
         rng = np.random.default_rng(191)

@@ -138,6 +138,32 @@ class TestEvaluate:
         with pytest.raises(DegenerateInputError):
             evaluate(ds, "cos")
 
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_a_constant_side_is_named_scores_first(self, kind):
+        constant = "spearman_rho is undefined for a constant sequence"
+        # One-component rows with u = v score exactly 1.0 under every kind.
+        same = [([x], [x]) for x in (1.0, 2.0, -3.0)]
+        # Distinct scores under every kind: recos 0.8, 1, -1 and so on.
+        spread = [([1.0, 2.0], v) for v in ([2.0, 1.0], [1.0, 2.0], [-1.0, -2.0])]
+        scores = f"{kind.value} scores of dataset"
+        for golds, pairs, name, message in [
+            ([1.0, 2.0, 3.0], same, "same", f"{scores} 'same' are all equal"),
+            ([2.0, 2.0, 2.0], same, "both", f"{scores} 'both' are all equal"),
+            ([2.0, 2.0, 2.0], spread, "flat", "gold of dataset 'flat' is constant"),
+        ]:
+            with pytest.raises(DegenerateInputError) as err:
+                evaluate(_dataset_from_sims(golds, pairs, name), kind)
+            assert str(err.value) == f"{message}: {constant}"
+
+    @pytest.mark.parametrize(
+        "value",
+        [*MetricKind, *(k.value for k in MetricKind), np.str_("cos"), "COS", "", None, 1, ["cos"]],
+    )
+    def test_kind_lookup_answers_as_the_enum_call(self, value):
+        want = _outcome(lambda: MetricKind(value))
+        got = _outcome(lambda: ordsim.metrics._metric_kind(value))
+        assert got is want if isinstance(want, MetricKind) else got == want
+
     def test_unknown_kind_is_a_typed_error(self):
         ds = _dataset_from_sims([1.0, 2.0], [([1.0, 2.0], [2.0, 1.0])] * 2)
         with pytest.raises(DegenerateInputError) as err:
@@ -205,6 +231,15 @@ def _per_pair(ds, kind):
                 f"{MetricKind(kind).value} score of row {bad[0]} of dataset "
                 f"{ds.name!r} is not finite: {sims[bad[0]]!r}"
             )
+        # evaluate names the constant side, the scores first.
+        constant = "spearman_rho is undefined for a constant sequence"
+        if min(sims) == max(sims):
+            raise DegenerateInputError(
+                f"{MetricKind(kind).value} scores of dataset {ds.name!r} are all equal: "
+                f"{constant}"
+            )
+        if ds.gold.min() == ds.gold.max():
+            raise DegenerateInputError(f"gold of dataset {ds.name!r} is constant: {constant}")
         rho = spearman_rho(sims, ds.gold)
         return EvalReport(ds.name, MetricKind(kind), 100.0 * rho, ds.n)
 
@@ -419,9 +454,16 @@ class TestBlockParity:
         for kind in MetricKind:
             evaluate(ds, kind)
         rows = ds._rows
-        kept = [rows.dots, *rows.squared_norms, rows.sorted_dots, ds._gold_ranks[0]]
+        kept = [
+            rows.dots, *rows.squared_norms, rows.sorted_dots, ds._gold_ranks[0],
+            ds._tie_free_ranks[0],
+        ]
         assert not any(arr.flags.writeable for arr in kept)
-        assert "_rows" not in vars(twin) and "_gold_ranks" not in vars(twin)
+        positions, sum_sq = ds._tie_free_ranks
+        assert positions.tolist() == [i - (ds.n - 1) / 2 for i in range(ds.n)]
+        assert sum_sq == (ds.n**3 - ds.n) / 12
+        assert vars(rows)["has_zero_dot"] is False
+        assert not {"_rows", "_gold_ranks", "_tie_free_ranks"} & set(vars(twin))
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
         evaluate(twin, "cos")
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
@@ -437,6 +479,29 @@ class TestBlockParity:
             assert kept >= {"dots", "sorted_dots"} and "squared_norms" not in kept
         else:
             assert kept >= {"dots", "squared_norms"} and "sorted_dots" not in kept
+
+    def test_only_tied_scores_build_their_ranks(self):
+        # Row 7 is (2u, v) for row 3's (u, v).  Doubling is exact, so recos
+        # and cos score the two rows alike, and decos and tanimoto do not.
+        rng = np.random.default_rng(53)
+        U, V = rng.standard_normal((2, 40, 5))
+        U[7], V[7] = 2.0 * U[3], V[3]
+        ds = _columns_dataset(np.round(rng.uniform(0, 5, 40), 1), U, V)
+        tied = {
+            kind: similarity(kind, U[3], V[3]) == similarity(kind, U[7], V[7])
+            for kind in MetricKind
+        }
+        assert tied == {
+            MetricKind.RECOS: True, MetricKind.COS: True,
+            MetricKind.DECOS: False, MetricKind.TANIMOTO: False,
+        }
+        _assert_parity(ds)
+        ds._gold_ranks  # gold is ranked through _sorted_centered as well
+        for kind in MetricKind:
+            spy = mock.Mock(wraps=ordsim.ranks._sorted_centered)
+            with mock.patch.object(ordsim.ranks, "_sorted_centered", spy):
+                evaluate(ds, kind)
+            assert spy.call_count == tied[kind], kind
 
     def test_clean_rows_never_call_similarity(self):
         ds = _columns_dataset(*_seeded_columns(19, 150, 50))
@@ -553,6 +618,14 @@ class TestEndsGate:
             assert np.isfinite(quotients).all() and np.abs(quotients).max() <= 1.0
             assert quotients[50].hex() == "0x0.0p+0"
             assert similarity(kind, ds.U[50], ds.V[50]).hex() == "-0x0.0p+0"
+
+    def test_the_zero_dot_flag_is_kept_with_the_dots(self):
+        clean = _columns_dataset(*_seeded_columns(61, 80, 4))
+        zero = self._dataset(4, ([1.0, 2.0, 0.0, 3.0], [2.0, -1.0, 5.0, 0.0]))
+        for ds, flag in ((clean, False), (zero, True)):
+            evaluate(ds, "decos")
+            assert vars(ds._rows)["has_zero_dot"] is flag
+            assert [self._repairs(ds, kind) for kind in MetricKind] == [int(flag)] * 4
 
     def test_a_dataset_without_branch_rows_is_never_repaired(self):
         # Rows scaled by up to 2^30 against unit noise put quotients a few
