@@ -79,7 +79,7 @@ def _pair_args(args: argparse.Namespace) -> tuple[DenseVector, DenseVector]:
 
 def _cmd_sim(args: argparse.Namespace) -> int:
     u, v = _pair_args(args)
-    score = similarity(MetricKind(args.metric), u, v)
+    score = similarity(args.metric, u, v)
     print(_fmt_fixed(score, 6))
     return EXIT_OK
 
@@ -102,7 +102,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     dataset = load_pairs(args.pairs)
-    report = evaluate(dataset, MetricKind(args.metric))
+    report = evaluate(dataset, args.metric)
     if args.format == "csv":
         _check_results_field("dataset", report.dataset)
         print("model,method,dataset,score")

@@ -11,9 +11,9 @@ import numpy as np
 from .errors import CoverageMismatchError, DegenerateInputError, InvalidVectorError
 from .io import PairDataset, ResultsTable, _MethodColumns
 from .metrics import MetricKind, _metric_kind, similarity
-# evaluate ranks through the private helper; spearman_rho stays importable
+# evaluate ranks through dataset._ranked; spearman_rho stays importable
 # here because perfbench/tracing.py wraps it at ordsim.harness.spearman_rho.
-from .ranks import _sorted_rank_correlation, spearman_rho  # noqa: F401
+from .ranks import spearman_rho  # noqa: F401
 from .stats import (
     DescriptiveStats,
     PairedDiffs,
@@ -49,30 +49,29 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
     Every score equals ``similarity(kind, u, v)`` of its pair bit for bit,
     and the report equals ``spearman_rho`` of those scores and gold.  The
     dataset computes the values a kind reads (row dots u.v and whether one
-    is zero, squared norms |u|^2 and |v|^2, recos' sorted dots, gold's
-    centered ranks and the centered ranks of n tie-free scores) once, on
-    first use, 6n floats and one flag kept with it (its columns cannot be
-    written, so they cannot go stale); each call divides them into the row
-    quotients, sorts those once and tests the sorted ends, which makes no
-    pass over the vectors once the values its kind needs are kept.  A
-    branch row, where ``u.v == 0`` or the quotient is not finite, is scored
-    by ``similarity`` itself, so it gets the same value or raises the same
-    error as a per-pair loop would, before any error about gold.  Only a
-    dataset with a branch row runs that repair, and only ends past +/-1
-    clip; clipping is monotone, so it keeps the sort (see
+    is zero, squared norms |u|^2 and |v|^2, recos' sorted dots, and the
+    ``ranks._Ranked`` of gold: its centered ranks and those of n tie-free
+    scores) once, on first use, 6n floats and one flag kept with it (its
+    columns cannot be written, so they cannot go stale); each call divides
+    them into the row quotients, sorts those once and tests the sorted ends,
+    which makes no pass over the vectors once the values its kind needs are
+    kept.  A branch row, where ``u.v == 0`` or the quotient is not finite,
+    is scored by ``similarity`` itself, so it gets the same value or raises
+    the same error as a per-pair loop would, before any error about gold.
+    Only a dataset with a branch row runs that repair, and only ends past
+    +/-1 clip; clipping is monotone, so it keeps the sort (see
     ``_RowValues.sorted_scores``).  A score that is not finite cannot be
-    ranked: InvalidVectorError names its row and value.  Scores that are
-    all equal, or else a constant gold, raise DegenerateInputError naming
-    the dataset and that side.
+    ranked: InvalidVectorError names its row and value.  Scores that are all
+    equal, or else a constant gold, raise DegenerateInputError naming the
+    dataset and that side.
 
-    The scores are never ranked in row order: the numerator of rho is
-    their centered ranks in sorted order dotted with gold's kept centered
-    ranks gathered into that order.  Sorted scores with no two neighbours
-    equal read their centered ranks and sum of squares from the dataset;
-    only tied scores build them from their tie groups.  For n <= 2^18 pairs
-    every sum of it is exact, so the report is bit-identical to one from
-    ranks in row order; above that it agrees to within rounding (see
-    ``spearman_rho``).
+    The scores are never ranked in row order: gold's ``_Ranked.rho`` dots
+    their centered ranks in sorted order with gold's kept centered ranks
+    gathered into that order.  Sorted scores with no two neighbours equal
+    read their centered ranks and sum of squares from it; only tied scores
+    build them from their tie groups.  For n <= 2^18 pairs every sum of it
+    is exact, so the report is bit-identical to one from ranks in row
+    order; above that it agrees to within rounding (see ``spearman_rho``).
 
     Deterministic: same dataset and metric always give the same report.
     """
@@ -90,9 +89,7 @@ def evaluate(dataset: PairDataset, metric: MetricKind | str) -> EvalReport:
             f"is not finite: {float(sims[i])!r}"
         )
     try:
-        rho = _sorted_rank_correlation(
-            order, ordered, dataset._gold_ranks, dataset._tie_free_ranks
-        )
+        rho = dataset._ranked.rho(order, ordered)
     except DegenerateInputError as exc:
         # The one error it raises: one side is constant.  Name which.
         if ordered[0] == ordered[-1]:

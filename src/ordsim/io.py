@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError, InvalidVectorError
 from .metrics import DenseVector, VectorLike, _RowValues, _vector
-from .ranks import _centered_ranks, _tie_free_centered
+from .ranks import _Ranked
 from .stats import _encode, _mean_var, _micro_average
 
 __all__ = [
@@ -107,10 +107,16 @@ class PairRecord:
     v: DenseVector
 
     def __post_init__(self) -> None:
-        gold = float(self.gold)
+        try:
+            gold = float(self.gold)
+        except (TypeError, ValueError, OverflowError):
+            raise DegenerateInputError(f"gold score is not a real number: {self.gold!r}") from None
         if not math.isfinite(gold):
             raise DegenerateInputError("gold score must be finite")
         object.__setattr__(self, "gold", gold)
+        for name, value in (("u", self.u), ("v", self.v)):
+            if not isinstance(value, DenseVector):
+                raise DegenerateInputError(f"{name} must be a DenseVector, got {type(value).__name__}")
         if self.u.dim != self.v.dim:
             raise DegenerateInputError(
                 f"pair dimensions differ: {self.u.dim} vs {self.v.dim}"
@@ -129,8 +135,8 @@ class PairDataset:
     ``evaluate`` reads values computed from the columns on first use by a
     kind that needs them and then kept, 6n floats and one flag in all: the
     row values in ``_rows`` (u.v and whether one is zero, |u|^2 and |v|^2,
-    recos' sorted dot), the centered ranks of ``gold``, and the centered
-    ranks of n scores without ties.  ``==``, ``hash`` and ``repr`` ignore
+    recos' sorted dot), and in ``_ranked`` the centered ranks of ``gold``
+    and of n scores without ties.  ``==``, ``hash`` and ``repr`` ignore
     them.  They never go stale because the columns cannot change: each is
     a view of an array made read-only, so its writes cannot be enabled
     again.  Writing through a column's ``.base`` is unsupported.
@@ -183,20 +189,9 @@ class PairDataset:
         return _RowValues(self.U, self.V)
 
     @cached_property
-    def _gold_ranks(self) -> tuple[np.ndarray, float]:
-        """``ranks._centered_ranks`` of ``gold``, the array read-only."""
-        ranks, sum_sq = _centered_ranks(self.gold)
-        ranks.setflags(write=False)
-        return ranks, sum_sq
-
-    @cached_property
-    def _tie_free_ranks(self) -> tuple[np.ndarray, float]:
-        """``ranks._tie_free_centered(n)``, read-only, and its sum of squares:
-        the centered ranks, in sorted order, of n scores no two of which are
-        equal."""
-        ranks = _tie_free_centered(self.n)
-        ranks.setflags(write=False)
-        return ranks, float(ranks.dot(ranks))
+    def _ranked(self) -> _Ranked:
+        """``gold``'s side of the Spearman correlation ``evaluate`` reports."""
+        return _Ranked(self.gold)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairDataset):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -56,6 +57,7 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
     Handles ties exactly (no sum-of-squared-rank-differences shortcut).
     Requires n >= 2 and at least two distinct values on each side.
 
+    y is ranked once (``_Ranked``) and its centered ranks kept in row order;
     x's centered ranks stay in x's sorted order and y's are gathered into
     it, so the numerator is ``dx_sorted . dy[order]``.  Centered average
     ranks are multiples of 1/2, so every product and partial sum of both
@@ -71,23 +73,22 @@ def spearman_rho(x: SequenceLike, y: SequenceLike) -> float:
     if ax.size < 2:
         raise DegenerateInputError("spearman_rho requires at least 2 observations")
     order = ax.argsort()
-    return _sorted_rank_correlation(order, ax[order], _centered_ranks(ay))
+    return _Ranked(ay).rho(order, ax[order])
 
 
 def _sorted_centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, centered): ``np.argsort`` of a checked array (see
     ``_as_array``) and its ``_sorted_centered`` ranks."""
     order = arr.argsort()
-    return order, _sorted_centered(arr[order])
+    sorted_vals = arr[order]
+    return order, _sorted_centered(sorted_vals, sorted_vals[1:] == sorted_vals[:-1])
 
 
-def _sorted_centered(sorted_vals: np.ndarray, ties: np.ndarray | None = None) -> np.ndarray:
+def _sorted_centered(sorted_vals: np.ndarray, ties: np.ndarray) -> np.ndarray:
     """For each position of a sorted, finite, non-empty float64 array, its
     average rank minus the mean rank (n + 1) / 2, a multiple of 1/2.
-    ``ties``, if given, is ``sorted_vals[1:] == sorted_vals[:-1]``."""
+    ``ties`` is ``sorted_vals[1:] == sorted_vals[:-1]``."""
     n = sorted_vals.size
-    if ties is None:
-        ties = sorted_vals[1:] == sorted_vals[:-1]
     if np.count_nonzero(ties):
         boundaries = np.concatenate(([True], ~ties))
         starts = np.flatnonzero(boundaries)
@@ -105,38 +106,40 @@ def _tie_free_centered(n: int) -> np.ndarray:
     return np.arange(-(n - 1) / 2.0, (n + 1) / 2.0)
 
 
-def _centered_ranks(arr: np.ndarray) -> tuple[np.ndarray, float]:
-    """``average_ranks(arr)`` minus their mean, in row order, and the sum of
-    their squares, for a checked array (see ``_as_array``)."""
-    order, centered = _sorted_centered_ranks(arr)
-    dr = np.empty(arr.size)
-    dr[order] = centered
-    return dr, float(np.dot(centered, centered))
+class _Ranked:
+    """The fixed side y of Spearman correlations with other samples, for a
+    checked array (see ``_as_array``): ``centered``, y's average ranks minus
+    their mean in row order, and ``sum_sq``, their sum of squares.  The
+    arrays it keeps are read-only."""
 
+    def __init__(self, y: np.ndarray) -> None:
+        order, centered = _sorted_centered_ranks(y)
+        self.centered = np.empty(y.size)
+        self.centered[order] = centered
+        self.centered.setflags(write=False)
+        self.sum_sq = float(np.dot(centered, centered))
 
-def _sorted_rank_correlation(
-    order: np.ndarray,
-    ordered: np.ndarray,
-    y: tuple[np.ndarray, float],
-    tie_free: tuple[np.ndarray, float] | None = None,
-) -> float:
-    """Spearman's rho of x and y from x's ``argsort`` ``order``, its sorted
-    values ``ordered`` (finite, n >= 2) and the ``_centered_ranks`` of y
-    (see ``spearman_rho`` for its exactness).
+    @cached_property
+    def tie_free(self) -> tuple[np.ndarray, float]:
+        """``_tie_free_centered(n)`` and its sum of squares: the centered
+        ranks, in sorted order, of n values no two of which are equal."""
+        positions = _tie_free_centered(self.centered.size)
+        positions.setflags(write=False)
+        return positions, float(positions.dot(positions))
 
-    ``tie_free``, if given, is ``_tie_free_centered(n)`` and its sum of
-    squares, kept by the caller: sorted values with no two neighbours equal
-    take their centered ranks and sum of squares from it.  Otherwise, and
-    always where ``tie_free`` is None, ``_sorted_centered`` builds them.
-    """
-    ties = ordered[1:] == ordered[:-1]
-    if tie_free is None or np.count_nonzero(ties):
-        dx = _sorted_centered(ordered, ties)
-        ssx = float(dx.dot(dx))
-    else:
-        dx, ssx = tie_free
-    dy, ssy = y
-    if ssx == 0.0 or ssy == 0.0:
-        raise DegenerateInputError("spearman_rho is undefined for a constant sequence")
-    rho = float(dx.dot(dy[order])) / math.sqrt(ssx * ssy)
-    return min(1.0, max(-1.0, rho))
+    def rho(self, order: np.ndarray, ordered: np.ndarray) -> float:
+        """Spearman's rho of x and y from x's ``argsort`` ``order`` and its
+        sorted values ``ordered`` (finite, n >= 2; see ``spearman_rho`` for
+        its exactness).  Sorted values with no two neighbours equal take
+        their centered ranks and sum of squares from ``tie_free``; only tied
+        ones build them."""
+        ties = ordered[1:] == ordered[:-1]
+        if np.count_nonzero(ties):
+            dx = _sorted_centered(ordered, ties)
+            ssx = float(dx.dot(dx))
+        else:
+            dx, ssx = self.tie_free
+        if ssx == 0.0 or self.sum_sq == 0.0:
+            raise DegenerateInputError("spearman_rho is undefined for a constant sequence")
+        rho = float(dx.dot(self.centered[order])) / math.sqrt(ssx * self.sum_sq)
+        return min(1.0, max(-1.0, rho))

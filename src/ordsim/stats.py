@@ -172,8 +172,9 @@ class PairedDiffs:
         cls, values: Sequence[float], datasets: Sequence[str] | None = None
     ) -> "PairedDiffs":
         """Build from bare values, labeling each entry by position (or dataset)."""
+        values = _as_array(values, "differences", DegenerateInputError)
         if datasets is None:
-            labels = tuple(("", str(i)) for i in range(len(values)))
+            labels = tuple(("", str(i)) for i in range(values.size))
         else:
             labels = tuple(("", ds) for ds in datasets)
         return cls(values, labels)

@@ -69,14 +69,16 @@ def test_star_import():
     assert set(namespace) - {"__builtins__"} == set(ordsim.__all__)
 
 
-@pytest.mark.parametrize(
-    "module, name, defined_in",
-    [
-        ("stats", "average_ranks", "ranks"),
-        ("harness", "spearman_rho", "ranks"),
-        ("harness", "similarity", "metrics"),
-    ],
-)
+# (module, name, module that defines it) for each attribute that
+# perfbench/tracing.py wraps outside the module that defines it.
+TRACER_HOOK_POINTS = [
+    ("stats", "average_ranks", "ranks"),
+    ("harness", "spearman_rho", "ranks"),
+    ("harness", "similarity", "metrics"),
+]
+
+
+@pytest.mark.parametrize("module, name, defined_in", TRACER_HOOK_POINTS)
 def test_tracer_hook_points_stay_importable(module, name, defined_in):
     # perfbench/tracing.py wraps these module attributes even where the module
     # does not call them; its Tracer raises AttributeError if one is gone.
@@ -233,4 +235,23 @@ def test_every_private_top_level_name_is_used():
         for name, node in _private_definitions(tree)
         if not any(name in set(_uses(other, node)) for other in trees.values())
     ]
+    assert unused == []
+
+
+def test_every_name_imported_from_ordsim_is_read():
+    # An import that a refactor leaves behind is a name a module imports
+    # from another ordsim module and never reads.  The tracer hook points
+    # are imported only to be wrapped.
+    hook_points = {(module, name) for module, name, _ in TRACER_HOOK_POINTS}
+    unused = []
+    for path in Path(ordsim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level > 0):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name != "*" and name not in read and (path.stem, name) not in hook_points:
+                    unused.append(f"{path.stem}:{name}")
     assert unused == []

@@ -433,7 +433,7 @@ class TestBlockParity:
             return out
 
         monkeypatch.setattr(ordsim.metrics, "_row_dots", counted)
-        # Gold is ranked through ranks._centered_ranks, the scores by evaluate
+        # Gold is ranked once, by its ranks._Ranked, the scores by evaluate
         # from the sort that _RowValues.sorted_scores makes.
         monkeypatch.setattr(ordsim.ranks, "_sorted_centered_ranks", counted_ranks)
         monkeypatch.setattr(ordsim.metrics._RowValues, "sorted_scores", counted_scores)
@@ -455,15 +455,15 @@ class TestBlockParity:
             evaluate(ds, kind)
         rows = ds._rows
         kept = [
-            rows.dots, *rows.squared_norms, rows.sorted_dots, ds._gold_ranks[0],
-            ds._tie_free_ranks[0],
+            rows.dots, *rows.squared_norms, rows.sorted_dots, ds._ranked.centered,
+            ds._ranked.tie_free[0],
         ]
         assert not any(arr.flags.writeable for arr in kept)
-        positions, sum_sq = ds._tie_free_ranks
+        positions, sum_sq = ds._ranked.tie_free
         assert positions.tolist() == [i - (ds.n - 1) / 2 for i in range(ds.n)]
         assert sum_sq == (ds.n**3 - ds.n) / 12
         assert vars(rows)["has_zero_dot"] is False
-        assert not {"_rows", "_gold_ranks", "_tie_free_ranks"} & set(vars(twin))
+        assert not {"_rows", "_ranked"} & set(vars(twin))
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
         evaluate(twin, "cos")
         assert ds == twin and hash(ds) == hash(twin) and repr(ds) == repr(twin)
@@ -496,7 +496,7 @@ class TestBlockParity:
             MetricKind.DECOS: False, MetricKind.TANIMOTO: False,
         }
         _assert_parity(ds)
-        ds._gold_ranks  # gold is ranked through _sorted_centered as well
+        ds._ranked  # gold is ranked through _sorted_centered as well
         for kind in MetricKind:
             spy = mock.Mock(wraps=ordsim.ranks._sorted_centered)
             with mock.patch.object(ordsim.ranks, "_sorted_centered", spy):

@@ -110,6 +110,14 @@ class TestPairRecordAndDataset:
             PairRecord(float("nan"), DenseVector([1]), DenseVector([1]))
         with pytest.raises(DegenerateInputError):
             PairRecord(1.0, DenseVector([1, 2]), DenseVector([1]))
+        u = DenseVector([1.0, 2.0])
+        for gold in ("x", None, 1j, 10**400):
+            with pytest.raises(DegenerateInputError, match="^gold score is not a real number: "):
+                PairRecord(gold, u, u)
+        with pytest.raises(DegenerateInputError, match="^u must be a DenseVector, got list$"):
+            PairRecord(1.0, [1.0, 2.0], u)
+        with pytest.raises(DegenerateInputError, match="^v must be a DenseVector, got ndarray$"):
+            PairRecord(1.0, u, np.array([1.0, 2.0]))
 
     def test_dataset_needs_two_records(self):
         rec = PairRecord(1.0, DenseVector([1]), DenseVector([2]))

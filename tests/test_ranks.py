@@ -21,7 +21,7 @@ from ordsim import (
     similarity,
     spearman_rho,
 )
-from ordsim.ranks import _centered_ranks, _sorted_centered_ranks
+from ordsim.ranks import _Ranked, _sorted_centered_ranks
 
 
 def _ranks_quadratic(xs):
@@ -50,7 +50,7 @@ def _stable_sort_ranks(xs):
 
 
 def _stable_sort_centered_ranks(xs):
-    # Reference ``_centered_ranks``: the ranks above minus their mean.
+    # Reference ``_Ranked``: the ranks above minus their mean.
     r = _stable_sort_ranks(xs)
     dr = r - r.mean()
     return dr, float(np.dot(dr, dr))
@@ -96,7 +96,7 @@ class TestAverageRanks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert average_ranks(xs).tolist() == [4.0, 2.5, 2.5, 5.0, 1.0]
-            assert _centered_ranks(np.array(xs))[1] == 9.5
+            assert _Ranked(np.array(xs)).sum_sq == 9.5
 
     @pytest.mark.parametrize("bad", [[], [float("nan")], [1.0, float("inf")]])
     def test_rejects_malformed(self, bad):
@@ -136,7 +136,8 @@ class TestMatchesStableSortRanker:
 
     def _assert_same(self, xs):
         assert average_ranks(xs).tobytes() == _stable_sort_ranks(xs).tobytes()
-        dr, sum_sq = _centered_ranks(np.asarray(xs, dtype=np.float64))
+        ranked = _Ranked(np.asarray(xs, dtype=np.float64))
+        dr, sum_sq = ranked.centered, ranked.sum_sq
         ref_dr, ref_sum_sq = _stable_sort_centered_ranks(xs)
         assert dr.tobytes() == ref_dr.tobytes()
         assert sum_sq.hex() == ref_sum_sq.hex()
@@ -297,7 +298,8 @@ class TestSortedOrderCorrelation:
 
     def _assert_exact(self, x, y):
         order, dx = _sorted_centered_ranks(x)
-        dy, ssy = _centered_ranks(y)
+        ranked = _Ranked(y)
+        dy, ssy = ranked.centered, ranked.sum_sq
         a, b = _twice_centered(x), _twice_centered(y)
         assert 4 * float(np.dot(dx, dy[order])) == int(np.dot(a, b))
         assert 4 * float(np.dot(dx, dx)) == int(np.dot(a, a))
@@ -338,3 +340,101 @@ class TestSortedOrderCorrelation:
             assert len(set(scores)) <= 250
             want = 100.0 * spearman_rho(scores, ds.gold)
             assert evaluate(ds, kind).rho_x100.hex() == want.hex()
+
+
+# The two helpers that ``_Ranked`` replaced, as they were: gold's centered
+# ranks in row order with their sum of squares, and rho from x's sort, with
+# the tie-free positions that only ``evaluate`` passed.
+def _replaced_sorted_centered(sorted_vals, ties):
+    n = sorted_vals.size
+    if np.count_nonzero(ties):
+        boundaries = np.concatenate(([True], ~ties))
+        starts = np.flatnonzero(boundaries)
+        counts = np.diff(np.append(starts, n))
+        group_rank = starts + (counts + 1) / 2.0
+        return (group_rank - (n + 1) / 2.0)[np.cumsum(boundaries) - 1]
+    return np.arange(-(n - 1) / 2.0, (n + 1) / 2.0)
+
+
+def _replaced_centered_ranks(arr):
+    order = arr.argsort()
+    sorted_vals = arr[order]
+    centered = _replaced_sorted_centered(sorted_vals, sorted_vals[1:] == sorted_vals[:-1])
+    dr = np.empty(arr.size)
+    dr[order] = centered
+    return dr, float(np.dot(centered, centered))
+
+
+def _replaced_sorted_rank_correlation(order, ordered, y, tie_free=None):
+    ties = ordered[1:] == ordered[:-1]
+    if tie_free is None or np.count_nonzero(ties):
+        dx = _replaced_sorted_centered(ordered, ties)
+        ssx = float(dx.dot(dx))
+    else:
+        dx, ssx = tie_free
+    dy, ssy = y
+    if ssx == 0.0 or ssy == 0.0:
+        raise DegenerateInputError("spearman_rho is undefined for a constant sequence")
+    rho = float(dx.dot(dy[order])) / math.sqrt(ssx * ssy)
+    return min(1.0, max(-1.0, rho))
+
+
+def _rho_outcome(call):
+    # A rho as its exact bits, or the message of its DegenerateInputError.
+    try:
+        return ("rho", call().hex())
+    except DegenerateInputError as exc:
+        return ("error", str(exc))
+
+
+@st.composite
+def _shaped_samples(draw):
+    """Two samples of one size n >= 2 (often exactly 2), each tied,
+    tie-free or constant."""
+    n = draw(st.just(2) | st.integers(2, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample():
+        shape = draw(st.sampled_from(["tied", "tie-free", "constant"]))
+        if shape == "tied":
+            return rng.integers(0, draw(st.integers(2, 8)), n).astype(np.float64)
+        if shape == "constant":
+            return np.full(n, rng.standard_normal())
+        return rng.permutation(n) * 0.5 - rng.standard_normal() * n
+
+    return sample(), sample()
+
+
+class TestRanked:
+    """``_Ranked`` keeps the fixed side y of Spearman correlations."""
+
+    @given(_shaped_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_helpers_it_replaced(self, xy):
+        x, y = xy
+        ranked = _Ranked(y)
+        dy, ssy = _replaced_centered_ranks(y)
+        assert ranked.centered.tobytes() == dy.tobytes()
+        assert ranked.sum_sq.hex() == ssy.hex()
+        order = x.argsort()
+        ordered = x[order]
+        positions = np.arange(-(x.size - 1) / 2.0, (x.size + 1) / 2.0)
+        tie_free = positions, float(positions.dot(positions))
+        # evaluate passed the tie-free positions; spearman_rho did not.
+        assert _rho_outcome(lambda: ranked.rho(order, ordered)) == _rho_outcome(
+            lambda: _replaced_sorted_rank_correlation(order, ordered, (dy, ssy), tie_free)
+        )
+        assert _rho_outcome(lambda: spearman_rho(x, y)) == _rho_outcome(
+            lambda: _replaced_sorted_rank_correlation(order, ordered, (dy, ssy))
+        )
+
+    def test_kept_arrays_are_read_only(self):
+        ranked = _Ranked(np.array([3.0, 1.0, 4.0, 1.0]))
+        assert ranked.centered.tolist() == [0.5, -1.0, 1.5, -1.0]
+        assert ranked.sum_sq == 4.5
+        positions, sum_sq = ranked.tie_free
+        assert positions.tolist() == [-1.5, -0.5, 0.5, 1.5] and sum_sq == 5.0
+        for arr in (ranked.centered, positions):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        assert ranked.tie_free[0] is positions

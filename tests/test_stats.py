@@ -68,6 +68,16 @@ class TestPairedDiffs:
         assert d.labels == (("", "A"), ("", "B"))
         assert d.n == 2
 
+    def test_from_values_checks_the_values_first(self):
+        with pytest.raises(DegenerateInputError, match="^differences must be numeric: "):
+            PairedDiffs.from_values(iter([1.0, 2.0]))
+        with pytest.raises(DegenerateInputError, match="^differences must be 1-d, got shape"):
+            PairedDiffs.from_values(3.0)
+        values = np.array([0.1, -0.0, 5e-324])
+        d = PairedDiffs.from_values(values)
+        assert d._values.tobytes() == values.tobytes() and d._values is not values
+        assert d.labels == (("", "0"), ("", "1"), ("", "2"))
+
     def test_values_are_a_read_only_copy_outside_the_value(self):
         labels = (("m", "A"), ("m", "B"))
         d = PairedDiffs((0.5, -0.25), labels)
